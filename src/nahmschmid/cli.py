@@ -4,8 +4,9 @@ Subcommands: integrate, closed-form, spectral, degeneracy, factorize,
 stability, sweep.  Every JSON output echoes the full configuration and the
 inner-product scale so runs are reproducible; identical configurations
 (including the seed) give byte-identical output.  Exit codes: 0 success,
-2 configuration error, 3 numerical failure.  NS_THREADS caps the sweep
-worker pool.
+2 configuration error, 3 numerical failure.  Sweep points run serially:
+the small-matrix numpy calls of one point hold the GIL, so a worker pool
+measured no faster.
 
 Initial-data files are JSON objects with components "T0".."T3" (or
 "tau1".."tau3" for stability) encoded as row-major [re, im] matrices;
@@ -14,9 +15,7 @@ anti-Hermiticity defects above 1e-8 are reported and reprojected.
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -61,22 +60,25 @@ def _emit(args, text):
             fh.write(text)
 
 
-def _initial_quadruple(args):
-    """Initial data from a file or from the scenario parameters."""
-    warnings = []
-    if args.init:
-        with open(args.init, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        quad, warnings = serialize.quadruple_from_obj(obj)
-    elif args.algebra == "su2":
-        quad = flow.su2_closed_form(args.a, args.b, args.kappa, args.t_start)
-    else:
-        rng = np.random.default_rng(args.seed)
-        Z = np.zeros((args.n, args.n), dtype=complex)
-        quad = np.array([Z] + [random_antihermitian(args.n, rng) for _ in range(3)])
+def _load_init(args, components=("T0", "T1", "T2", "T3")):
+    """Matrices named `components` from the --init file; warnings go to stderr."""
+    with open(args.init, "r", encoding="utf-8") as fh:
+        obj = json.load(fh)
+    mats, warnings = serialize.quadruple_from_obj(obj, components)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    return quad
+    return mats
+
+
+def _initial_quadruple(args):
+    """Initial data from a file or from the scenario parameters."""
+    if args.init:
+        return _load_init(args)
+    if args.algebra == "su2":
+        return flow.su2_closed_form(args.a, args.b, args.kappa, args.t_start)
+    rng = np.random.default_rng(args.seed)
+    Z = np.zeros((args.n, args.n), dtype=complex)
+    return np.array([Z] + [random_antihermitian(args.n, rng) for _ in range(3)])
 
 
 def _solution_trajectory(args):
@@ -149,12 +151,7 @@ def cmd_degeneracy(args):
 
 def cmd_factorize(args):
     if args.init:
-        with open(args.init, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        triple, warnings = serialize.quadruple_from_obj(obj, ("T1", "T2", "T3"))
-        for w in warnings:
-            print(f"warning: {w}", file=sys.stderr)
-        T1, T2, T3 = triple
+        T1, T2, T3 = _load_init(args, ("T1", "T2", "T3"))
     else:
         quad = flow.su2_closed_form(args.a, args.b, args.kappa, args.t_start)
         T1 = quad[1] - 0.5j * args.shift * np.eye(2)
@@ -177,12 +174,7 @@ def cmd_factorize(args):
 
 def cmd_stability(args):
     if args.init:
-        with open(args.init, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        triple, warnings = serialize.quadruple_from_obj(obj, ("tau1", "tau2", "tau3"))
-        for w in warnings:
-            print(f"warning: {w}", file=sys.stderr)
-        taus = list(triple)
+        taus = list(_load_init(args, ("tau1", "tau2", "tau3")))
     else:
         c = [float(x) for x in args.triple.split(",")]
         if len(c) != 3:
@@ -230,6 +222,8 @@ def cmd_sweep(args):
     base = {"kappa": args.kappa, "a": args.a, "b": args.b}
     if args.param not in base:
         raise ValueError("--param must be one of kappa, a, b")
+    if args.points < 1 or args.points2 < 1:
+        raise ValueError("--points and --points2 must be at least 1")
     grid1 = np.linspace(args.start, args.stop, args.points)
     tasks = []
     if args.param2:
@@ -245,9 +239,7 @@ def cmd_sweep(args):
         for v1 in grid1:
             tasks.append((base, args.param, float(v1), None, None, args.steps, args.scale))
 
-    workers = int(os.environ.get("NS_THREADS", "0")) or min(8, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_sweep_point, tasks))
+    results = map(_sweep_point, tasks)
 
     header = [args.param]
     if args.param2:

@@ -11,6 +11,20 @@ for the initial values xi(0) = 0, xi'(0) = basis vector, expressed in an
 orthonormal basis of the algebra, and a (near-)singular matrix flags the
 locus.  A sampled sup bound 2 sup_t (|T2|^2 + |T3|^2) < pi^2 certifies
 nondegeneracy without shooting.
+
+Shooting runs in real coordinates of the adjoint representation.  With
+d = dim of the algebra, Delta_T xi = 0 becomes the real d x d system
+
+    xi'' = M(t) xi + D(t) xi',
+    M = -ad(T0') - ad(T0)^2 - ad(T1)^2 + ad(T2)^2 + ad(T3)^2,
+    D = -2 ad(T0),
+
+formed once per grid node and midpoint with
+:func:`liealg.double_bracket_matrix` (the same layer `stability` builds its
+operator from).  Propagating the fundamental matrix costs O(d^3) = O(n^6)
+per step, against O(d n^3) = O(n^5) for applying complex double brackets
+to all d directions; at the sizes shot here (n <= 16, no workload goes
+further) the GEMM form is the faster one.
 """
 
 import math
@@ -19,7 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grids
-from .liealg import DEFAULT_SCALE, bracket, inner, norm, orthonormal_basis
+from .liealg import (
+    DEFAULT_SCALE,
+    ad_matrix,
+    bracket,
+    double_bracket_matrix,
+    inner,
+    orthonormal_basis,
+)
 
 
 @dataclass(frozen=True)
@@ -92,37 +113,63 @@ def delta_apply(traj, xi_path, scale=DEFAULT_SCALE):
     return out
 
 
+# M and D are formed for blocks of times whose (times, d, n, n) complex
+# intermediates stay below this many entries: forming a whole n = 16 grid
+# at once would hold several hundred MB of them
+_FORM_BLOCK_ENTRIES = 1 << 19
+
+
+def _operator_coefficients(C, has_T0, basis, scale):
+    """M (and D) at every time of C, in blocks of times to bound memory.
+
+    C holds (T1, T2, T3) per time, or (T0, T1, T2, T3, T0') when has_T0.
+    Returns (len(C), d, d), or (len(C), 2, d, d) stacking M and D.
+    """
+    d, n = basis.shape[0], basis.shape[-1]
+    block = max(1, _FORM_BLOCK_ENTRIES // (d * n * n))
+    out = np.empty((len(C),) + ((2,) if has_T0 else ()) + (d, d))
+    for lo in range(0, len(C), block):
+        c = C[lo : lo + block]
+        if has_T0:
+            ads = ad_matrix(c[:, (4, 0)], basis, scale)
+            dbl = double_bracket_matrix(c[:, :4], (-1.0, -1.0, 1.0, 1.0), basis, scale)
+            out[lo : lo + block, 0] = dbl - ads[:, 0]
+            out[lo : lo + block, 1] = -2.0 * ads[:, 1]
+        else:
+            out[lo : lo + block] = double_bracket_matrix(c, (-1.0, 1.0, 1.0), basis, scale)
+    return out
+
+
 def shooting_matrix(traj, algebra=None, scale=DEFAULT_SCALE):
     """Map xi'(0) -> xi(1) for solutions of Delta_T xi = 0 with xi(0) = 0.
 
-    All d initial-value problems are integrated together as one stacked
-    first-order system with RK4; trajectory values at half-steps come from
-    cubic interpolation of the samples.  Entries are coordinates in the
-    orthonormal basis, so the zero trajectory gives the identity matrix.
+    In real coordinates of an orthonormal basis the equation is
+    xi'' = M(t) xi + D(t) xi' with d x d matrices M and D (see the module
+    docstring; D vanishes and is skipped when T0 = 0).  M and D are formed
+    at the grid nodes and at the half-steps, where the trajectory comes
+    from cubic interpolation of the samples; RK4 then propagates the real
+    (2, d, d) fundamental matrix (xi, xi') from (0, identity).  Each step
+    costs O(d^3), against O(n^5) for the bracket form.  The result is
+    xi(1), so the zero trajectory gives the identity matrix.
     """
     basis = algebra_basis(traj, algebra, scale)
     d = basis.shape[0]
     S, h = traj.samples, traj.h
-    T0d = grids.derivative(S[:, 0], h)
-    coeff_nodes = np.concatenate([S, T0d[:, None]], axis=1)  # (m, 5, n, n)
-    coeff_mids = grids.midpoints(coeff_nodes)
-
     has_T0 = bool(np.max(np.abs(S[:, 0])) > 0)
-
-    def rhs(C, Y):
-        xi, xid = Y[0], Y[1]
-        acc = -bracket(C[1], bracket(C[1], xi))
-        acc = acc + bracket(C[2], bracket(C[2], xi))
-        acc = acc + bracket(C[3], bracket(C[3], xi))
-        if has_T0:
-            acc = acc - bracket(C[4], xi) - 2.0 * bracket(C[0], xid)
-            acc = acc - bracket(C[0], bracket(C[0], xi))
-        return np.stack([xid, acc])
-
-    Y0 = np.stack([np.zeros_like(basis), basis])
-    path = grids.rk4_sampled(rhs, coeff_nodes, coeff_mids, Y0, h)
-    xi_final = path[-1, 0]  # (d, n, n)
-    return -scale * np.real(np.einsum("jab,kba->jk", basis, xi_final))
+    if has_T0:
+        T0d = grids.derivative(S[:, 0], h)
+        nodes = np.concatenate([S, T0d[:, None]], axis=1)  # (m, 5, n, n)
+        rhs = lambda C, Y: np.array([Y[1], C[0] @ Y[0] + C[1] @ Y[1]])
+    else:
+        nodes = S[:, 1:]  # (m, 3, n, n)
+        rhs = lambda C, Y: np.array([Y[1], C @ Y[0]])
+    m = nodes.shape[0]
+    coeff = _operator_coefficients(
+        np.concatenate([nodes, grids.midpoints(nodes)]), has_T0, basis, scale
+    )
+    Y0 = np.stack([np.zeros((d, d)), np.eye(d)])
+    path = grids.rk4_sampled(rhs, coeff[:m], coeff[m:], Y0, h)
+    return path[-1, 0]
 
 
 def degeneracy_report(traj, tol_low=1e-6, tol_high=1e-3, algebra=None, scale=DEFAULT_SCALE):

@@ -71,7 +71,9 @@ def jacobi(u, kappa):
     if not 0.0 <= kappa <= 1.0:
         raise ValueError(f"modulus must lie in [0, 1], got {kappa}")
     if kappa == 1.0:
-        sech = 1.0 / math.cosh(u)
+        # sech u = 2 e^{-|u|} / (1 + e^{-2|u|}): math.cosh overflows past |u| ~ 710
+        e = math.exp(-abs(u))
+        sech = 2.0 * e / (1.0 + e * e)
         return math.tanh(u), sech, sech
     K = complete_K(kappa)
     # reduce to [0, 4K), then to [0, 2K), then to [0, K]

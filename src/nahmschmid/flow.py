@@ -381,10 +381,6 @@ def from_boundary_data(gamma, xi1, xi2, xi3, config=None):
 # ---------------------------------------------------------------------------
 # SO(1,2) action
 
-def lorentz_eta():
-    return _ETA.copy()
-
-
 def check_lorentz(A, tol=1e-10):
     """Validate A^T eta A = eta and det A = 1 for eta = diag(1,-1,-1)."""
     A = np.asarray(A, dtype=float)

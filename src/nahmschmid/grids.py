@@ -129,11 +129,13 @@ def rk4_sampled(rhs, coeff_nodes, coeff_mids, y0, h, project=None):
 
     rhs(coeff, y) evaluates the right-hand side; coeff_nodes has shape
     (m, ...) and coeff_mids (m-1, ...) holds the half-step values (from
-    :func:`midpoints` or a closed form).
+    :func:`midpoints` or a closed form).  The state keeps the common dtype
+    of y0 and the coefficients, so a real system is stepped in real
+    arithmetic.
     """
-    y = np.array(y0, dtype=complex)
+    y = np.array(y0, dtype=np.result_type(y0, coeff_nodes, coeff_mids))
     m = coeff_nodes.shape[0]
-    out = np.empty((m,) + y.shape, dtype=complex)
+    out = np.empty((m,) + y.shape, dtype=y.dtype)
     out[0] = y
     for k in range(m - 1):
         k1 = rhs(coeff_nodes[k], y)

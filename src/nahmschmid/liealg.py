@@ -5,7 +5,10 @@ anti-Hermitian (X* = -X).  The module provides the commutator, the
 Ad-invariant inner product <X,Y> = -scale * Re tr(XY), the exponential map
 into U(n), the standard su(2) basis with [e1,e2] = e3 (cyclically), and
 random element generators.  Everything downstream (flows, shooting,
-spectral curves) is built on these few primitives.
+spectral curves) is built on these few primitives.  The adjoint layer
+(`ad_matrix`, `double_bracket_matrix`) turns brackets with fixed elements
+into real d x d matrices in an orthonormal basis, batched over leading
+axes; degeneracy shooting and the stability operator both use it.
 """
 
 import numpy as np
@@ -173,11 +176,70 @@ def from_coordinates(c, basis):
     return np.tensordot(np.asarray(c), basis, axes=(0, 0))
 
 
+# Images of the basis under a linear map are held as (..., n, d, n) arrays
+# whose [..., a, i, c] entry is entry (a, c) of the image of b_i: in that
+# layout X b_i for all i is one GEMM against the concatenated basis.
+
+
+def _times_basis(X, basis):
+    """X b_i for every basis element, as (..., n, d, n)."""
+    d, n = basis.shape[0], basis.shape[-1]
+    flat = X.reshape(-1, n) @ basis.transpose(1, 0, 2).reshape(n, d * n)
+    return flat.reshape(X.shape[:-1] + (d, n))
+
+
+def _basis_times(X, basis):
+    """b_i X for every basis element, as (..., n, d, n)."""
+    d, n = basis.shape[0], basis.shape[-1]
+    prod = (basis.reshape(d * n, n) @ X).reshape(X.shape[:-2] + (d, n, n))
+    return prod.swapaxes(-3, -2)
+
+
+def _coordinates_of_images(Y, basis, scale):
+    """Real (..., d, d) matrix whose column i holds the coordinates of Y's image i.
+
+    The coordinate map Y -> -scale * Re tr(b_j Y) is one real GEMM between
+    the interleaved (re, im) entries of Y and a (d, 2n^2) matrix built from
+    the basis.
+    """
+    d = basis.shape[0]
+    bt = basis.swapaxes(-1, -2)
+    P = -scale * np.stack([bt.real, -bt.imag], axis=-1).reshape(d, -1)
+    Yc = np.ascontiguousarray(Y.swapaxes(-3, -2))  # (..., d, n, n)
+    flat = Yc.view(np.float64).reshape(-1, P.shape[1])
+    A = (flat @ P.T).reshape(Yc.shape[:-2] + (d,))
+    return np.ascontiguousarray(A.swapaxes(-1, -2))
+
+
 def ad_matrix(X, basis, scale=DEFAULT_SCALE):
     """Matrix of ad(X) = [X, .] in an orthonormal basis.
 
     The result is real and skew-symmetric, which is exactly the invariance
-    of the inner product in infinitesimal form.
+    of the inner product in infinitesimal form.  Leading axes of X are
+    batch axes: X of shape (..., n, n) gives (..., d, d).
     """
-    bX = bracket(np.asarray(X)[None, :, :], basis)
-    return np.array([coordinates(col, basis, scale) for col in bX]).T
+    X = np.asarray(X, dtype=complex)
+    images = _times_basis(X, basis) - _basis_times(X, basis)
+    return _coordinates_of_images(images, basis, scale)
+
+
+def double_bracket_matrix(T, signs, basis, scale=DEFAULT_SCALE):
+    """Matrix of x -> sum_k signs[k] [T_k, [T_k, x]] in an orthonormal basis.
+
+    T has shape (..., K, n, n) and signs length K; leading axes are batch
+    axes of the (..., d, d) result.  Each double bracket is expanded as
+    T^2 x + x T^2 - 2 T x T, so the K terms cost O(K d n^3) and a single
+    d x 2n^2 x d GEMM maps the sum to coordinates, where squaring ad
+    matrices would take K GEMMs of d x d x d.  For anti-Hermitian T_k the
+    result is symmetric (ad T_k is skew).
+    """
+    T = np.asarray(T, dtype=complex)
+    signs = np.asarray(signs, dtype=float)
+    n, d = T.shape[-1], basis.shape[0]
+    Q = np.sum(signs[:, None, None] * (T @ T), axis=-3)
+    images = _times_basis(Q, basis) + _basis_times(Q, basis)
+    for k, s in enumerate(signs):
+        Tk = T[..., k, :, :]
+        TbT = _times_basis(Tk, basis).reshape(Tk.shape[:-2] + (n * d, n)) @ Tk
+        images -= (2.0 * s) * TbT.reshape(images.shape)
+    return _coordinates_of_images(images, basis, scale)

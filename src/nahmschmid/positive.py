@@ -27,6 +27,7 @@ import scipy.linalg
 
 from . import grids
 from .liealg import project_antihermitian
+from .serialize import matrix_to_pairs
 
 
 class NotFactorizableError(ValueError):
@@ -79,14 +80,10 @@ class FactorPair:
     def as_dict(self):
         margin = self.root_margin if np.isfinite(self.root_margin) else None
         return {
-            "A": _cplx_list(self.A),
-            "B": _cplx_list(self.B),
+            "A": matrix_to_pairs(self.A),
+            "B": matrix_to_pairs(self.B),
             "root_margin": margin,  # None when all roots sit at infinity
         }
-
-
-def _cplx_list(M):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(M)]
 
 
 def circle_pencil(T1, T2, T3, theta):

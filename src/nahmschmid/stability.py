@@ -22,6 +22,7 @@ from .liealg import (
     DEFAULT_SCALE,
     ad_matrix,
     bracket,
+    double_bracket_matrix,
     from_coordinates,
     norm,
     orthonormal_basis,
@@ -81,7 +82,7 @@ def dv_matrix(tau1, tau2, tau3, basis=None, scale=DEFAULT_SCALE, traceless=None)
         if traceless is None:
             traceless = all(abs(np.trace(t)) < 1e-10 for t in taus)
         basis = orthonormal_basis(n, traceless=traceless, scale=scale)
-    ads = [ad_matrix(t, basis, scale) for t in taus]
+    ads = ad_matrix(np.array(taus), basis, scale)
     d = basis.shape[0]
     Z = np.zeros((d, d))
     return np.block(
@@ -97,13 +98,13 @@ def stability_spectrum(tau1, tau2, tau3, scale=DEFAULT_SCALE, tol=1e-10):
     """Stability report of a commuting triple.
 
     The operator (ad tau2)^2 + (ad tau3)^2 - (ad tau1)^2 is assembled in an
-    orthonormal basis (where it is symmetric) and diagonalised; the DV
+    orthonormal basis (where it is symmetric) with the double-bracket layer
+    that also forms the degeneracy shooting operator, and diagonalised; the DV
     spectrum comes from the explicit block Jacobian.
     """
     taus = check_commuting(tau1, tau2, tau3, tol=max(tol, 1e-10))
     DV, basis = dv_matrix(*taus, scale=scale)
-    ads = [ad_matrix(t, basis, scale) for t in taus]
-    op = ads[1] @ ads[1] + ads[2] @ ads[2] - ads[0] @ ads[0]
+    op = double_bracket_matrix(np.array(taus), (-1.0, 1.0, 1.0), basis, scale)
     spec = np.linalg.eigvalsh(0.5 * (op + op.T))
     dv_spec = np.linalg.eigvals(DV)
     pos = dv_spec.real[dv_spec.real > tol]

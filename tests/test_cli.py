@@ -258,15 +258,41 @@ def test_cli_stability_halfline(tmp_path):
     assert abs(hl["fitted_rate"] - 1.0) < 0.1
 
 
-def test_cli_sweep_respects_ns_threads(tmp_path, monkeypatch):
-    monkeypatch.setenv("NS_THREADS", "1")
-    out = tmp_path / "s1.csv"
+def test_cli_sweep_rows_in_grid_order(tmp_path):
+    out = tmp_path / "grid.csv"
     code = run_cli(
-        ["sweep", "--param", "kappa", "--from", "0.3", "--to", "0.6",
-         "--points", "3", "--steps", "150", "--output", str(out)]
+        ["sweep", "--param", "a", "--from", "1", "--to", "2", "--points", "3",
+         "--param2", "kappa", "--from2", "0.3", "--to2", "0.6", "--points2", "2",
+         "--steps", "150", "--output", str(out)]
     )
     assert code == 0
-    assert len(out.read_text().strip().splitlines()) == 4
+    rows = [line.split(",")[:2] for line in out.read_text().strip().splitlines()[1:]]
+    expected = [(a, k) for a in (1.0, 1.5, 2.0) for k in (0.3, 0.6)]
+    assert [(float(a), float(k)) for a, k in rows] == pytest.approx(expected)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [["--points", "0"], ["--points", "-2"], ["--points", "2", "--param2", "b", "--points2", "0"]],
+)
+def test_cli_sweep_rejects_empty_grid(tmp_path, capsys, points):
+    out = tmp_path / "empty.csv"
+    code = run_cli(
+        ["sweep", "--param", "a", "--from", "1", "--to", "2", *points,
+         "--steps", "150", "--output", str(out)]
+    )
+    assert code == 2
+    assert "at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_closed_form_hyperbolic_long_range(tmp_path):
+    out = tmp_path / "hyp.json"
+    code = run_cli(
+        ["closed-form", "--kappa", "1", "--t-end", "800", "--steps", "10", "--output", str(out)]
+    )
+    assert code == 0
+    assert json.loads(out.read_text())["config"]["t_end"] == 800.0
 
 
 def test_cli_sweep_two_parameters(tmp_path):

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
-from nahmschmid import flow
+from nahmschmid import flow, grids
 from nahmschmid.degeneracy import (
+    algebra_basis,
     degeneracy_report,
     delta_apply,
     pi_bound_precheck,
@@ -21,7 +23,7 @@ from nahmschmid.flow import (
     lorentz_rotation,
     su2_closed_form_trajectory,
 )
-from nahmschmid.liealg import exp_unitary, random_antihermitian, su2_basis
+from nahmschmid.liealg import bracket, exp_unitary, inner, random_antihermitian, su2_basis
 
 E1, E2, E3 = su2_basis()
 KAPPA = 0.9
@@ -211,3 +213,65 @@ def test_linearization_of_real_equation_map(rng, nondegenerate_traj):
         lin = (plus - minus) / (2 * eps)
         target = -delta_apply(traj, xi)
         assert np.max(np.abs(lin - target)) < 1e-4
+
+
+def bracket_form_shooting(traj, basis, scale=2.0):
+    """Reference kernel: RK4 on Delta_T xi = 0 with complex double brackets
+    applied to all d basis directions at once."""
+    S, h = traj.samples, traj.h
+    nodes = np.concatenate([S, grids.derivative(S[:, 0], h)[:, None]], axis=1)
+    mids = grids.midpoints(nodes)
+
+    def rhs(C, Y):
+        acc = -bracket(C[4], Y[0]) - 2.0 * bracket(C[0], Y[1])
+        for k, sign in enumerate((-1.0, -1.0, 1.0, 1.0)):
+            acc = acc + sign * bracket(C[k], bracket(C[k], Y[0]))
+        return np.array([Y[1], acc])
+
+    Y = np.array([np.zeros_like(basis), basis])
+    for k in range(len(S) - 1):
+        k1 = rhs(nodes[k], Y)
+        k2 = rhs(mids[k], Y + 0.5 * h * k1)
+        k3 = rhs(mids[k], Y + 0.5 * h * k2)
+        k4 = rhs(nodes[k + 1], Y + h * k3)
+        Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return inner(basis[:, None], Y[0][None, :], scale)
+
+
+def assert_matches_bracket_form(traj):
+    M = shooting_matrix(traj)
+    ref = bracket_form_shooting(traj, algebra_basis(traj))
+    assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_shooting_matches_bracket_form_on_locus():
+    assert_matches_bracket_form(su2_closed_form_trajectory(2 * K9, 0.0, KAPPA, (0.0, 1.0), 400))
+
+
+def test_shooting_matches_bracket_form_with_T0(rng):
+    quad = np.array([np.zeros((3, 3))] + [random_antihermitian(3, rng) for _ in range(3)])
+    traj = integrate(quad, (0.0, 1.0), SolverConfig(steps=300))
+    X = random_antihermitian(3, rng)
+    Y = random_antihermitian(3, rng)
+    t = traj.times
+    u = np.array([exp_unitary(s * X) @ exp_unitary(s * s * Y) for s in t])
+    gauged = gauge_apply(u, traj)
+    T0 = gauged.samples[:, 0]
+    assert np.min(np.abs(grids.derivative(T0, traj.h)).max(axis=(1, 2))) > 0.1
+    assert_matches_bracket_form(gauged)
+
+
+def test_rk4_sampled_keeps_real_state_real():
+    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    nodes = np.broadcast_to(A, (101, 2, 2))
+    path = grids.rk4_sampled(lambda C, y: C @ y, nodes, nodes[1:], np.eye(2), 0.01)
+    assert path.dtype == np.float64
+    assert_allclose(path[-1], scipy.linalg.expm(A), atol=1e-10)
+
+
+def test_gauge_ode_stays_complex(rng):
+    quad = np.array([random_antihermitian(2, rng) for _ in range(4)])
+    traj = integrate(quad, (0.0, 1.0), SolverConfig(steps=200))
+    fixed, u = flow.gauge_fix(traj)
+    assert u.dtype == np.complex128
+    assert np.max(np.abs(u[-1].imag)) > 1e-3

@@ -48,6 +48,18 @@ def test_jacobi_boundary_modulus():
         assert abs(dn - 1.0 / math.cosh(u)) < 1e-14
 
 
+@pytest.mark.parametrize("u", [0.0, 5.0, -5.0, 800.0, -800.0])
+def test_jacobi_boundary_modulus_large_argument(u):
+    # sech is evaluated from e^{-|u|}, so it underflows to 0 instead of
+    # overflowing cosh once |u| passes ~710
+    sn, cn, dn = jacobi(u, 1.0)
+    assert sn == pytest.approx(math.tanh(u), abs=1e-15)
+    assert cn == dn
+    expected = 1.0 / math.cosh(u) if abs(u) < 700 else 0.0
+    assert cn == pytest.approx(expected, rel=1e-15, abs=1e-300)
+    assert abs(sn * sn + cn * cn - 1.0) < 1e-15
+
+
 def test_jacobi_trigonometric_limit():
     for u in (-1.0, 0.2, 2.5):
         sn, cn, dn = jacobi(u, 0.0)

@@ -7,6 +7,7 @@ from nahmschmid.liealg import (
     ad_matrix,
     bracket,
     coordinates,
+    double_bracket_matrix,
     exp_unitary,
     from_coordinates,
     inner,
@@ -148,3 +149,30 @@ def test_ad_matrix_skew(rng):
     # ad acts correctly in coordinates
     Y = random_antihermitian(3, rng)
     assert_allclose(A @ coordinates(Y, basis), coordinates(bracket(X, Y), basis), atol=1e-12)
+
+
+@pytest.mark.parametrize("n, traceless", [(2, True), (3, False), (4, True)])
+def test_double_bracket_matrix(rng, n, traceless):
+    basis = orthonormal_basis(n, traceless=traceless)
+    T = np.array([random_antihermitian(n, rng) for _ in range(3)])
+    signs = (-1.0, 1.0, 2.0)
+    D = double_bracket_matrix(T, signs, basis)
+    assert_allclose(D, D.T, atol=1e-12)
+    ads = ad_matrix(T, basis)
+    assert_allclose(D, sum(s * A @ A for s, A in zip(signs, ads)), atol=1e-12)
+    # the operator it represents, applied in coordinates
+    Y = random_antihermitian(n, rng, traceless=traceless)
+    direct = sum(s * bracket(Tk, bracket(Tk, Y)) for s, Tk in zip(signs, T))
+    assert_allclose(D @ coordinates(Y, basis), coordinates(direct, basis), atol=1e-12)
+
+
+def test_adjoint_layer_batches_over_leading_axes(rng):
+    basis = orthonormal_basis(3)
+    T = np.array([[random_antihermitian(3, rng) for _ in range(2)] for _ in range(4)])
+    batched = double_bracket_matrix(T.reshape(2, 2, 2, 3, 3), (1.0, -1.0), basis)
+    ads = ad_matrix(T, basis)
+    for i in range(4):
+        single = double_bracket_matrix(T[i], (1.0, -1.0), basis)
+        assert_allclose(batched.reshape(4, 9, 9)[i], single, atol=1e-13)
+        for k in range(2):
+            assert_allclose(ads[i, k], ad_matrix(T[i, k], basis), atol=1e-13)
