@@ -15,6 +15,7 @@ anti-Hermiticity defects above 1e-8 are reported and reprojected.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -52,12 +53,18 @@ _COMMON_NAMES = (
 )
 
 
+# characters per write: a text file encodes what it is given in one piece,
+# so writing a trajectory export at once would hold a second, encoded copy
+_EMIT_CHUNK = 1 << 20
+
+
 def _emit(args, text):
     if args.output == "-":
         sys.stdout.write(text)
     else:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for i in range(0, len(text), _EMIT_CHUNK):
+                fh.write(text[i : i + _EMIT_CHUNK])
 
 
 def _load_init(args, components=("T0", "T1", "T2", "T3")):
@@ -120,16 +127,15 @@ def cmd_closed_form(args):
 
 def cmd_spectral(args):
     traj = _solution_trajectory(args)
-    curve = spectral.char_poly(spectral.lax_from_quadruple(traj.samples[0]))
+    lax0 = spectral.lax_from_quadruple(traj.samples[0])
+    curve = spectral.char_poly(lax0)
     obj = {
         "config": _config_echo(args, _COMMON_NAMES),
         "curve": curve.as_dict(),
         "curve_reality_defect": curve.reality_defect(),
         "isospectral_drift": spectral.isospectral_drift(traj),
         "lax_residual": spectral.lax_residual(traj),
-        "conserved_C": spectral.conserved_C_from_trace(
-            spectral.lax_from_quadruple(traj.samples[0]), scale=args.scale
-        ),
+        "conserved_C": spectral.conserved_C_from_trace(lax0, scale=args.scale),
     }
     _emit(args, serialize.dumps(obj))
     return EXIT_OK
@@ -172,15 +178,21 @@ def cmd_factorize(args):
     return EXIT_OK
 
 
+def _triple_coefficients(text):
+    c = [float(x) for x in text.split(",")]
+    if len(c) != 3:
+        raise ValueError("--triple needs three comma-separated coefficients")
+    if not all(math.isfinite(x) for x in c):
+        raise ValueError(f"--triple entries must be finite, got {text!r}")
+    return c
+
+
 def cmd_stability(args):
     if args.init:
         taus = list(_load_init(args, ("tau1", "tau2", "tau3")))
     else:
-        c = [float(x) for x in args.triple.split(",")]
-        if len(c) != 3:
-            raise ValueError("--triple needs three comma-separated coefficients")
         e1, _, _ = su2_basis()
-        taus = [ci * e1 for ci in c]
+        taus = [ci * e1 for ci in _triple_coefficients(args.triple)]
     rep = stability.stability_spectrum(*taus, scale=args.scale)
     out = {
         "config": {**_config_echo(args, _COMMON_NAMES), "triple": args.triple},
@@ -312,10 +324,31 @@ def build_parser():
     return parser
 
 
+# options whose destination is not the flag name with "_" for "-"
+_FLAGS = {"start": "--from", "stop": "--to", "start2": "--from2", "stop2": "--to2"}
+
+
+def _check_config(args):
+    """Reject non-finite float options, a bad --triple and --n below 1.
+
+    Raises ValueError naming the option, so such input exits 2 (a
+    configuration error) before any numerics run.
+    """
+    for dest, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            flag = _FLAGS.get(dest, "--" + dest.replace("_", "-"))
+            raise ValueError(f"{flag} must be finite, got {value!r}")
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
+    if getattr(args, "triple", None) is not None:
+        _triple_coefficients(args.triple)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_config(args)
         return args.func(args)
     except (flow.NumericalFailure, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

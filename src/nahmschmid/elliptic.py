@@ -13,6 +13,7 @@ The boundary modulus kappa = 1 degenerates the AGM and is dispatched to the
 hyperbolic closed forms sn = tanh, cn = dn = sech.
 """
 
+import functools
 import math
 
 _AGM_TOL = 1e-15
@@ -47,9 +48,15 @@ def _agm_scheme(kappa):
     return ladder
 
 
-def _jacobi_core(u, kappa):
+@functools.lru_cache(maxsize=64)
+def _modulus_data(kappa):
+    # K and the Landen ladder depend on kappa alone; a trajectory samples
+    # one modulus thousands of times, so they are computed once per kappa
+    return complete_K(kappa), tuple(_agm_scheme(kappa))
+
+
+def _jacobi_core(u, kappa, ladder):
     # valid for u in [-K, K]; principal arcsin branch throughout
-    ladder = _agm_scheme(kappa)
     N = len(ladder) - 1
     phi = (2.0**N) * ladder[N][0] * u
     for n in range(N, 0, -1):
@@ -75,7 +82,7 @@ def jacobi(u, kappa):
         e = math.exp(-abs(u))
         sech = 2.0 * e / (1.0 + e * e)
         return math.tanh(u), sech, sech
-    K = complete_K(kappa)
+    K, ladder = _modulus_data(kappa)
     # reduce to [0, 4K), then to [0, 2K), then to [0, K]
     v = math.fmod(u, 4.0 * K)
     if v < 0.0:
@@ -87,5 +94,5 @@ def jacobi(u, kappa):
     if v > K:
         v = 2.0 * K - v
         sign_cn = -sign_cn
-    sn, cn, dn = _jacobi_core(v, kappa)
+    sn, cn, dn = _jacobi_core(v, kappa, ladder)
     return sign_sn * sn, sign_cn * cn, dn

@@ -51,7 +51,6 @@ class SolverConfig:
 
     steps: int = 2000
     method: str = "rk4"
-    residual_tol: float = 1e-6
 
     def __post_init__(self):
         if self.steps < 1:
@@ -452,7 +451,14 @@ def su2_closed_form_trajectory(a, b, kappa, t_span=(0.0, 1.0), steps=2000):
     """Trajectory built by sampling the closed form (an exact solution)."""
     t0, t1 = float(t_span[0]), float(t_span[1])
     times = np.linspace(t0, t1, steps + 1)
-    samples = np.array([su2_closed_form(a, b, kappa, t) for t in times])
+    # (steps+1, 3) rows (sn, cn, dn); the profiles scale the basis as in
+    # su2_closed_form, with the same operations in the same order
+    f = np.array([elliptic.jacobi(a * t + b, kappa) for t in times])
+    e1, e2, e3 = su2_basis()
+    samples = np.zeros((steps + 1, 4, 2, 2), dtype=complex)
+    samples[:, 1] = (a * kappa * f[:, 0])[:, None, None] * e1
+    samples[:, 2] = (a * kappa * f[:, 1])[:, None, None] * e2
+    samples[:, 3] = (-a * f[:, 2])[:, None, None] * e3
     return Trajectory(t0, t1, samples)
 
 

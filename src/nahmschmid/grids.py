@@ -137,15 +137,16 @@ def rk4_sampled(rhs, coeff_nodes, coeff_mids, y0, h, project=None):
     m = coeff_nodes.shape[0]
     out = np.empty((m,) + y.shape, dtype=y.dtype)
     out[0] = y
+    half, sixth = 0.5 * h, h / 6.0
     for k in range(m - 1):
         k1 = rhs(coeff_nodes[k], y)
-        k2 = rhs(coeff_mids[k], y + 0.5 * h * k1)
-        k3 = rhs(coeff_mids[k], y + 0.5 * h * k2)
+        k2 = rhs(coeff_mids[k], y + half * k1)
+        k3 = rhs(coeff_mids[k], y + half * k2)
         k4 = rhs(coeff_nodes[k + 1], y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if project is not None:
             y = project(y)
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise FloatingPointError(f"state became non-finite at step {k + 1}")
         out[k + 1] = y
     return out

@@ -116,22 +116,25 @@ class SpectralCurve:
         }
 
 
-def _eta_coefficients(A):
-    # coefficients (c_1 .. c_n) of det(eta - A) = eta^n + c_1 eta^{n-1} + ...
-    return np.poly(A)[1:]
-
-
 def char_poly(L):
     """Spectral curve of a Lax polynomial by evaluation-interpolation.
 
     det(eta - T(zeta)) is sampled at the 2n+1 roots of unity in zeta and
     the zeta-coefficients are recovered with the inverse discrete Fourier
     matrix, which is exact to rounding for polynomials of degree <= 2n.
+    All nodes share one batched eigvals; the eta-coefficients are expanded
+    from the eigenvalues as np.poly does, one root at a time.
     """
     n = L.n
     m = 2 * n + 1
     nodes = np.exp(2j * np.pi * np.arange(m) / m)
-    vals = np.array([_eta_coefficients(L.at(z)) for z in nodes])  # (m, n)
+    roots = np.linalg.eigvals(L.at(nodes[:, None, None]))  # (m, n)
+    # det(eta - A) = eta^n + c_1 eta^{n-1} + ... + c_n; multiply in (eta - r_k)
+    c = np.zeros((m, n + 1), dtype=complex)
+    c[:, 0] = 1.0
+    for k in range(n):
+        c[:, 1 : k + 2] -= roots[:, k : k + 1] * c[:, : k + 1]
+    vals = c[:, 1:]  # (m, n)
     # c_j = (1/m) sum_m conj(node^j) p(node): inverse Vandermonde on roots of unity
     powers = nodes[:, None] ** np.arange(m)[None, :]
     coeffs = (powers.conj().T @ vals) / m  # (m, n), row j = zeta^j coefficient

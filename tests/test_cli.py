@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nahmschmid import serialize
+from nahmschmid import cli, serialize
 from nahmschmid.cli import main
 from nahmschmid.elliptic import complete_K
-from nahmschmid.flow import Trajectory, su2_closed_form_trajectory
+from nahmschmid.flow import SolverConfig, Trajectory, integrate, su2_closed_form_trajectory
 from nahmschmid.liealg import random_antihermitian, su2_basis
 
 
@@ -47,6 +47,109 @@ def test_quadruple_from_obj_reprojects_with_warning():
     quad, warnings = serialize.quadruple_from_obj(obj)
     assert len(warnings) == 1 and "T1" in warnings[0]
     assert np.max(np.abs(quad[1] + quad[1].conj().T)) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# byte identity of the array-leaf export against the nested-list form
+
+def nested_list_obj(traj, scale=None):
+    # the trajectory object as it was built before samples became arrays
+    def pairs(M):
+        return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+
+    obj = {
+        "t_start": traj.t_start, "t_end": traj.t_end, "steps": traj.steps, "n": traj.n,
+        "samples": [{f"T{i}": pairs(q[i]) for i in range(4)} for q in traj.samples],
+    }
+    if scale is not None:
+        obj["scale"] = scale
+    return obj
+
+
+def reference_csv_rows(traj):
+    for t, q in zip(traj.times, traj.samples):
+        row = [repr(float(t))]
+        for z in q.ravel():
+            row += [repr(float(z.real)), repr(float(z.imag))]
+        yield ",".join(row)
+
+
+def export_trajectory(kind):
+    if kind == "su2":
+        return su2_closed_form_trajectory(1.0, 0.1, 0.6, (0.0, 1.0), 20)
+    if kind == "u3":
+        rng = np.random.default_rng(7)
+        quad = np.array([random_antihermitian(3, rng) for _ in range(4)])
+        return integrate(quad, (0.0, 0.5), SolverConfig(steps=12))
+    # anti-Hermitian samples holding signed zeros, subnormals and huge values
+    M = np.array(
+        [[complex(-0.0, 1e-300), complex(5e-324, 1e200)],
+         [complex(-5e-324, 1e200), complex(0.0, -1e-300)]]
+    )
+    S = np.zeros((3, 4, 2, 2), dtype=complex)
+    S[0, 1], S[1, 2], S[2, 3], S[2, 0] = M, -M, 1e-3 * M, M
+    return Trajectory(0.0, 1.0, S)
+
+
+@pytest.mark.parametrize("kind", ["su2", "u3", "edge"])
+def test_export_json_byte_identical(kind):
+    traj = export_trajectory(kind)
+    # dumps is one %-format of the whole text: percent signs stay literal
+    config = {"kappa": 0.8, "name": "run 100% %r %s %%", "%(x)s": "%", "steps": traj.steps}
+    got = serialize.dumps(
+        {"config": config, "trajectory": serialize.trajectory_to_obj(traj, scale=2.0)}
+    )
+    ref = {"config": config, "trajectory": nested_list_obj(traj, scale=2.0)}
+    assert got == json.dumps(ref, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    # a bare array as the whole object renders at column 0
+    leaf = serialize.trajectory_to_obj(traj)["samples"][-1]["T1"]
+    assert serialize.dumps(leaf) == json.dumps(leaf.tolist(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["su2", "u3", "edge"])
+def test_export_csv_byte_identical(kind):
+    traj = export_trajectory(kind)
+    lines = list(serialize.trajectory_csv_lines(traj))
+    assert lines[1:] == list(reference_csv_rows(traj))
+
+
+@pytest.mark.parametrize("kind", ["su2", "u3", "edge"])
+def test_export_round_trip(kind):
+    traj = export_trajectory(kind)
+    obj = serialize.trajectory_to_obj(traj)
+    for back in (
+        serialize.trajectory_from_obj(obj),
+        serialize.trajectory_from_obj(json.loads(serialize.dumps(obj))),
+    ):
+        assert back.t_start == traj.t_start and back.t_end == traj.t_end
+        assert_allclose(back.samples, traj.samples, rtol=0, atol=0)
+
+
+def test_dumps_placeholder_text_in_strings():
+    traj = export_trajectory("su2")
+    tobj = serialize.trajectory_to_obj(traj)
+    # a string merely containing the placeholder is written as json writes it
+    note = "echo " + serialize._HOLE
+    got = serialize.dumps({"note": note, "trajectory": tobj})
+    ref = {"note": note, "trajectory": nested_list_obj(traj)}
+    assert got == json.dumps(ref, indent=2, sort_keys=True) + "\n"
+    # a string or key equal to it is never swapped for an array
+    for obj in ({"note": serialize._HOLE, "trajectory": tobj},
+                {serialize._HOLE: 1, "trajectory": tobj},
+                {"note": serialize._HOLE}):
+        with pytest.raises(ValueError, match="placeholder"):
+            serialize.dumps(obj)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dumps_rejects_non_finite_array_leaf(bad):
+    S = np.zeros((2, 4, 2, 2), dtype=complex)
+    S[1, 2, 0, 1] = complex(0.0, bad)
+    obj = serialize.trajectory_to_obj(Trajectory(0.0, 1.0, S))
+    with pytest.raises(ValueError):
+        serialize.dumps(obj)
+    with pytest.raises(ValueError):
+        serialize.dumps({"x": np.array([1.0, bad])})
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +217,25 @@ def test_cli_unknown_param_is_config_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["integrate", "--t-end", "inf"], "--t-end"),
+        (["integrate", "--t-end", "nan"], "--t-end"),
+        (["stability", "--triple", "1,nan,0"], "--triple"),
+        (["integrate", "--algebra", "un", "--n", "0"], "--n"),
+        (["sweep", "--param", "a", "--from=-inf", "--to", "1", "--points", "2"], "--from"),
+    ],
+)
+def test_cli_non_finite_or_degenerate_config_exits_2(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    code = run_cli(argv + ["--steps", "10", "--output", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_cli_numerical_failure_exit_3(tmp_path):
@@ -131,14 +253,18 @@ def test_cli_numerical_failure_exit_3(tmp_path):
     assert code == 3
 
 
-def test_cli_reproducible_bytes(tmp_path):
+def test_cli_reproducible_bytes(tmp_path, monkeypatch):
     args = [
         "integrate", "--algebra", "un", "--n", "3", "--seed", "42",
         "--steps", "100",
     ]
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert run_cli(args + ["--output", str(out1)]) == 0
+    # files are written in slices of _EMIT_CHUNK characters; the size of
+    # the slices does not change the bytes
+    monkeypatch.setattr(cli, "_EMIT_CHUNK", 7)
     assert run_cli(args + ["--output", str(out2)]) == 0
+    assert out1.stat().st_size > 7 * 100
     assert out1.read_bytes() == out2.read_bytes()
 
 

@@ -409,6 +409,15 @@ def test_su2_closed_form_trivial_modulus():
         assert_allclose(q[3], -1.5 * E3, atol=1e-15)
 
 
+def test_su2_closed_form_trajectory_matches_pointwise():
+    # the sampled trajectory holds exactly the pointwise closed form, signed
+    # zeros included, also for kappa = 0, kappa = 1 and negative a
+    for a, b, kappa in ((1.4, 0.3, 0.85), (-2.0, 1.1, 0.0), (0.7, -0.4, 1.0)):
+        traj = su2_closed_form_trajectory(a, b, kappa, (-0.5, 1.5), 40)
+        ref = np.array([su2_closed_form(a, b, kappa, t) for t in traj.times])
+        assert traj.samples.tobytes() == ref.tobytes()
+
+
 def test_su2_closed_form_solves_equations(rng):
     # residual of the reduced equations via the analytic derivative identities
     a, b, kappa = 1.4, 0.3, 0.85

@@ -13,6 +13,7 @@ from nahmschmid.flow import (
 )
 from nahmschmid.liealg import exp_unitary, inner, random_antihermitian, su2_basis
 from nahmschmid.spectral import (
+    LaxPolynomial,
     char_poly,
     conserved_C_from_trace,
     curve_path,
@@ -143,6 +144,28 @@ def test_char_poly_against_pointwise_determinant(rng):
             for k, p in enumerate(curve.coefficients, start=1):
                 poly = poly + eta ** (n - k) * np.polyval(p[::-1], z)
             assert abs(direct - poly) < 1e-8 * max(1.0, abs(direct))
+
+
+def reference_char_poly(L):
+    # one np.poly per interpolation node, then the inverse DFT
+    m = 2 * L.n + 1
+    nodes = np.exp(2j * np.pi * np.arange(m) / m)
+    vals = np.array([np.poly(L.at(z))[1:] for z in nodes])
+    coeffs = (nodes[:, None] ** np.arange(m)).conj().T @ vals / m
+    return np.concatenate([coeffs[: 2 * k + 1, k - 1] for k in range(1, L.n + 1)])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_char_poly_matches_per_node_reference(rng, n):
+    def cmat():
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    for _ in range(5):
+        for L in (lax_from_quadruple(random_quadruple(n, rng)),
+                  LaxPolynomial(cmat(), cmat(), cmat(), cmat(), cmat())):
+            ref = reference_char_poly(L)
+            got = char_poly(L).flat()
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_isospectral_drift_solution_and_control(elliptic_traj_b):
