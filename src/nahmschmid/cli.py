@@ -350,7 +350,8 @@ def main(argv=None):
     try:
         _check_config(args)
         return args.func(args)
-    except (flow.NumericalFailure, FloatingPointError) as exc:
+    # LinAlgError subclasses ValueError, so it is caught before the config clause
+    except (flow.NumericalFailure, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

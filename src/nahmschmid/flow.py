@@ -38,8 +38,6 @@ from .liealg import (
 _REDUCED_SIGNS = np.array([-1.0, 1.0, 1.0]).reshape(3, 1, 1)
 _ETA = np.diag([1.0, -1.0, -1.0])
 
-_METHODS = ("rk4", "rk4-reunitarized-gauge")
-
 
 class NumericalFailure(RuntimeError):
     """A flow produced non-finite values (should not happen for valid data)."""
@@ -47,16 +45,13 @@ class NumericalFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Fixed-step solver parameters shared by all flows."""
+    """Fixed-step parameters shared by all flows: RK4 needs only the step count."""
 
     steps: int = 2000
-    method: str = "rk4"
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}")
 
 
 @dataclass(frozen=True)
@@ -97,7 +92,7 @@ class Trajectory:
 
 def rhs_reduced(T1, T2, T3):
     """Right-hand side of the reduced equations: (-[T2,T3], [T3,T1], [T1,T2])."""
-    return -bracket(T2, T3), bracket(T3, T1), bracket(T1, T2)
+    return tuple(_rhs_stacked(np.stack([T1, T2, T3])))
 
 
 def rhs_full(T):
@@ -107,8 +102,7 @@ def rhs_full(T):
     only the three constrained derivatives are returned.
     """
     T = np.asarray(T, dtype=complex)
-    d1, d2, d3 = rhs_reduced(T[1], T[2], T[3])
-    return d1 - bracket(T[0], T[1]), d2 - bracket(T[0], T[2]), d3 - bracket(T[0], T[3])
+    return tuple(_rhs_stacked(T[1:], T[0]))
 
 
 def _rhs_stacked(Y, T0=None):
@@ -280,20 +274,19 @@ def gauge_apply(u_path, traj):
     return Trajectory(traj.t_start, traj.t_end, out)
 
 
-def _solve_gauge_ode(coeff_nodes, h, side, sign):
-    """Solve u' = sign * (u @ A) or sign * (A @ u) with A sampled on the grid.
+def _solve_gauge_ode(coeff_nodes, h):
+    """Solve u' = -A u, u(0) = 1, with A sampled on the grid.
 
-    The path is re-unitarized after every step by the polar projection, so
-    it stays on the group instead of drifting off it.
+    This is the one gauge ODE: for anti-Hermitian A its conjugate transpose
+    v = u* solves v' = v A, the right-multiplied form.  The path is
+    re-unitarized after every step by the polar projection, so it stays on
+    the group instead of drifting off it.
     """
     mids = grids.midpoints(coeff_nodes)
     n = coeff_nodes.shape[-1]
-    if side == "right":
-        rhs = lambda A, u: sign * (u @ A)
-    else:
-        rhs = lambda A, u: sign * (A @ u)
     return grids.rk4_sampled(
-        rhs, coeff_nodes, mids, np.eye(n, dtype=complex), h, project=grids.unitarize
+        lambda A, u: -(A @ u), coeff_nodes, mids, np.eye(n, dtype=complex), h,
+        project=grids.unitarize,
     )
 
 
@@ -302,11 +295,12 @@ def gauge_fix(traj):
 
     u solves u' = u T0 with u(0) = 1, which transforms T0 to zero exactly;
     the returned trajectory carries a hard zero in that slot and the
-    conjugated (T1, T2, T3).
+    conjugated (T1, T2, T3).  u is the conjugate transpose of the solution
+    of u0' = -T0 u0.
     """
     S = traj.samples
-    u_path = _solve_gauge_ode(S[:, 0], traj.h, side="right", sign=+1.0)
-    uh = u_path.conj().swapaxes(-1, -2)
+    uh = _solve_gauge_ode(S[:, 0], traj.h)
+    u_path = uh.conj().swapaxes(-1, -2)
     out = np.empty_like(S)
     out[:, 0] = 0.0
     for i in (1, 2, 3):
@@ -335,7 +329,7 @@ class MonodromyData:
 def monodromy(traj):
     """Monodromy map: a solution to (u0(1), T1(0), T2(0), T3(0))."""
     S = traj.samples
-    u_path = _solve_gauge_ode(S[:, 0], traj.h, side="left", sign=-1.0)
+    u_path = _solve_gauge_ode(S[:, 0], traj.h)
     return MonodromyData(
         gamma=u_path[-1],
         xi1=S[0, 1],
@@ -420,15 +414,13 @@ def lorentz_apply(A, traj):
     return Trajectory(traj.t_start, traj.t_end, S)
 
 
-def gram_matrix(traj, scale=DEFAULT_SCALE, average=True):
+def gram_matrix(traj, scale=DEFAULT_SCALE):
     """Gram matrix G_ij = <T_i, T_j> (i,j = 1..3), averaged over the grid.
 
     On solutions G is constant in t, so averaging only suppresses noise.
-    With average=False the per-node Gram path (steps+1, 3, 3) is returned.
     """
     S = traj.samples[:, 1:]
-    G = inner(S[:, :, None], S[:, None, :], scale)
-    return G.mean(axis=0) if average else G
+    return inner(S[:, :, None], S[:, None, :], scale).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -603,15 +595,20 @@ def quadruple_from_complex(alpha, beta):
     return np.stack([T0, T1, T2, T3], axis=-3)
 
 
+def _real_equation(alpha, beta, h):
+    # F(alpha, beta) = alpha' + alpha'* + [alpha, alpha*] - [beta, beta*] on
+    # grid paths, alpha' by the 4th-order stencils
+    adj = lambda M: M.conj().swapaxes(-1, -2)
+    da = grids.derivative(alpha, h)
+    return da + adj(da) + bracket(alpha, adj(alpha)) - bracket(beta, adj(beta))
+
+
 def complex_equation_residuals(traj):
     """Sup norms of the complex equation beta' + [alpha, beta] and the real
     equation alpha' + alpha'* + [alpha, alpha*] - [beta, beta*] on the grid."""
     alpha, beta = complex_coords(traj.samples)
-    h = traj.h
-    da, db = grids.derivative(alpha, h), grids.derivative(beta, h)
-    cx = db + bracket(alpha, beta)
-    re = da + da.conj().swapaxes(-1, -2) + bracket(alpha, alpha.conj().swapaxes(-1, -2))
-    re = re - bracket(beta, beta.conj().swapaxes(-1, -2))
+    cx = grids.derivative(beta, traj.h) + bracket(alpha, beta)
+    re = _real_equation(alpha, beta, traj.h)
     frob = lambda M: float(np.max(np.sqrt(np.sum(np.abs(M) ** 2, axis=(-2, -1)))))
     return frob(cx), frob(re)
 
@@ -621,21 +618,20 @@ def _exp_hermitian(H):
     return (V * np.exp(w)[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
-def _real_moment_terms(traj, xi_path, power):
+def _real_moment_terms(traj, xi_path):
     """Shared assembly for the complex-gauge identity and the real-equation map.
 
     Returns (F(alpha,beta), correction) with correction =
     -dbar_alpha(h^{-1} d_alpha h) + dbar_beta(h^{-1} d_beta h) for
-    h = exp(power * i * xi).
+    h = exp(2 i xi) = u*u, u = exp(i xi).
     """
     alpha, beta = complex_coords(traj.samples)
     h_grid = traj.h
     ah = alpha.conj().swapaxes(-1, -2)
     bh = beta.conj().swapaxes(-1, -2)
-    da = grids.derivative(alpha, h_grid)
-    F = da + da.conj().swapaxes(-1, -2) + bracket(alpha, ah) - bracket(beta, bh)
+    F = _real_equation(alpha, beta, h_grid)
 
-    hmat = _exp_hermitian(power * 1j * np.asarray(xi_path, dtype=complex))
+    hmat = _exp_hermitian(2j * np.asarray(xi_path, dtype=complex))
     dh = grids.derivative(hmat, h_grid)
     d_alpha_h = dh - bracket(ah, hmat)
     g_a = np.linalg.solve(hmat, d_alpha_h)
@@ -656,7 +652,7 @@ def real_equation_map(traj, xi_path):
     whose linearization in xi at a solution is minus the degeneracy
     operator.  Returns a path of shape (steps+1, n, n).
     """
-    F, corr = _real_moment_terms(traj, xi_path, power=2.0)
+    F, corr = _real_moment_terms(traj, xi_path)
     return (F + corr) / 2j
 
 
@@ -677,13 +673,9 @@ def complex_gauge_identity_check(traj, xi_path):
     du = grids.derivative(u, h_grid)
     alpha_u = u @ alpha @ u_inv - du @ u_inv
     beta_u = u @ beta @ u_inv
-    da_u = grids.derivative(alpha_u, h_grid)
-    ah_u = alpha_u.conj().swapaxes(-1, -2)
-    F_u = da_u + da_u.conj().swapaxes(-1, -2) + bracket(alpha_u, ah_u)
-    F_u = F_u - bracket(beta_u, beta_u.conj().swapaxes(-1, -2))
-    lhs = u_inv @ F_u @ u
+    lhs = u_inv @ _real_equation(alpha_u, beta_u, h_grid) @ u
 
-    F, corr = _real_moment_terms(traj, xi_path, power=2.0)
+    F, corr = _real_moment_terms(traj, xi_path)
     rhs = F + corr
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -725,8 +717,8 @@ def product_split(traj):
     res1 = sup(dB1 + bracket(A1, B1))
     res2 = sup(dB2 + bracket(A2, B2))
     coulomb = sup(dA + bracket(0.5 * (A1 + A2), A1 - A2) - bracket(B1, B2))
-    u1 = _solve_gauge_ode(A1, h, side="left", sign=-1.0)
-    u2 = _solve_gauge_ode(A2, h, side="left", sign=-1.0)
+    u1 = _solve_gauge_ode(A1, h)
+    u2 = _solve_gauge_ode(A2, h)
     return ProductSplit(
         A1=A1,
         B1=B1,

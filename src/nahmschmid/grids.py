@@ -1,9 +1,10 @@
 """Uniform time-grid utilities shared by the flow and shooting modules.
 
 Contains 4th-order finite-difference stencils (matching the order of the
-RK4 integrator), cubic interpolation to half-steps, and the two RK4 cores:
-one for autonomous/explicitly timed right-hand sides and one for linear
-matrix ODEs whose coefficients are only known as grid samples.
+RK4 integrator), cubic interpolation to half-steps, and one RK4 loop fed
+per-stage coefficients at the nodes and midpoints: the times themselves for
+right-hand sides f(t, y) (:func:`rk4`), or grid samples of the coefficients
+of a linear matrix ODE (:func:`rk4_sampled`).
 """
 
 import numpy as np
@@ -105,23 +106,8 @@ def rk4(f, y0, t0, h, steps, project=None):
     after every step (anti-Hermitian or unitary reprojection).  Raises
     FloatingPointError when the state stops being finite.
     """
-    y = np.array(y0, dtype=complex)
-    out = np.empty((steps + 1,) + y.shape, dtype=complex)
-    out[0] = y
-    t = t0
-    for k in range(steps):
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = f(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if project is not None:
-            y = project(y)
-        if not np.all(np.isfinite(y)):
-            raise FloatingPointError(f"state became non-finite at step {k + 1}")
-        out[k + 1] = y
-        t = t0 + (k + 1) * h
-    return out
+    nodes = t0 + h * np.arange(steps + 1)
+    return _rk4_loop(f, nodes, nodes[:-1] + h / 2, np.asarray(y0, dtype=complex), h, project)
 
 
 def rk4_sampled(rhs, coeff_nodes, coeff_mids, y0, h, project=None):
@@ -133,6 +119,13 @@ def rk4_sampled(rhs, coeff_nodes, coeff_mids, y0, h, project=None):
     of y0 and the coefficients, so a real system is stepped in real
     arithmetic.
     """
+    return _rk4_loop(rhs, coeff_nodes, coeff_mids, y0, h, project)
+
+
+def _rk4_loop(rhs, coeff_nodes, coeff_mids, y0, h, project):
+    # the one RK4 loop: step k evaluates rhs at node k, twice at midpoint k
+    # and at node k+1.  Both entry points call it directly, so a wrapper
+    # around one of them never sees the other's steps.
     y = np.array(y0, dtype=np.result_type(y0, coeff_nodes, coeff_mids))
     m = coeff_nodes.shape[0]
     out = np.empty((m,) + y.shape, dtype=y.dtype)

@@ -67,19 +67,11 @@ def lax_residual(traj, zetas=DEFAULT_ZETAS):
     Vanishes to O(h^4) on solutions and is O(1) on generic non-solutions,
     which makes it a cheap integrability check.
     """
-    S, h = traj.samples, traj.h
-    alpha, beta = complex_coords(S)
-    ah = alpha.conj().swapaxes(-1, -2)
-    bh = beta.conj().swapaxes(-1, -2)
-    L0, L1, L2 = beta, -(alpha + ah), bh
-    dL0 = grids.derivative(L0, h)
-    dL1 = grids.derivative(L1, h)
-    dL2 = grids.derivative(L2, h)
+    lax = lax_from_quadruple(traj.samples)
+    dL0, dL1, dL2 = (grids.derivative(L, traj.h) for L in (lax.L0, lax.L1, lax.L2))
     worst = 0.0
     for z in zetas:
-        Tz = L0 + z * L1 + z * z * L2
-        Tp = alpha - z * bh
-        R = dL0 + z * dL1 + z * z * dL2 - bracket(Tz, Tp)
+        R = dL0 + z * dL1 + z * z * dL2 - bracket(lax.at(z), lax.plus_at(z))
         worst = max(worst, float(np.max(np.abs(R))))
     return worst
 

@@ -251,6 +251,11 @@ def test_cli_numerical_failure_exit_3(tmp_path):
          "--output", str(tmp_path / "x.json")]
     )
     assert code == 3
+    # entries of 1e300 overflow the double-bracket matrix, so its
+    # eigensolver fails (LinAlgError) before anything is written
+    out = tmp_path / "stab.json"
+    assert run_cli(["stability", "--triple", "1e300,0,0", "--output", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_cli_reproducible_bytes(tmp_path, monkeypatch):

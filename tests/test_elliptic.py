@@ -127,3 +127,26 @@ def test_jacobi_against_scipy(rng):
 def test_jacobi_modulus_domain():
     with pytest.raises(ValueError):
         jacobi(0.5, 1.2)
+
+
+def test_jacobi_and_K_against_mpmath():
+    # independent oracle: mpmath's ellipfun and ellipk at 40 digits.  Both
+    # sides take m = kappa * kappa rounded to a double, the parameter the
+    # AGM forms; near kappa = 1 the rounding of kappa^2 alone would move K
+    # by far more than the bound, which measures the algorithm, not kappa
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for kappa in (0.0, 0.3, 0.8, 0.99, 1.0 - 1e-6, 1.0 - 1e-12, 1.0):
+            m = mpmath.mpf(kappa * kappa)
+            args = [0.0, 0.37, -2.1, 40.0, -800.0, 1e4]
+            if kappa < 1.0:
+                K = complete_K(kappa)
+                K_ref = mpmath.ellipk(m)
+                assert abs(K - K_ref) <= 1e-14 * K_ref
+                args += [s * j * K for j in range(1, 5) for s in (1.0, -1.0)]
+                args.append(K * (1.0 + 1e-9))
+            for u in args:
+                got = jacobi(u, kappa)
+                ref = [mpmath.ellipfun(f, u, m=m) for f in ("sn", "cn", "dn")]
+                err = max(abs(g - r) for g, r in zip(got, ref))
+                assert err < 1e-10, (kappa, u, float(err))

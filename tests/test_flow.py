@@ -148,8 +148,6 @@ def test_integrate_rejects_bad_shape():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(steps=0)
-    with pytest.raises(ValueError):
-        SolverConfig(method="euler")
 
 
 def test_integrate_with_t0_profile():
