@@ -3,10 +3,12 @@
 Subcommands: integrate, closed-form, spectral, degeneracy, factorize,
 stability, sweep.  Every JSON output echoes the full configuration and the
 inner-product scale so runs are reproducible; identical configurations
-(including the seed) give byte-identical output.  Exit codes: 0 success,
-2 configuration error, 3 numerical failure.  Sweep points run serially:
-the small-matrix numpy calls of one point hold the GIL, so a worker pool
-measured no faster.
+(including the seed) give byte-identical output.  The scale is the fixed
+normalisation <X, Y> = -2 Re tr(XY) of `liealg`, not an option: the
+degeneracy bound 2 sup(|T2|^2 + |T3|^2) < pi^2 holds only in it.  Exit
+codes: 0 success, 2 configuration error, 3 numerical failure.  Sweep
+points run serially: the small-matrix numpy calls of one point hold the
+GIL, so a worker pool measured no faster.
 
 Initial-data files are JSON objects with components "T0".."T3" (or
 "tau1".."tau3" for stability) encoded as row-major [re, im] matrices;
@@ -21,7 +23,7 @@ import sys
 import numpy as np
 
 from . import degeneracy, flow, positive, serialize, spectral, stability
-from .liealg import DEFAULT_SCALE, random_antihermitian, su2_basis
+from .liealg import INNER_SCALE, random_antihermitian, su2_basis
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,7 +40,6 @@ def _add_common(p, with_format=False):
     p.add_argument("--t-end", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scale", type=float, default=DEFAULT_SCALE)
     p.add_argument("--init", help="JSON file with initial data (overrides --algebra)")
     p.add_argument("--output", default="-", help="output path, '-' for stdout")
     if with_format:
@@ -46,10 +47,10 @@ def _add_common(p, with_format=False):
 
 
 def _config_echo(args, names):
-    return {k: getattr(args, k) for k in names}
+    return {**{k: getattr(args, k) for k in names}, "scale": INNER_SCALE}
 
 _COMMON_NAMES = (
-    "algebra", "n", "kappa", "a", "b", "t_start", "t_end", "steps", "seed", "scale",
+    "algebra", "n", "kappa", "a", "b", "t_start", "t_end", "steps", "seed",
 )
 
 
@@ -96,7 +97,7 @@ def _solution_trajectory(args):
 
 def cmd_integrate(args):
     traj = _solution_trajectory(args)
-    report = flow.conserved_report(traj, scale=args.scale)
+    report = flow.conserved_report(traj)
     if args.format == "csv":
         _emit(args, "\n".join(serialize.trajectory_csv_lines(traj)) + "\n")
         sys.stderr.write(serialize.dumps(report.as_dict()))
@@ -135,7 +136,7 @@ def cmd_spectral(args):
         "curve_reality_defect": curve.reality_defect(),
         "isospectral_drift": spectral.isospectral_drift(traj),
         "lax_residual": spectral.lax_residual(traj),
-        "conserved_C": spectral.conserved_C_from_trace(lax0, scale=args.scale),
+        "conserved_C": spectral.conserved_C_from_trace(lax0),
     }
     _emit(args, serialize.dumps(obj))
     return EXIT_OK
@@ -143,8 +144,8 @@ def cmd_spectral(args):
 
 def cmd_degeneracy(args):
     traj = _solution_trajectory(args)
-    rep = degeneracy.degeneracy_report(traj, scale=args.scale)
-    bound, certified = degeneracy.pi_bound_precheck(traj, scale=args.scale)
+    rep = degeneracy.degeneracy_report(traj)
+    bound, certified = degeneracy.pi_bound_precheck(traj)
     obj = {
         "config": _config_echo(args, _COMMON_NAMES),
         "report": rep.as_dict(),
@@ -193,7 +194,7 @@ def cmd_stability(args):
     else:
         e1, _, _ = su2_basis()
         taus = [ci * e1 for ci in _triple_coefficients(args.triple)]
-    rep = stability.stability_spectrum(*taus, scale=args.scale)
+    rep = stability.stability_spectrum(*taus)
     out = {
         "config": {**_config_echo(args, _COMMON_NAMES), "triple": args.triple},
         "report": rep.as_dict(),
@@ -209,25 +210,20 @@ def cmd_stability(args):
                 direction,
                 amplitude=args.amplitude,
                 horizon=args.horizon,
-                scale=args.scale,
             )
             out["halfline"] = res.as_dict()
     _emit(args, serialize.dumps(out))
     return EXIT_OK
 
 
-def _sweep_point(task):
-    base, name, value, name2, value2, steps, scale = task
-    params = dict(base)
-    params[name] = value
-    if name2 is not None:
-        params[name2] = value2
+def _sweep_point(params, steps):
+    """Shooting report and pi-bound of the su(2) solution at one grid point."""
     traj = flow.su2_closed_form_trajectory(
         params["a"], params["b"], params["kappa"], (0.0, 1.0), steps
     )
-    rep = degeneracy.degeneracy_report(traj, scale=scale)
-    bound, certified = degeneracy.pi_bound_precheck(traj, scale=scale)
-    return params, rep, bound, certified
+    rep = degeneracy.degeneracy_report(traj)
+    bound, certified = degeneracy.pi_bound_precheck(traj)
+    return rep, bound, certified
 
 
 def cmd_sweep(args):
@@ -237,28 +233,20 @@ def cmd_sweep(args):
     if args.points < 1 or args.points2 < 1:
         raise ValueError("--points and --points2 must be at least 1")
     grid1 = np.linspace(args.start, args.stop, args.points)
-    tasks = []
+    points = [{**base, args.param: float(v1)} for v1 in grid1]
     if args.param2:
         if args.param2 not in base or args.param2 == args.param:
             raise ValueError("--param2 must be a different one of kappa, a, b")
         grid2 = np.linspace(args.start2, args.stop2, args.points2)
-        for v1 in grid1:
-            for v2 in grid2:
-                tasks.append(
-                    (base, args.param, float(v1), args.param2, float(v2), args.steps, args.scale)
-                )
-    else:
-        for v1 in grid1:
-            tasks.append((base, args.param, float(v1), None, None, args.steps, args.scale))
-
-    results = map(_sweep_point, tasks)
+        points = [{**p, args.param2: float(v2)} for p in points for v2 in grid2]
 
     header = [args.param]
     if args.param2:
         header.append(args.param2)
     header += ["sigma_min", "verdict", "determinant", "pi_bound", "pi_certified"]
     lines = [",".join(header)]
-    for params, rep, bound, certified in results:
+    for params in points:
+        rep, bound, certified = _sweep_point(params, args.steps)
         row = [repr(params[args.param])]
         if args.param2:
             row.append(repr(params[args.param2]))

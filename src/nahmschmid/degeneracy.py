@@ -34,7 +34,6 @@ import numpy as np
 
 from . import grids
 from .liealg import (
-    DEFAULT_SCALE,
     ad_matrix,
     bracket,
     double_bracket_matrix,
@@ -77,7 +76,7 @@ def _is_traceless(traj, tol=1e-10):
     return bool(np.max(np.abs(np.trace(traj.samples, axis1=-2, axis2=-1))) <= tol)
 
 
-def algebra_basis(traj, algebra=None, scale=DEFAULT_SCALE):
+def algebra_basis(traj, algebra=None):
     """Orthonormal basis used for shooting coordinates.
 
     Traceless trajectories live in su(n) (dimension n^2 - 1); anything else
@@ -87,10 +86,10 @@ def algebra_basis(traj, algebra=None, scale=DEFAULT_SCALE):
         algebra = "su" if _is_traceless(traj) else "un"
     if algebra not in ("su", "un"):
         raise ValueError("algebra must be 'su' or 'un'")
-    return orthonormal_basis(traj.n, traceless=(algebra == "su"), scale=scale)
+    return orthonormal_basis(traj.n, traceless=(algebra == "su"))
 
 
-def delta_apply(traj, xi_path, scale=DEFAULT_SCALE):
+def delta_apply(traj, xi_path):
     """Apply the degeneracy operator to a path xi on the trajectory's grid.
 
     Derivatives of xi and of T0 use the same 4th-order stencils as the
@@ -119,7 +118,7 @@ def delta_apply(traj, xi_path, scale=DEFAULT_SCALE):
 _FORM_BLOCK_ENTRIES = 1 << 19
 
 
-def _operator_coefficients(C, has_T0, basis, scale):
+def _operator_coefficients(C, has_T0, basis):
     """M (and D) at every time of C, in blocks of times to bound memory.
 
     C holds (T1, T2, T3) per time, or (T0, T1, T2, T3, T0') when has_T0.
@@ -131,16 +130,16 @@ def _operator_coefficients(C, has_T0, basis, scale):
     for lo in range(0, len(C), block):
         c = C[lo : lo + block]
         if has_T0:
-            ads = ad_matrix(c[:, (4, 0)], basis, scale)
-            dbl = double_bracket_matrix(c[:, :4], (-1.0, -1.0, 1.0, 1.0), basis, scale)
+            ads = ad_matrix(c[:, (4, 0)], basis)
+            dbl = double_bracket_matrix(c[:, :4], (-1.0, -1.0, 1.0, 1.0), basis)
             out[lo : lo + block, 0] = dbl - ads[:, 0]
             out[lo : lo + block, 1] = -2.0 * ads[:, 1]
         else:
-            out[lo : lo + block] = double_bracket_matrix(c, (-1.0, 1.0, 1.0), basis, scale)
+            out[lo : lo + block] = double_bracket_matrix(c, (-1.0, 1.0, 1.0), basis)
     return out
 
 
-def shooting_matrix(traj, algebra=None, scale=DEFAULT_SCALE):
+def shooting_matrix(traj, algebra=None):
     """Map xi'(0) -> xi(1) for solutions of Delta_T xi = 0 with xi(0) = 0.
 
     In real coordinates of an orthonormal basis the equation is
@@ -152,7 +151,7 @@ def shooting_matrix(traj, algebra=None, scale=DEFAULT_SCALE):
     costs O(d^3), against O(n^5) for the bracket form.  The result is
     xi(1), so the zero trajectory gives the identity matrix.
     """
-    basis = algebra_basis(traj, algebra, scale)
+    basis = algebra_basis(traj, algebra)
     d = basis.shape[0]
     S, h = traj.samples, traj.h
     has_T0 = bool(np.max(np.abs(S[:, 0])) > 0)
@@ -165,21 +164,21 @@ def shooting_matrix(traj, algebra=None, scale=DEFAULT_SCALE):
         rhs = lambda C, Y: np.array([Y[1], C @ Y[0]])
     m = nodes.shape[0]
     coeff = _operator_coefficients(
-        np.concatenate([nodes, grids.midpoints(nodes)]), has_T0, basis, scale
+        np.concatenate([nodes, grids.midpoints(nodes)]), has_T0, basis
     )
     Y0 = np.stack([np.zeros((d, d)), np.eye(d)])
     path = grids.rk4_sampled(rhs, coeff[:m], coeff[m:], Y0, h)
     return path[-1, 0]
 
 
-def degeneracy_report(traj, tol_low=1e-6, tol_high=1e-3, algebra=None, scale=DEFAULT_SCALE):
+def degeneracy_report(traj, tol_low=1e-6, tol_high=1e-3, algebra=None):
     """Run the shooting kernel test and classify the solution.
 
     sigma_min is compared against tol_low/tol_high times the spectral norm
     of the shooting matrix; between the bands the verdict is
     `inconclusive`.
     """
-    M = shooting_matrix(traj, algebra, scale)
+    M = shooting_matrix(traj, algebra)
     sigma = np.linalg.svd(M, compute_uv=False)
     smin, smax = float(sigma[-1]), float(sigma[0])
     if smin < tol_low * smax:
@@ -199,7 +198,7 @@ def degeneracy_report(traj, tol_low=1e-6, tol_high=1e-3, algebra=None, scale=DEF
     )
 
 
-def pi_bound_precheck(traj, scale=DEFAULT_SCALE):
+def pi_bound_precheck(traj):
     """Sufficient-condition bound: 2 sup_t (|T2|^2 + |T3|^2) against pi^2.
 
     Returns (bound_value, certified).  A certified solution is guaranteed
@@ -207,6 +206,6 @@ def pi_bound_precheck(traj, scale=DEFAULT_SCALE):
     uncertified solution may still be nondegenerate.
     """
     S = traj.samples
-    vals = inner(S[:, 2], S[:, 2], scale) + inner(S[:, 3], S[:, 3], scale)
+    vals = inner(S[:, 2], S[:, 2]) + inner(S[:, 3], S[:, 3])
     bound = 2.0 * float(np.max(vals))
     return bound, bool(bound < math.pi**2)

@@ -26,7 +26,7 @@ from scipy.spatial.transform import Rotation
 
 from . import elliptic, grids
 from .liealg import (
-    DEFAULT_SCALE,
+    INNER_SCALE,
     bracket,
     exp_unitary,
     inner,
@@ -179,28 +179,28 @@ class ConservedReport:
 
     n12 = |T1|^2 + |T2|^2, n13 = |T1|^2 + |T3|^2, ip_ij = <Ti, Tj> and
     C = 2|T1|^2 + |T2|^2 + |T3|^2.  Drift is max_t |q(t) - q(0)|; the
-    relative drift divides by |q(0)| when that is nonzero.
+    relative drift divides by |q(0)| when that is nonzero.  `as_dict`
+    echoes the inner-product scale the values are measured in.
     """
 
-    scale: float
     initial: dict
     drift: dict
     relative_drift: dict
 
     def as_dict(self):
         return {
-            "scale": self.scale,
+            "scale": INNER_SCALE,
             "initial": dict(self.initial),
             "drift": dict(self.drift),
             "relative_drift": dict(self.relative_drift),
         }
 
 
-def conserved_paths(traj, scale=DEFAULT_SCALE):
+def conserved_paths(traj):
     """Time series of the six conserved quantities, shape (steps+1, 6)."""
     S = traj.samples
     ips = {
-        (i, j): inner(S[:, i], S[:, j], scale)
+        (i, j): inner(S[:, i], S[:, j])
         for i in (1, 2, 3)
         for j in (1, 2, 3)
         if i <= j
@@ -216,14 +216,13 @@ def conserved_paths(traj, scale=DEFAULT_SCALE):
     return np.stack(cols, axis=1)
 
 
-def conserved_report(traj, scale=DEFAULT_SCALE):
+def conserved_report(traj):
     """Drift audit of the quantities conserved by the flow."""
-    paths = conserved_paths(traj, scale)
+    paths = conserved_paths(traj)
     initial = paths[0]
     drift = np.max(np.abs(paths - initial), axis=0)
     rel = np.where(np.abs(initial) > 0, drift / np.maximum(np.abs(initial), 1e-300), drift)
     return ConservedReport(
-        scale=scale,
         initial=dict(zip(CONSERVED_NAMES, initial.tolist())),
         drift=dict(zip(CONSERVED_NAMES, drift.tolist())),
         relative_drift=dict(zip(CONSERVED_NAMES, rel.tolist())),
@@ -245,10 +244,10 @@ def moment_maps(traj):
     return np.stack([mu_i, mu_s, mu_t])
 
 
-def residual(traj, scale=DEFAULT_SCALE):
+def residual(traj):
     """Sup over the grid of the invariant norms of the moment-map residuals."""
     mm = moment_maps(traj)
-    return float(np.max(norm(mm, scale)))
+    return float(np.max(norm(mm)))
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +413,13 @@ def lorentz_apply(A, traj):
     return Trajectory(traj.t_start, traj.t_end, S)
 
 
-def gram_matrix(traj, scale=DEFAULT_SCALE):
+def gram_matrix(traj):
     """Gram matrix G_ij = <T_i, T_j> (i,j = 1..3), averaged over the grid.
 
     On solutions G is constant in t, so averaging only suppresses noise.
     """
     S = traj.samples[:, 1:]
-    return inner(S[:, :, None], S[:, None, :], scale).mean(axis=0)
+    return inner(S[:, :, None], S[:, None, :]).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +478,7 @@ def _su2_rotation_from_frame(X):
     return exp_unitary(sum(rotvec[i] * e[i] for i in range(3)))
 
 
-def su2_canonicalize(traj, tol=1e-6, scale=DEFAULT_SCALE):
+def su2_canonicalize(traj, tol=1e-6):
     """Bring an su(2) solution to the form T0 = 0, T_j(t) = f_j(t) e_j.
 
     Gauges T0 away, Lorentz-rotates until the Gram form <T_i, T_j> is
@@ -497,7 +496,7 @@ def su2_canonicalize(traj, tol=1e-6, scale=DEFAULT_SCALE):
         raise NonCanonicalizableError("input must be traceless (su(2)-valued)")
 
     fixed, u0 = gauge_fix(traj)
-    G = gram_matrix(fixed, scale)
+    G = gram_matrix(fixed)
     lam, vecs = np.linalg.eig(_ETA @ G)
     if np.max(np.abs(lam.imag)) > tol * max(1.0, np.max(np.abs(lam))):
         raise NonCanonicalizableError("Gram pencil has complex eigenvalues")
@@ -525,7 +524,7 @@ def su2_canonicalize(traj, tol=1e-6, scale=DEFAULT_SCALE):
 
     # per-component axes from the rank-1 structure of the coordinate paths
     e = np.array(su2_basis())
-    coords = inner(rotated.samples[:, 1:, None], e[None, None, :], scale)
+    coords = inner(rotated.samples[:, 1:, None], e[None, None, :])
     axes = np.zeros((3, 3))
     ratios = np.zeros(3)
     scale_ref = float(np.max(np.abs(coords)))
@@ -556,7 +555,7 @@ def su2_canonicalize(traj, tol=1e-6, scale=DEFAULT_SCALE):
         )
     canonical = Trajectory(traj.t_start, traj.t_end, canon_samples)
     profiles = np.stack(
-        [inner(canon_samples[:, i + 1], e[i], scale) for i in range(3)], axis=1
+        [inner(canon_samples[:, i + 1], e[i]) for i in range(3)], axis=1
     )
     return Su2CanonicalForm(
         lorentz=A,

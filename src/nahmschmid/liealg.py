@@ -2,10 +2,11 @@
 
 Elements of the algebra are plain complex n x n numpy arrays that are
 anti-Hermitian (X* = -X).  The module provides the commutator, the
-Ad-invariant inner product <X,Y> = -scale * Re tr(XY), the exponential map
-into U(n), the standard su(2) basis with [e1,e2] = e3 (cyclically), and
-random element generators.  Everything downstream (flows, shooting,
-spectral curves) is built on these few primitives.  The adjoint layer
+Ad-invariant inner product <X,Y> = -2 Re tr(XY) (a fixed normalisation,
+the constant INNER_SCALE), the exponential map into U(n), the standard
+su(2) basis with [e1,e2] = e3 (cyclically), and random element
+generators.  Everything downstream (flows, shooting, spectral curves) is
+built on these few primitives.  The adjoint layer
 (`ad_matrix`, `double_bracket_matrix`) turns brackets with fixed elements
 into real d x d matrices in an orthonormal basis, batched over leading
 axes; degeneracy shooting and the stability operator both use it.
@@ -13,11 +14,12 @@ axes; degeneracy shooting and the stability operator both use it.
 
 import numpy as np
 
-# Default normalisation of the invariant inner product.  scale = 2 makes the
-# standard su(2) basis below orthonormal and makes the conserved quantity
-# C = 2|T1|^2 + |T2|^2 + |T3|^2 coincide with the zeta^2 trace coefficient
-# of the Lax polynomial.
-DEFAULT_SCALE = 2.0
+# Normalisation of the invariant inner product, the one place it is set.
+# Scale 2 makes the standard su(2) basis below orthonormal, makes the
+# conserved quantity C = 2|T1|^2 + |T2|^2 + |T3|^2 coincide with the zeta^2
+# trace coefficient of the Lax polynomial, and is the normalisation in which
+# the degeneracy bound 2 sup(|T2|^2 + |T3|^2) < pi^2 holds.
+INNER_SCALE = 2.0
 
 ANTIHERM_TOL = 1e-12
 UNITARY_TOL = 1e-10
@@ -65,14 +67,12 @@ def bracket(X, Y):
     return X @ Y - Y @ X
 
 
-def inner(X, Y, scale=DEFAULT_SCALE):
-    """Ad-invariant inner product <X, Y> = -scale * Re tr(XY).
+def inner(X, Y):
+    """Ad-invariant inner product <X, Y> = -INNER_SCALE * Re tr(XY).
 
-    Positive definite on anti-Hermitian matrices for scale > 0; with the
-    default scale the su(2) basis (e1, e2, e3) is orthonormal.
+    Positive definite on anti-Hermitian matrices; the su(2) basis
+    (e1, e2, e3) is orthonormal.
     """
-    if scale <= 0:
-        raise ValueError("inner-product scale must be positive")
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)
     if X.shape[-1] != Y.shape[-2]:
@@ -80,12 +80,12 @@ def inner(X, Y, scale=DEFAULT_SCALE):
             f"incompatible matrix shapes {X.shape} and {Y.shape}"
         )
     tr = np.einsum("...ij,...ji->...", X, Y)
-    return -scale * np.real(tr)
+    return -INNER_SCALE * np.real(tr)
 
 
-def norm(X, scale=DEFAULT_SCALE):
+def norm(X):
     """Norm induced by :func:`inner`."""
-    return np.sqrt(np.maximum(inner(X, X, scale), 0.0))
+    return np.sqrt(np.maximum(inner(X, X), 0.0))
 
 
 def exp_unitary(X):
@@ -133,7 +133,7 @@ def random_unitary(n, rng):
     return Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
 
 
-def orthonormal_basis(n, traceless=False, scale=DEFAULT_SCALE):
+def orthonormal_basis(n, traceless=False):
     """Orthonormal basis of u(n) (or su(n)) for the invariant inner product.
 
     Returns an array of shape (d, n, n) with d = n^2, or n^2 - 1 in the
@@ -162,13 +162,13 @@ def orthonormal_basis(n, traceless=False, scale=DEFAULT_SCALE):
             S[k, l], S[l, k] = 1j, 1j
             basis.append(S)
     out = np.array(basis)
-    norms = np.sqrt(inner(out, out, scale))
+    norms = np.sqrt(inner(out, out))
     return out / norms[:, None, None]
 
 
-def coordinates(X, basis, scale=DEFAULT_SCALE):
+def coordinates(X, basis):
     """Coordinates of X in an orthonormal basis (shape (d, n, n))."""
-    return inner(basis, np.asarray(X, dtype=complex)[None, :, :], scale)
+    return inner(basis, np.asarray(X, dtype=complex)[None, :, :])
 
 
 def from_coordinates(c, basis):
@@ -195,23 +195,23 @@ def _basis_times(X, basis):
     return prod.swapaxes(-3, -2)
 
 
-def _coordinates_of_images(Y, basis, scale):
+def _coordinates_of_images(Y, basis):
     """Real (..., d, d) matrix whose column i holds the coordinates of Y's image i.
 
-    The coordinate map Y -> -scale * Re tr(b_j Y) is one real GEMM between
-    the interleaved (re, im) entries of Y and a (d, 2n^2) matrix built from
-    the basis.
+    The coordinate map Y -> <b_j, Y> = -INNER_SCALE * Re tr(b_j Y) is one
+    real GEMM between the interleaved (re, im) entries of Y and a (d, 2n^2)
+    matrix built from the basis.
     """
     d = basis.shape[0]
     bt = basis.swapaxes(-1, -2)
-    P = -scale * np.stack([bt.real, -bt.imag], axis=-1).reshape(d, -1)
+    P = -INNER_SCALE * np.stack([bt.real, -bt.imag], axis=-1).reshape(d, -1)
     Yc = np.ascontiguousarray(Y.swapaxes(-3, -2))  # (..., d, n, n)
     flat = Yc.view(np.float64).reshape(-1, P.shape[1])
     A = (flat @ P.T).reshape(Yc.shape[:-2] + (d,))
     return np.ascontiguousarray(A.swapaxes(-1, -2))
 
 
-def ad_matrix(X, basis, scale=DEFAULT_SCALE):
+def ad_matrix(X, basis):
     """Matrix of ad(X) = [X, .] in an orthonormal basis.
 
     The result is real and skew-symmetric, which is exactly the invariance
@@ -220,10 +220,10 @@ def ad_matrix(X, basis, scale=DEFAULT_SCALE):
     """
     X = np.asarray(X, dtype=complex)
     images = _times_basis(X, basis) - _basis_times(X, basis)
-    return _coordinates_of_images(images, basis, scale)
+    return _coordinates_of_images(images, basis)
 
 
-def double_bracket_matrix(T, signs, basis, scale=DEFAULT_SCALE):
+def double_bracket_matrix(T, signs, basis):
     """Matrix of x -> sum_k signs[k] [T_k, [T_k, x]] in an orthonormal basis.
 
     T has shape (..., K, n, n) and signs length K; leading axes are batch
@@ -242,4 +242,4 @@ def double_bracket_matrix(T, signs, basis, scale=DEFAULT_SCALE):
         Tk = T[..., k, :, :]
         TbT = _times_basis(Tk, basis).reshape(Tk.shape[:-2] + (n * d, n)) @ Tk
         images -= (2.0 * s) * TbT.reshape(images.shape)
-    return _coordinates_of_images(images, basis, scale)
+    return _coordinates_of_images(images, basis)

@@ -64,7 +64,7 @@ def _sample_pairs(traj):
     return S.view(np.float64).reshape(S.shape + (2,))
 
 
-def trajectory_to_obj(traj, scale=None):
+def trajectory_to_obj(traj):
     """Trajectory as a JSON-ready dict for :func:`dumps`.
 
     Each sample is a dict "T0".."T3" whose values are float (n, n, 2)
@@ -72,16 +72,13 @@ def trajectory_to_obj(traj, scale=None):
     rendered with :func:`dumps`, not `json.dumps`.
     """
     pairs = _sample_pairs(traj)
-    obj = {
+    return {
         "t_start": traj.t_start,
         "t_end": traj.t_end,
         "steps": traj.steps,
         "n": traj.n,
         "samples": [{f"T{i}": q[i] for i in range(4)} for q in pairs],
     }
-    if scale is not None:
-        obj["scale"] = scale
-    return obj
 
 
 def trajectory_from_obj(obj):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grids
-from .liealg import DEFAULT_SCALE, bracket
+from .liealg import bracket
 from .flow import complex_coords
 
 DEFAULT_ZETAS = (0.0, 1.0, -1.0, 1j, -1j, 2.0)
@@ -145,12 +145,11 @@ def isospectral_drift(traj):
     return float(np.max(np.abs(path - path[0])))
 
 
-def conserved_C_from_trace(L, scale=DEFAULT_SCALE):
+def conserved_C_from_trace(L):
     """The zeta^2 coefficient of tr T(zeta)^2 as a conserved quantity.
 
-    Returns (scale/2) * tr(2 L0 L2 + L1^2), which for the default scale
-    equals C = 2|T1|^2 + |T2|^2 + |T3|^2; for other scales the identity
-    holds up to the reported overall factor scale/2.
+    Returns tr(2 L0 L2 + L1^2), which equals C = 2|T1|^2 + |T2|^2 + |T3|^2
+    in the inner product of :mod:`liealg` (scale 2).
     """
     val = np.trace(2.0 * L.L0 @ L.L2 + L.L1 @ L.L1)
-    return float((scale / 2.0) * val.real)
+    return float(val.real)

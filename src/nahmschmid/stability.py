@@ -19,7 +19,6 @@ import scipy.linalg
 
 from . import flow
 from .liealg import (
-    DEFAULT_SCALE,
     ad_matrix,
     bracket,
     double_bracket_matrix,
@@ -67,8 +66,10 @@ def check_commuting(tau1, tau2, tau3, tol=1e-10):
     return taus
 
 
-def dv_matrix(tau1, tau2, tau3, basis=None, scale=DEFAULT_SCALE, traceless=None):
+def dv_matrix(tau1, tau2, tau3, basis):
     """Linearization of the reduced flow at a triple, as a real 3d x 3d matrix.
+
+    Coordinates are taken in `basis`, an orthonormal basis of shape (d, n, n).
 
     Blocks follow from differentiating ([x3,x2], [x3,x1], [x1,x2]):
 
@@ -77,12 +78,7 @@ def dv_matrix(tau1, tau2, tau3, basis=None, scale=DEFAULT_SCALE, traceless=None)
         [ -ad(t2)  ad(t1)     0    ]
     """
     taus = [np.asarray(t, dtype=complex) for t in (tau1, tau2, tau3)]
-    n = taus[0].shape[0]
-    if basis is None:
-        if traceless is None:
-            traceless = all(abs(np.trace(t)) < 1e-10 for t in taus)
-        basis = orthonormal_basis(n, traceless=traceless, scale=scale)
-    ads = ad_matrix(np.array(taus), basis, scale)
+    ads = ad_matrix(np.array(taus), basis)
     d = basis.shape[0]
     Z = np.zeros((d, d))
     return np.block(
@@ -91,20 +87,23 @@ def dv_matrix(tau1, tau2, tau3, basis=None, scale=DEFAULT_SCALE, traceless=None)
             [ads[2], Z, -ads[0]],
             [-ads[1], ads[0], Z],
         ]
-    ), basis
+    )
 
 
-def stability_spectrum(tau1, tau2, tau3, scale=DEFAULT_SCALE, tol=1e-10):
+def stability_spectrum(tau1, tau2, tau3, tol=1e-10):
     """Stability report of a commuting triple.
 
     The operator (ad tau2)^2 + (ad tau3)^2 - (ad tau1)^2 is assembled in an
     orthonormal basis (where it is symmetric) with the double-bracket layer
     that also forms the degeneracy shooting operator, and diagonalised; the DV
-    spectrum comes from the explicit block Jacobian.
+    spectrum comes from the explicit block Jacobian.  A traceless triple is
+    taken in su(n), any other in u(n).
     """
     taus = check_commuting(tau1, tau2, tau3, tol=max(tol, 1e-10))
-    DV, basis = dv_matrix(*taus, scale=scale)
-    op = double_bracket_matrix(np.array(taus), (-1.0, 1.0, 1.0), basis, scale)
+    traceless = all(abs(np.trace(t)) < 1e-10 for t in taus)
+    basis = orthonormal_basis(taus[0].shape[0], traceless=traceless)
+    DV = dv_matrix(*taus, basis)
+    op = double_bracket_matrix(np.array(taus), (-1.0, 1.0, 1.0), basis)
     spec = np.linalg.eigvalsh(0.5 * (op + op.T))
     dv_spec = np.linalg.eigvals(DV)
     pos = dv_spec.real[dv_spec.real > tol]
@@ -164,7 +163,6 @@ def halfline_convergence(
     horizon=20.0,
     steps_per_unit=1000,
     fit_window=(0.5, 1.0),
-    scale=DEFAULT_SCALE,
 ):
     """Integrate from a perturbed commuting triple and fit the decay rate.
 
@@ -188,7 +186,7 @@ def halfline_convergence(
     steps = max(int(round(horizon * steps_per_unit)), 10)
     traj = flow.integrate(init, (0.0, horizon), flow.SolverConfig(steps=steps))
     dev = np.sqrt(
-        sum(norm(traj.samples[:, i + 1] - tau[i][None], scale) ** 2 for i in range(3))
+        sum(norm(traj.samples[:, i + 1] - tau[i][None]) ** 2 for i in range(3))
     )
     t = traj.times
 

@@ -52,18 +52,15 @@ def test_quadruple_from_obj_reprojects_with_warning():
 # ---------------------------------------------------------------------------
 # byte identity of the array-leaf export against the nested-list form
 
-def nested_list_obj(traj, scale=None):
+def nested_list_obj(traj):
     # the trajectory object as it was built before samples became arrays
     def pairs(M):
         return [[[float(z.real), float(z.imag)] for z in row] for row in M]
 
-    obj = {
+    return {
         "t_start": traj.t_start, "t_end": traj.t_end, "steps": traj.steps, "n": traj.n,
         "samples": [{f"T{i}": pairs(q[i]) for i in range(4)} for q in traj.samples],
     }
-    if scale is not None:
-        obj["scale"] = scale
-    return obj
 
 
 def reference_csv_rows(traj):
@@ -97,9 +94,9 @@ def test_export_json_byte_identical(kind):
     # dumps is one %-format of the whole text: percent signs stay literal
     config = {"kappa": 0.8, "name": "run 100% %r %s %%", "%(x)s": "%", "steps": traj.steps}
     got = serialize.dumps(
-        {"config": config, "trajectory": serialize.trajectory_to_obj(traj, scale=2.0)}
+        {"config": config, "trajectory": serialize.trajectory_to_obj(traj)}
     )
-    ref = {"config": config, "trajectory": nested_list_obj(traj, scale=2.0)}
+    ref = {"config": config, "trajectory": nested_list_obj(traj)}
     assert got == json.dumps(ref, indent=2, sort_keys=True, allow_nan=False) + "\n"
     # a bare array as the whole object renders at column 0
     leaf = serialize.trajectory_to_obj(traj)["samples"][-1]["T1"]
@@ -171,6 +168,7 @@ def test_cli_integrate_json(tmp_path):
     data = json.loads(out.read_text())
     assert data["config"]["kappa"] == 0.8
     assert data["config"]["scale"] == 2.0
+    assert data["conserved"]["scale"] == 2.0
     assert max(data["conserved"]["drift"].values()) < 1e-8
     traj = serialize.trajectory_from_obj(data["trajectory"])
     assert traj.steps == 500
@@ -204,6 +202,20 @@ def test_cli_integrate_zero_init(tmp_path):
 def test_cli_missing_required_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["sweep", "--to", "1", "--points", "3"])
+    assert exc.value.code == 2
+
+
+def test_cli_scale_option_is_rejected(capsys):
+    # the pi-bound certificate holds only in the fixed normalisation; with a
+    # settable scale this run certified a solution the shooting test found
+    # degenerate
+    with pytest.raises(SystemExit) as exc:
+        run_cli(
+            [
+                "degeneracy", "--kappa", "0.9", "--a", "4.5611", "--b", "0",
+                "--steps", "400", "--scale", "0.25",
+            ]
+        )
     assert exc.value.code == 2
 
 

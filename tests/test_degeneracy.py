@@ -215,7 +215,7 @@ def test_linearization_of_real_equation_map(rng, nondegenerate_traj):
         assert np.max(np.abs(lin - target)) < 1e-4
 
 
-def bracket_form_shooting(traj, basis, scale=2.0):
+def bracket_form_shooting(traj, basis):
     """Reference kernel: RK4 on Delta_T xi = 0 with complex double brackets
     applied to all d basis directions at once."""
     S, h = traj.samples, traj.h
@@ -235,7 +235,7 @@ def bracket_form_shooting(traj, basis, scale=2.0):
         k3 = rhs(mids[k], Y + 0.5 * h * k2)
         k4 = rhs(nodes[k + 1], Y + h * k3)
         Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return inner(basis[:, None], Y[0][None, :], scale)
+    return inner(basis[:, None], Y[0][None, :])
 
 
 def assert_matches_bracket_form(traj):

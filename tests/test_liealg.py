@@ -59,9 +59,6 @@ def test_inner_su2_orthonormal():
 def test_inner_zero_and_scale():
     e1, _, _ = su2_basis()
     assert inner(np.zeros((2, 2)), e1) == 0.0
-    assert_allclose(inner(e1, e1, scale=4.0), 2.0)
-    with pytest.raises(ValueError):
-        inner(e1, e1, scale=0.0)
 
 
 def test_inner_ad_invariance(rng):

@@ -217,11 +217,3 @@ def test_conserved_C_matches_inner_product(rng):
             2 * inner(q[1], q[1]) + inner(q[2], q[2]) + inner(q[3], q[3])
         )
         assert abs(C_trace - C_inner) < 1e-10
-
-
-def test_conserved_C_scale_factor(rng):
-    q = random_quadruple(2, rng)
-    L = lax_from_quadruple(q)
-    assert conserved_C_from_trace(L, scale=4.0) == pytest.approx(
-        2.0 * conserved_C_from_trace(L, scale=2.0)
-    )
