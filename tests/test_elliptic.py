@@ -130,14 +130,14 @@ def test_jacobi_modulus_domain():
 
 
 def test_jacobi_and_K_against_mpmath():
-    # independent oracle: mpmath's ellipfun and ellipk at 40 digits.  Both
-    # sides take m = kappa * kappa rounded to a double, the parameter the
-    # AGM forms; near kappa = 1 the rounding of kappa^2 alone would move K
-    # by far more than the bound, which measures the algorithm, not kappa
+    # independent oracle: mpmath's ellipfun and ellipk at 40 digits, at the
+    # exact parameter m = kappa^2 of the double kappa.  The AGM forms kappa'
+    # from (1 - kappa)(1 + kappa), never rounding kappa^2, so K keeps full
+    # precision near kappa = 1
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
-        for kappa in (0.0, 0.3, 0.8, 0.99, 1.0 - 1e-6, 1.0 - 1e-12, 1.0):
-            m = mpmath.mpf(kappa * kappa)
+        for kappa in (0.0, 0.3, 0.8, 0.99, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12, 1.0):
+            m = mpmath.mpf(kappa) ** 2
             args = [0.0, 0.37, -2.1, 40.0, -800.0, 1e4]
             if kappa < 1.0:
                 K = complete_K(kappa)
