@@ -1,7 +1,10 @@
 """Scenario runner exposing the package as subcommands.
 
 Subcommands: integrate, closed-form, spectral, degeneracy, factorize,
-stability, sweep.  Every JSON output echoes the full configuration and the
+stability, sweep.  Each takes exactly the options its handler reads (the
+`_SUBCOMMANDS` table); passing one it does not read is an argument error
+(exit 2).  Every JSON output echoes each option that shapes the result
+(all parsed options but --init, --output and --format) and the
 inner-product scale so runs are reproducible; identical configurations
 (including the seed) give byte-identical output.  The scale is the fixed
 normalisation <X, Y> = -2 Re tr(XY) of `liealg`, not an option: the
@@ -30,28 +33,45 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _add_common(p, with_format=False):
-    p.add_argument("--algebra", choices=("su2", "un"), default="su2")
-    p.add_argument("--n", type=int, default=2, help="matrix size for --algebra un")
-    p.add_argument("--kappa", type=float, default=0.8, help="elliptic modulus")
-    p.add_argument("--a", type=float, default=1.0, help="elliptic frequency")
-    p.add_argument("--b", type=float, default=0.0, help="elliptic phase")
-    p.add_argument("--t-start", type=float, default=0.0)
-    p.add_argument("--t-end", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--init", help="JSON file with initial data (overrides --algebra)")
-    p.add_argument("--output", default="-", help="output path, '-' for stdout")
-    if with_format:
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+# Every option, by flag: the keyword arguments of its add_argument call.
+# A subcommand takes the flags its handler reads (see _SUBCOMMANDS).
+_OPTIONS = {
+    "--algebra": dict(choices=("su2", "un"), default="su2"),
+    "--n": dict(type=int, default=2, help="matrix size for --algebra un"),
+    "--kappa": dict(type=float, default=0.8, help="elliptic modulus"),
+    "--a": dict(type=float, default=1.0, help="elliptic frequency"),
+    "--b": dict(type=float, default=0.0, help="elliptic phase"),
+    "--t-start": dict(type=float, default=0.0),
+    "--t-end": dict(type=float, default=1.0),
+    "--steps": dict(type=int, default=2000),
+    "--seed": dict(type=int, default=0),
+    "--init": dict(help="JSON file with initial data (overrides the scenario options)"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--shift": dict(type=float, default=3.0, help="central shift of T1 into u(2)"),
+    "--triple": dict(default="1,0,0", help="c1,c2,c3 for (c1 e1, c2 e1, c3 e1)"),
+    "--halfline": dict(action="store_true", help="run the decay-rate experiment"),
+    "--amplitude": dict(type=float, default=1e-4),
+    "--horizon": dict(type=float, default=8.0),
+    "--param": dict(required=True, help="kappa, a or b"),
+    "--from": dict(dest="start", type=float, required=True),
+    "--to": dict(dest="stop", type=float, required=True),
+    "--points": dict(type=int, required=True),
+    "--param2": dict(default=None),
+    "--from2": dict(dest="start2", type=float, default=0.0),
+    "--to2": dict(dest="stop2", type=float, default=1.0),
+    "--points2": dict(type=int, default=2),
+    "--output": dict(default="-", help="output path, '-' for stdout"),
+}
 
 
-def _config_echo(args, names):
-    return {**{k: getattr(args, k) for k in names}, "scale": INNER_SCALE}
+# parsed entries the JSON echo leaves out: argparse's own, the two paths
+# and the rendering of the output
+_NOT_ECHOED = ("command", "func", "init", "output", "format")
 
-_COMMON_NAMES = (
-    "algebra", "n", "kappa", "a", "b", "t_start", "t_end", "steps", "seed",
-)
+
+def _config_echo(args):
+    echo = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
+    return {**echo, "scale": INNER_SCALE}
 
 
 # characters per write: a text file encodes what it is given in one piece,
@@ -103,7 +123,7 @@ def cmd_integrate(args):
         sys.stderr.write(serialize.dumps(report.as_dict()))
     else:
         obj = {
-            "config": _config_echo(args, _COMMON_NAMES),
+            "config": _config_echo(args),
             "trajectory": serialize.trajectory_to_obj(traj),
             "conserved": report.as_dict(),
         }
@@ -119,7 +139,7 @@ def cmd_closed_form(args):
         _emit(args, "\n".join(serialize.trajectory_csv_lines(traj)) + "\n")
     else:
         obj = {
-            "config": _config_echo(args, _COMMON_NAMES),
+            "config": _config_echo(args),
             "trajectory": serialize.trajectory_to_obj(traj),
         }
         _emit(args, serialize.dumps(obj))
@@ -131,7 +151,7 @@ def cmd_spectral(args):
     lax0 = spectral.lax_from_quadruple(traj.samples[0])
     curve = spectral.char_poly(lax0)
     obj = {
-        "config": _config_echo(args, _COMMON_NAMES),
+        "config": _config_echo(args),
         "curve": curve.as_dict(),
         "curve_reality_defect": curve.reality_defect(),
         "isospectral_drift": spectral.isospectral_drift(traj),
@@ -147,7 +167,7 @@ def cmd_degeneracy(args):
     rep = degeneracy.degeneracy_report(traj)
     bound, certified = degeneracy.pi_bound_precheck(traj)
     obj = {
-        "config": _config_echo(args, _COMMON_NAMES),
+        "config": _config_echo(args),
         "report": rep.as_dict(),
         "pi_bound": bound,
         "pi_certified": certified,
@@ -165,7 +185,7 @@ def cmd_factorize(args):
         T2, T3 = quad[2], quad[3]
     rep = positive.positivity_report(T1, T2, T3)
     out = {
-        "config": {**_config_echo(args, _COMMON_NAMES), "shift": args.shift},
+        "config": _config_echo(args),
         "positivity": rep.as_dict(),
     }
     if rep.sampled_positive:
@@ -196,7 +216,7 @@ def cmd_stability(args):
         taus = [ci * e1 for ci in _triple_coefficients(args.triple)]
     rep = stability.stability_spectrum(*taus)
     out = {
-        "config": {**_config_echo(args, _COMMON_NAMES), "triple": args.triple},
+        "config": _config_echo(args),
         "report": rep.as_dict(),
     }
     if args.halfline and rep.stable and rep.eta > 0:
@@ -262,58 +282,42 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
+_ELLIPTIC = ("--kappa", "--a", "--b")
+_TRAJECTORY = (
+    "--algebra", "--n", *_ELLIPTIC, "--t-start", "--t-end", "--steps", "--seed", "--init"
+)
+_GRID = ("--param", "--from", "--to", "--points", "--param2", "--from2", "--to2", "--points2")
+
+# subcommand, handler, help, and the flags the handler reads (--output is
+# added to every subcommand)
+_SUBCOMMANDS = (
+    ("integrate", cmd_integrate, "integrate the equations and audit conservation",
+     _TRAJECTORY + ("--format",)),
+    ("closed-form", cmd_closed_form, "sample the su(2) elliptic solution",
+     _ELLIPTIC + ("--t-start", "--t-end", "--steps", "--format")),
+    ("spectral", cmd_spectral, "spectral curve, Lax residual and drift", _TRAJECTORY),
+    ("degeneracy", cmd_degeneracy, "shooting test for the degeneracy locus", _TRAJECTORY),
+    ("factorize", cmd_factorize, "positivity report and Rosenblatt factors",
+     _ELLIPTIC + ("--t-start", "--shift", "--init")),
+    ("stability", cmd_stability, "stability spectrum of a commuting triple",
+     ("--triple", "--halfline", "--amplitude", "--horizon", "--init")),
+    ("sweep", cmd_sweep, "map sigma_min over a parameter grid (CSV)",
+     _ELLIPTIC + ("--steps",) + _GRID),
+)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="nahmschmid",
         description="Numerical laboratory for the Nahm-Schmid equations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("integrate", help="integrate the equations and audit conservation")
-    _add_common(p, with_format=True)
-    p.set_defaults(func=cmd_integrate)
-
-    p = sub.add_parser("closed-form", help="sample the su(2) elliptic solution")
-    _add_common(p, with_format=True)
-    p.set_defaults(func=cmd_closed_form)
-
-    p = sub.add_parser("spectral", help="spectral curve, Lax residual and drift")
-    _add_common(p)
-    p.set_defaults(func=cmd_spectral)
-
-    p = sub.add_parser("degeneracy", help="shooting test for the degeneracy locus")
-    _add_common(p)
-    p.set_defaults(func=cmd_degeneracy)
-
-    p = sub.add_parser("factorize", help="positivity report and Rosenblatt factors")
-    _add_common(p)
-    p.add_argument("--shift", type=float, default=3.0, help="central shift of T1 into u(2)")
-    p.set_defaults(func=cmd_factorize)
-
-    p = sub.add_parser("stability", help="stability spectrum of a commuting triple")
-    _add_common(p)
-    p.add_argument("--triple", default="1,0,0", help="c1,c2,c3 for (c1 e1, c2 e1, c3 e1)")
-    p.add_argument("--halfline", action="store_true", help="run the decay-rate experiment")
-    p.add_argument("--amplitude", type=float, default=1e-4)
-    p.add_argument("--horizon", type=float, default=8.0)
-    p.set_defaults(func=cmd_stability)
-
-    p = sub.add_parser("sweep", help="map sigma_min over a parameter grid (CSV)")
-    _add_common(p)
-    p.add_argument("--param", required=True, help="kappa, a or b")
-    p.add_argument("--from", dest="start", type=float, required=True)
-    p.add_argument("--to", dest="stop", type=float, required=True)
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--param2", default=None)
-    p.add_argument("--from2", dest="start2", type=float, default=0.0)
-    p.add_argument("--to2", dest="stop2", type=float, default=1.0)
-    p.add_argument("--points2", type=int, default=2)
-    p.set_defaults(func=cmd_sweep)
+    for name, func, help_text, flags in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags + ("--output",):
+            p.add_argument(flag, **_OPTIONS[flag])
+        p.set_defaults(func=func)
     return parser
-
-
-# options whose destination is not the flag name with "_" for "-"
-_FLAGS = {"start": "--from", "stop": "--to", "start2": "--from2", "stop2": "--to2"}
 
 
 def _check_config(args):
@@ -322,11 +326,11 @@ def _check_config(args):
     Raises ValueError naming the option, so such input exits 2 (a
     configuration error) before any numerics run.
     """
-    for dest, value in vars(args).items():
+    for flag, kwargs in _OPTIONS.items():
+        value = getattr(args, kwargs.get("dest", flag[2:].replace("-", "_")), None)
         if isinstance(value, float) and not math.isfinite(value):
-            flag = _FLAGS.get(dest, "--" + dest.replace("_", "-"))
             raise ValueError(f"{flag} must be finite, got {value!r}")
-    if args.n < 1:
+    if getattr(args, "n", 1) < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
     if getattr(args, "triple", None) is not None:
         _triple_coefficients(args.triple)

@@ -35,11 +35,16 @@ import numpy as np
 from . import grids
 from .liealg import (
     ad_matrix,
+    basis_for,
     bracket,
     double_bracket_matrix,
     inner,
     orthonormal_basis,
 )
+
+# verdict bands of sigma_min / sigma_max (see DegeneracyReport)
+TOL_LOW = 1e-6
+TOL_HIGH = 1e-3
 
 
 @dataclass(frozen=True)
@@ -47,7 +52,7 @@ class DegeneracyReport:
     """Shooting matrix, its singular values and the resulting verdict.
 
     The verdict bands are relative to the spectral norm of the matrix:
-    `degenerate` below tol_low, `nondegenerate` above tol_high, and
+    `degenerate` below TOL_LOW, `nondegenerate` above TOL_HIGH, and
     `inconclusive` in between (near-degenerate solutions occur along
     continuous families, so a single threshold would misreport).
     """
@@ -57,8 +62,6 @@ class DegeneracyReport:
     sigma_min: float
     determinant: float
     verdict: str
-    tol_low: float
-    tol_high: float
 
     def as_dict(self):
         return {
@@ -67,13 +70,9 @@ class DegeneracyReport:
             "sigma_min": self.sigma_min,
             "determinant": self.determinant,
             "verdict": self.verdict,
-            "tol_low": self.tol_low,
-            "tol_high": self.tol_high,
+            "tol_low": TOL_LOW,
+            "tol_high": TOL_HIGH,
         }
-
-
-def _is_traceless(traj, tol=1e-10):
-    return bool(np.max(np.abs(np.trace(traj.samples, axis1=-2, axis2=-1))) <= tol)
 
 
 def algebra_basis(traj, algebra=None):
@@ -83,7 +82,7 @@ def algebra_basis(traj, algebra=None):
     is treated as u(n)-valued.  Pass algebra="su" or "un" to override.
     """
     if algebra is None:
-        algebra = "su" if _is_traceless(traj) else "un"
+        return basis_for(traj.samples)
     if algebra not in ("su", "un"):
         raise ValueError("algebra must be 'su' or 'un'")
     return orthonormal_basis(traj.n, traceless=(algebra == "su"))
@@ -171,19 +170,19 @@ def shooting_matrix(traj, algebra=None):
     return path[-1, 0]
 
 
-def degeneracy_report(traj, tol_low=1e-6, tol_high=1e-3, algebra=None):
+def degeneracy_report(traj):
     """Run the shooting kernel test and classify the solution.
 
-    sigma_min is compared against tol_low/tol_high times the spectral norm
+    sigma_min is compared against TOL_LOW/TOL_HIGH times the spectral norm
     of the shooting matrix; between the bands the verdict is
     `inconclusive`.
     """
-    M = shooting_matrix(traj, algebra)
+    M = shooting_matrix(traj)
     sigma = np.linalg.svd(M, compute_uv=False)
     smin, smax = float(sigma[-1]), float(sigma[0])
-    if smin < tol_low * smax:
+    if smin < TOL_LOW * smax:
         verdict = "degenerate"
-    elif smin > tol_high * smax:
+    elif smin > TOL_HIGH * smax:
         verdict = "nondegenerate"
     else:
         verdict = "inconclusive"
@@ -193,8 +192,6 @@ def degeneracy_report(traj, tol_low=1e-6, tol_high=1e-3, algebra=None):
         sigma_min=smin,
         determinant=float(np.linalg.det(M)),
         verdict=verdict,
-        tol_low=tol_low,
-        tol_high=tol_high,
     )
 
 

@@ -37,6 +37,8 @@ from .liealg import (
 
 _REDUCED_SIGNS = np.array([-1.0, 1.0, 1.0]).reshape(3, 1, 1)
 _ETA = np.diag([1.0, -1.0, -1.0])
+_LOG_BRANCH_TOL = 1e-8  # eigenvalues of gamma this close to -1 have no principal log
+_CANONICAL_TOL = 1e-6  # of the Gram-pencil and fixed-axis tests of su2_canonicalize
 
 
 class NumericalFailure(RuntimeError):
@@ -340,7 +342,7 @@ def monodromy(traj):
     )
 
 
-def principal_log_unitary(gamma, tol=1e-8):
+def principal_log_unitary(gamma):
     """Principal logarithm of a unitary matrix, as an anti-Hermitian matrix.
 
     Fails for eigenvalues at -1 where the principal branch is undefined.
@@ -348,7 +350,7 @@ def principal_log_unitary(gamma, tol=1e-8):
     gamma = np.asarray(gamma, dtype=complex)
     T, Q = scipy.linalg.schur(gamma, output="complex")
     lam = np.diagonal(T)
-    if np.min(np.abs(lam + 1.0)) < tol:
+    if np.min(np.abs(lam + 1.0)) < _LOG_BRANCH_TOL:
         raise ValueError("gamma has an eigenvalue at -1; principal log undefined")
     log_lam = 1j * np.angle(lam)
     return project_antihermitian((Q * log_lam) @ Q.conj().T)
@@ -478,7 +480,7 @@ def _su2_rotation_from_frame(X):
     return exp_unitary(sum(rotvec[i] * e[i] for i in range(3)))
 
 
-def su2_canonicalize(traj, tol=1e-6):
+def su2_canonicalize(traj):
     """Bring an su(2) solution to the form T0 = 0, T_j(t) = f_j(t) e_j.
 
     Gauges T0 away, Lorentz-rotates until the Gram form <T_i, T_j> is
@@ -488,7 +490,7 @@ def su2_canonicalize(traj, tol=1e-6):
 
     Raises NonCanonicalizableError when the pencil has complex or defective
     eigenvalues, when the signature does not split as (+,-,-), or when the
-    component axes are not constant to the requested tolerance.
+    component axes are not constant to _CANONICAL_TOL.
     """
     if traj.n != 2:
         raise NonCanonicalizableError("canonical form is defined for su(2) data")
@@ -498,12 +500,12 @@ def su2_canonicalize(traj, tol=1e-6):
     fixed, u0 = gauge_fix(traj)
     G = gram_matrix(fixed)
     lam, vecs = np.linalg.eig(_ETA @ G)
-    if np.max(np.abs(lam.imag)) > tol * max(1.0, np.max(np.abs(lam))):
+    if np.max(np.abs(lam.imag)) > _CANONICAL_TOL * max(1.0, np.max(np.abs(lam))):
         raise NonCanonicalizableError("Gram pencil has complex eigenvalues")
     lam, vecs = lam.real, vecs.real
 
     sig = np.einsum("ij,jk,ik->k", _ETA, vecs, vecs)
-    if np.min(np.abs(sig)) < tol:
+    if np.min(np.abs(sig)) < _CANONICAL_TOL:
         raise NonCanonicalizableError("Gram pencil is defective (null eigenvector)")
     if np.sum(sig > 0) != 1:
         raise NonCanonicalizableError("Gram pencil signature is not (+,-,-)")
@@ -531,10 +533,10 @@ def su2_canonicalize(traj, tol=1e-6):
     for i in range(3):
         Mi = coords[:, i, :]
         U, s, Vt = np.linalg.svd(Mi, full_matrices=False)
-        if s[0] < tol * scale_ref:
+        if s[0] < _CANONICAL_TOL * scale_ref:
             raise NonCanonicalizableError(f"component {i + 1} vanishes identically")
         ratios[i] = s[1] / s[0]
-        if ratios[i] > tol:
+        if ratios[i] > _CANONICAL_TOL:
             raise NonCanonicalizableError(
                 f"component {i + 1} does not keep a fixed axis (ratio {ratios[i]:.2e})"
             )

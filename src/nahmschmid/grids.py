@@ -25,8 +25,26 @@ _MID_EDGE = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
 _MID_CENTER = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
 
 
-def _apply_stencil(samples, weights, start):
-    return np.tensordot(weights, samples[start : start + len(weights)], axes=(0, 0))
+def _stencil(samples, edge_rows, center, right_sign):
+    """Apply a stencil along axis 0: one-sided rows at the ends, `center` inside.
+
+    Output i is edge row i applied to the first samples; output -1-i is the
+    same row applied to the last samples in reverse order, negated when
+    right_sign < 0.  The core sums the nonzero `center` terms left to right.
+    """
+    m, e, c = samples.shape[0], len(edge_rows), len(center)
+    out = np.empty((m - c + 1 + 2 * e,) + samples.shape[1:], dtype=samples.dtype)
+    for i, row in enumerate(edge_rows):
+        out[i] = np.tensordot(row, samples[: len(row)], axes=(0, 0))
+        right = np.tensordot(row, samples[::-1][: len(row)], axes=(0, 0))
+        out[-1 - i] = -right if right_sign < 0 else right
+    core = None
+    for j, w in enumerate(center):
+        if w != 0.0:
+            term = samples[j : m - c + 1 + j] * w
+            core = term if core is None else core + term
+    out[e:-e] = core
+    return out
 
 
 def derivative(samples, h):
@@ -36,44 +54,17 @@ def derivative(samples, h):
     five samples.
     """
     samples = np.asarray(samples)
-    m = samples.shape[0]
-    if m < 5:
+    if samples.shape[0] < 5:
         raise ValueError("need at least 5 samples for the 4th-order stencil")
-    out = np.empty_like(samples)
-    out[0] = _apply_stencil(samples, _D1_LEFT0, 0)
-    out[1] = _apply_stencil(samples, _D1_LEFT1, 0)
-    out[-1] = -_apply_stencil(samples[::-1], _D1_LEFT0, 0)
-    out[-2] = -_apply_stencil(samples[::-1], _D1_LEFT1, 0)
-    core = (
-        samples[:-4] * _D1_CENTER[0]
-        + samples[1:-3] * _D1_CENTER[1]
-        + samples[3:-1] * _D1_CENTER[3]
-        + samples[4:] * _D1_CENTER[4]
-    )
-    out[2:-2] = core
-    return out / h
+    return _stencil(samples, (_D1_LEFT0, _D1_LEFT1), _D1_CENTER, -1.0) / h
 
 
 def second_derivative(samples, h):
     """4th-order second derivative of grid samples along axis 0."""
     samples = np.asarray(samples)
-    m = samples.shape[0]
-    if m < 6:
+    if samples.shape[0] < 6:
         raise ValueError("need at least 6 samples for the 4th-order stencil")
-    out = np.empty_like(samples)
-    out[0] = _apply_stencil(samples, _D2_LEFT0, 0)
-    out[1] = _apply_stencil(samples, _D2_LEFT1, 0)
-    out[-1] = _apply_stencil(samples[::-1], _D2_LEFT0, 0)
-    out[-2] = _apply_stencil(samples[::-1], _D2_LEFT1, 0)
-    core = (
-        samples[:-4] * _D2_CENTER[0]
-        + samples[1:-3] * _D2_CENTER[1]
-        + samples[2:-2] * _D2_CENTER[2]
-        + samples[3:-1] * _D2_CENTER[3]
-        + samples[4:] * _D2_CENTER[4]
-    )
-    out[2:-2] = core
-    return out / (h * h)
+    return _stencil(samples, (_D2_LEFT0, _D2_LEFT1), _D2_CENTER, 1.0) / (h * h)
 
 
 def midpoints(samples):
@@ -83,20 +74,9 @@ def midpoints(samples):
     the interpolant at t_k + h/2.
     """
     samples = np.asarray(samples)
-    m = samples.shape[0]
-    if m < 4:
+    if samples.shape[0] < 4:
         raise ValueError("need at least 4 samples for cubic interpolation")
-    out = np.empty((m - 1,) + samples.shape[1:], dtype=samples.dtype)
-    out[0] = _apply_stencil(samples, _MID_EDGE, 0)
-    out[-1] = _apply_stencil(samples[::-1], _MID_EDGE, 0)
-    core = (
-        samples[:-3] * _MID_CENTER[0]
-        + samples[1:-2] * _MID_CENTER[1]
-        + samples[2:-1] * _MID_CENTER[2]
-        + samples[3:] * _MID_CENTER[3]
-    )
-    out[1:-1] = core
-    return out
+    return _stencil(samples, (_MID_EDGE,), _MID_CENTER, 1.0)
 
 
 def rk4(f, y0, t0, h, steps, project=None):

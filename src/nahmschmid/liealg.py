@@ -23,6 +23,7 @@ INNER_SCALE = 2.0
 
 ANTIHERM_TOL = 1e-12
 UNITARY_TOL = 1e-10
+TRACELESS_TOL = 1e-10  # largest |tr X| of a matrix taken to lie in su(n)
 
 
 class DimensionMismatchError(ValueError):
@@ -164,6 +165,13 @@ def orthonormal_basis(n, traceless=False):
     out = np.array(basis)
     norms = np.sqrt(inner(out, out))
     return out / norms[:, None, None]
+
+
+def basis_for(X):
+    """Orthonormal basis of su(n) if the stack X (..., n, n) is traceless, else of u(n)."""
+    X = np.asarray(X, dtype=complex)
+    traceless = bool(np.max(np.abs(np.trace(X, axis1=-2, axis2=-1))) <= TRACELESS_TOL)
+    return orthonormal_basis(X.shape[-1], traceless=traceless)
 
 
 def coordinates(X, basis):

@@ -29,6 +29,9 @@ from . import grids
 from .liealg import project_antihermitian
 from .serialize import matrix_to_pairs
 
+_CIRCLE_TOL = 1e-9  # a root this close to the unit circle refuses the factorization
+_NORM_BOUND_TOL = 1e-10  # rounding slack of the norm-bound comparison
+
 
 class NotFactorizableError(ValueError):
     """Input fails the positivity precondition of the factorization."""
@@ -113,7 +116,7 @@ def positivity_report(T1, T2, T3, samples=64):
     )
 
 
-def _inside_invariant_pair(L0, L1, L2, circle_tol):
+def _inside_invariant_pair(L0, L1, L2):
     """Eigenpairs of the reversed pencil L2 + L1 z + L0 z^2 inside the disk.
 
     The reversal swaps roots zeta <-> 1/zeta, so the n inside eigenvalues
@@ -127,7 +130,7 @@ def _inside_invariant_pair(L0, L1, L2, circle_tol):
     lam, vecs = scipy.linalg.eig(Ac, Bc)
     finite = np.isfinite(lam)
     mod = np.where(finite, np.abs(lam), np.inf)
-    if np.any(np.abs(mod - 1.0) < circle_tol):
+    if np.any(np.abs(mod - 1.0) < _CIRCLE_TOL):
         raise NotFactorizableError(
             "quadratic eigenvalue within tolerance of the unit circle"
         )
@@ -139,7 +142,7 @@ def _inside_invariant_pair(L0, L1, L2, circle_tol):
     return lam[inside], vecs[:n, inside]
 
 
-def rosenblatt_factorize(L0, L1, L2, samples=64, circle_tol=1e-9):
+def rosenblatt_factorize(L0, L1, L2):
     """Factor a positive T(zeta) = L0 + L1 z + L2 z^2 as (A + B*z)(B + A*z).
 
     The kernel vectors of T at its n roots outside the closed disk pin the
@@ -160,13 +163,13 @@ def rosenblatt_factorize(L0, L1, L2, samples=64, circle_tol=1e-9):
     beta = L0
     T2 = 0.5 * (beta - beta.conj().T)
     T3 = -0.5j * (beta + beta.conj().T)
-    report = positivity_report(T1, T2, T3, samples)
+    report = positivity_report(T1, T2, T3)
     if not report.sampled_positive:
         raise NotFactorizableError(
             f"pencil is not positive on the circle (min eigenvalue {report.min_eig:.3e})"
         )
 
-    mu, V = _inside_invariant_pair(L0, L1, L2, circle_tol)
+    mu, V = _inside_invariant_pair(L0, L1, L2)
     cond = np.linalg.cond(V)
     if not np.isfinite(cond) or cond > 1e10:
         raise NotFactorizableError("defective eigenvector basis for the right factor")
@@ -198,11 +201,11 @@ def rosenblatt_factorize(L0, L1, L2, samples=64, circle_tol=1e-9):
     return pair
 
 
-def factorize_triple(T1, T2, T3, samples=64):
+def factorize_triple(T1, T2, T3):
     """Rosenblatt factorization straight from a positive triple."""
     beta = np.asarray(T2, dtype=complex) + 1j * np.asarray(T3, dtype=complex)
     L1 = 2j * np.asarray(T1, dtype=complex)
-    return rosenblatt_factorize(beta, L1, beta.conj().T, samples=samples)
+    return rosenblatt_factorize(beta, L1, beta.conj().T)
 
 
 def ab_flow_rhs(A, B):
@@ -256,7 +259,7 @@ def ab_trace_invariant(A, B):
     return np.real(np.trace(A @ Ah + Bh @ B, axis1=-2, axis2=-1))
 
 
-def norm_bound_check(T1, T2, T3, tol=1e-10):
+def norm_bound_check(T1, T2, T3):
     """Spectral-norm bound |T2 + i T3| <= 2 |T1| valid on the positive set.
 
     Returns (lhs, rhs, holds).  The operator norm is the right one here:
@@ -265,4 +268,4 @@ def norm_bound_check(T1, T2, T3, tol=1e-10):
     beta = np.asarray(T2, dtype=complex) + 1j * np.asarray(T3, dtype=complex)
     lhs = float(np.linalg.norm(beta, 2))
     rhs = 2.0 * float(np.linalg.norm(np.asarray(T1, dtype=complex), 2))
-    return lhs, rhs, bool(lhs <= rhs + tol)
+    return lhs, rhs, bool(lhs <= rhs + _NORM_BOUND_TOL)

@@ -17,6 +17,8 @@ import numpy as np
 from .flow import Trajectory
 from .liealg import is_antihermitian, project_antihermitian
 
+REPROJECT_TOL = 1e-8  # anti-Hermiticity defect of loaded data that is reported
+
 
 def matrix_to_pairs(M):
     M = np.asarray(M, dtype=complex)
@@ -35,10 +37,10 @@ def quadruple_to_obj(T):
     return {f"T{i}": matrix_to_pairs(T[i]) for i in range(T.shape[0])}
 
 
-def quadruple_from_obj(obj, components=("T0", "T1", "T2", "T3"), reproject_tol=1e-8):
+def quadruple_from_obj(obj, components=("T0", "T1", "T2", "T3")):
     """Read a quadruple (or triple) of algebra elements from decoded JSON.
 
-    Anti-Hermiticity is validated; defects above `reproject_tol` trigger a
+    Anti-Hermiticity is validated; defects above REPROJECT_TOL trigger a
     warning and reprojection onto the algebra.
     """
     mats, warnings = [], []
@@ -46,7 +48,7 @@ def quadruple_from_obj(obj, components=("T0", "T1", "T2", "T3"), reproject_tol=1
         if name not in obj:
             raise ValueError(f"initial-data file is missing component {name!r}")
         M = matrix_from_pairs(obj[name])
-        if not is_antihermitian(M, tol=reproject_tol):
+        if not is_antihermitian(M, tol=REPROJECT_TOL):
             defect = float(np.max(np.abs(M + M.conj().T)))
             warnings.append(
                 f"{name} is not anti-Hermitian (defect {defect:.2e}); reprojected"

@@ -61,8 +61,8 @@ def lax_from_quadruple(T):
     return LaxPolynomial(L0=beta, L1=-(alpha + ah), L2=bh, M0=alpha, M1=-bh)
 
 
-def lax_residual(traj, zetas=DEFAULT_ZETAS):
-    """Sup over grid nodes and zeta samples of |dT(zeta)/dt - [T, T+]|.
+def lax_residual(traj):
+    """Sup over grid nodes and DEFAULT_ZETAS of |dT(zeta)/dt - [T, T+]|.
 
     Vanishes to O(h^4) on solutions and is O(1) on generic non-solutions,
     which makes it a cheap integrability check.
@@ -70,7 +70,7 @@ def lax_residual(traj, zetas=DEFAULT_ZETAS):
     lax = lax_from_quadruple(traj.samples)
     dL0, dL1, dL2 = (grids.derivative(L, traj.h) for L in (lax.L0, lax.L1, lax.L2))
     worst = 0.0
-    for z in zetas:
+    for z in DEFAULT_ZETAS:
         R = dL0 + z * dL1 + z * z * dL2 - bracket(lax.at(z), lax.plus_at(z))
         worst = max(worst, float(np.max(np.abs(R))))
     return worst

@@ -20,12 +20,14 @@ import scipy.linalg
 from . import flow
 from .liealg import (
     ad_matrix,
+    basis_for,
     bracket,
     double_bracket_matrix,
     from_coordinates,
     norm,
-    orthonormal_basis,
 )
+
+SPECTRUM_TOL = 1e-10  # of the commutation check and the sign tests on both spectra
 
 
 @dataclass(frozen=True)
@@ -55,13 +57,13 @@ class StabilityReport:
         }
 
 
-def check_commuting(tau1, tau2, tau3, tol=1e-10):
+def check_commuting(tau1, tau2, tau3):
     taus = [np.asarray(t, dtype=complex) for t in (tau1, tau2, tau3)]
     worst = 0.0
     for i in range(3):
         for j in range(i + 1, 3):
             worst = max(worst, float(np.max(np.abs(bracket(taus[i], taus[j])))))
-    if worst > tol:
+    if worst > SPECTRUM_TOL:
         raise ValueError(f"triple is not commuting (bracket norm {worst:.3e})")
     return taus
 
@@ -90,7 +92,7 @@ def dv_matrix(tau1, tau2, tau3, basis):
     )
 
 
-def stability_spectrum(tau1, tau2, tau3, tol=1e-10):
+def stability_spectrum(tau1, tau2, tau3):
     """Stability report of a commuting triple.
 
     The operator (ad tau2)^2 + (ad tau3)^2 - (ad tau1)^2 is assembled in an
@@ -99,33 +101,32 @@ def stability_spectrum(tau1, tau2, tau3, tol=1e-10):
     spectrum comes from the explicit block Jacobian.  A traceless triple is
     taken in su(n), any other in u(n).
     """
-    taus = check_commuting(tau1, tau2, tau3, tol=max(tol, 1e-10))
-    traceless = all(abs(np.trace(t)) < 1e-10 for t in taus)
-    basis = orthonormal_basis(taus[0].shape[0], traceless=traceless)
+    taus = check_commuting(tau1, tau2, tau3)
+    basis = basis_for(np.array(taus))
     DV = dv_matrix(*taus, basis)
     op = double_bracket_matrix(np.array(taus), (-1.0, 1.0, 1.0), basis)
     spec = np.linalg.eigvalsh(0.5 * (op + op.T))
     dv_spec = np.linalg.eigvals(DV)
-    pos = dv_spec.real[dv_spec.real > tol]
+    pos = dv_spec.real[dv_spec.real > SPECTRUM_TOL]
     eta = float(np.min(pos)) if pos.size else 0.0
     return StabilityReport(
         operator_spectrum=spec,
         dv_spectrum=dv_spec,
         dv_matrix=DV,
         basis=basis,
-        stable=bool(spec[0] >= -tol),
+        stable=bool(spec[0] >= -SPECTRUM_TOL),
         eta=eta,
     )
 
 
-def stable_directions(report, tol=1e-10):
+def stable_directions(report):
     """Real orthonormal basis of the decaying invariant subspace of DV.
 
-    Columns span the sum of eigenspaces with eigenvalue real part < -tol,
-    obtained from the sorted real Schur form.
+    Columns span the sum of eigenspaces with eigenvalue real part
+    < -SPECTRUM_TOL, obtained from the sorted real Schur form.
     """
     DV = report.dv_matrix
-    _, Z, k = scipy.linalg.schur(DV, output="real", sort=lambda re, im: re < -tol)
+    _, Z, k = scipy.linalg.schur(DV, output="real", sort=lambda re, im: re < -SPECTRUM_TOL)
     return Z[:, :k]
 
 
@@ -162,20 +163,19 @@ def halfline_convergence(
     amplitude=1e-4,
     horizon=20.0,
     steps_per_unit=1000,
-    fit_window=(0.5, 1.0),
 ):
     """Integrate from a perturbed commuting triple and fit the decay rate.
 
     The perturbation is amplitude * direction with `direction` a unit
     triple (typically from :func:`stable_directions`); the deviation
-    |T(t) - tau| is fitted log-linearly over the fit window (fractions of
-    the horizon).  For directions in the stable eigenspace the fitted rate
+    |T(t) - tau| is fitted log-linearly over the second half of the
+    horizon.  For directions in the stable eigenspace the fitted rate
     reproduces the matching DV eigenvalue magnitude.
 
     Second-order effects shift the actual limit away from tau by
     O(amplitude^2), so the deviation plateaus near amplitude^2; keep the
-    horizon short enough (or the amplitude small enough) that the fit
-    window stays above that floor.  Growth of the deviation is reported as
+    horizon short enough (or the amplitude small enough) that the fitted
+    half stays above that floor.  Growth of the deviation is reported as
     divergence, not raised.
     """
     tau = [np.asarray(t, dtype=complex) for t in tau]
@@ -200,8 +200,7 @@ def halfline_convergence(
             deviation=dev,
         )
 
-    lo, hi = fit_window
-    mask = (t >= lo * horizon) & (t <= hi * horizon)
+    mask = t >= 0.5 * horizon
     window_dev = np.maximum(dev[mask], 1e-300)
     slope, intercept = np.polyfit(t[mask], np.log(window_dev), 1)
     fit = slope * t[mask] + intercept

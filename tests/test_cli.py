@@ -232,20 +232,67 @@ def test_cli_unknown_param_is_config_error(tmp_path):
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["integrate", "--t-end", "inf"], "--t-end"),
-        (["integrate", "--t-end", "nan"], "--t-end"),
+        (["integrate", "--t-end", "inf", "--steps", "10"], "--t-end"),
+        (["integrate", "--t-end", "nan", "--steps", "10"], "--t-end"),
         (["stability", "--triple", "1,nan,0"], "--triple"),
-        (["integrate", "--algebra", "un", "--n", "0"], "--n"),
-        (["sweep", "--param", "a", "--from=-inf", "--to", "1", "--points", "2"], "--from"),
+        (["integrate", "--algebra", "un", "--n", "0", "--steps", "10"], "--n"),
+        (
+            ["sweep", "--param", "a", "--from=-inf", "--to", "1", "--points", "2",
+             "--steps", "10"],
+            "--from",
+        ),
     ],
 )
 def test_cli_non_finite_or_degenerate_config_exits_2(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
-    code = run_cli(argv + ["--steps", "10", "--output", str(out)])
+    code = run_cli(argv + ["--output", str(out)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err
     assert not out.exists()
+
+
+SWEEP = ["sweep", "--param", "a", "--from", "1", "--to", "2", "--points", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["closed-form", "--init", "x.json"],
+        ["closed-form", "--seed", "1"],
+        SWEEP + ["--init", "x.json"],
+        SWEEP + ["--t-end", "5"],
+        ["factorize", "--algebra", "un"],
+        ["stability", "--steps", "5"],
+        ["stability", "--kappa", "0.3"],
+    ],
+)
+def test_cli_rejects_option_the_handler_does_not_read(tmp_path, capsys, argv):
+    # each of these was once accepted and echoed, then ignored
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--output", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (
+            ["integrate", "--steps", "10"],
+            {"algebra", "n", "kappa", "a", "b", "t_start", "t_end", "steps", "seed"},
+        ),
+        (["closed-form", "--steps", "10"], {"kappa", "a", "b", "t_start", "t_end", "steps"}),
+        (["factorize"], {"kappa", "a", "b", "t_start", "shift"}),
+        (["stability"], {"triple", "halfline", "amplitude", "horizon"}),
+    ],
+)
+def test_cli_config_echoes_exactly_the_options_read(tmp_path, argv, keys):
+    out = tmp_path / "out.json"
+    assert run_cli(argv + ["--output", str(out)]) == 0
+    assert set(json.loads(out.read_text())["config"]) == keys | {"scale"}
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")

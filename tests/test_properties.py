@@ -1,4 +1,4 @@
-"""Property tests of two symmetries the paper's constructions rest on.
+"""Property tests of symmetries the paper's constructions rest on.
 
 Each property is checked on inputs drawn by hypothesis; the file is
 skipped when hypothesis is not installed.
@@ -12,8 +12,13 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from nahmschmid import flow  # noqa: E402
-from nahmschmid.liealg import inner, random_antihermitian, random_unitary  # noqa: E402
+from nahmschmid import flow, spectral  # noqa: E402
+from nahmschmid.liealg import (  # noqa: E402
+    exp_unitary,
+    inner,
+    random_antihermitian,
+    random_unitary,
+)
 
 # few examples, no per-example time limit and no saved failing examples
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, database=None)
@@ -50,3 +55,23 @@ def test_inner_is_ad_invariant(seed, n):
     u = random_unitary(n, rng)
     uh = u.conj().T
     assert abs(inner(u @ X @ uh, u @ Y @ uh) - inner(X, Y)) < 1e-10
+
+
+def assert_close_relative(got, ref, rtol):
+    assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, n=st.sampled_from([2, 3]))
+def test_gauge_action_keeps_invariants_and_solutions(seed, n):
+    # u.(T0, Ti) = (u T0 u* - u' u*, u Ti u*) with u(t) = exp(t X), T0 != 0
+    rng = np.random.default_rng(seed)
+    quad = np.array([0.5 * random_antihermitian(n, rng) for _ in range(4)])
+    traj = flow.integrate(quad, (0.0, 1.0), flow.SolverConfig(steps=200))
+    X = random_antihermitian(n, rng)
+    g = flow.gauge_apply(np.array([exp_unitary(t * X) for t in traj.times]), traj)
+    assert_close_relative(flow.conserved_paths(g), flow.conserved_paths(traj), 1e-11)
+    assert_close_relative(spectral.curve_path(g), spectral.curve_path(traj), 1e-11)
+    # the -u' u* term of T0 keeps g a solution; without it both are O(1)
+    assert flow.residual(g) < 1e-3
+    assert spectral.lax_residual(g) < 1e-3
