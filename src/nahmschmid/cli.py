@@ -5,7 +5,9 @@ stability, sweep.  Each takes exactly the options its handler reads (the
 `_SUBCOMMANDS` table); passing one it does not read is an argument error
 (exit 2).  Every JSON output echoes each option that shapes the result
 (all parsed options but --init, --output and --format) and the
-inner-product scale so runs are reproducible; identical configurations
+inner-product scale so runs are reproducible; with --init it leaves out
+the scenario options the file replaces and records the SHA-256 of the
+file's bytes as "init_sha256" instead.  Identical configurations
 (including the seed) give byte-identical output.  The scale is the fixed
 normalisation <X, Y> = -2 Re tr(XY) of `liealg`, not an option: the
 degeneracy bound 2 sup(|T2|^2 + |T3|^2) < pi^2 holds only in it.  Exit
@@ -19,6 +21,7 @@ anti-Hermiticity defects above 1e-8 are reported and reprojected.
 """
 
 import argparse
+import hashlib
 import json
 import math
 import sys
@@ -64,13 +67,18 @@ _OPTIONS = {
 }
 
 
+def _dest(flag):
+    return _OPTIONS[flag].get("dest", flag[2:].replace("-", "_"))
+
+
 # parsed entries the JSON echo leaves out: argparse's own, the two paths
 # and the rendering of the output
-_NOT_ECHOED = ("command", "func", "init", "output", "format")
+_NOT_ECHOED = ("command", "func", "init_replaces", "init", "output", "format")
 
 
 def _config_echo(args):
-    echo = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
+    replaced = args.init_replaces if getattr(args, "init", None) else ()
+    echo = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED + replaced}
     return {**echo, "scale": INNER_SCALE}
 
 
@@ -89,9 +97,15 @@ def _emit(args, text):
 
 
 def _load_init(args, components=("T0", "T1", "T2", "T3")):
-    """Matrices named `components` from the --init file; warnings go to stderr."""
-    with open(args.init, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    """Matrices named `components` from the --init file; warnings go to stderr.
+
+    The SHA-256 of the bytes read is kept as args.init_sha256, so the config
+    echo records the data the run used.
+    """
+    with open(args.init, "rb") as fh:
+        data = fh.read()
+    args.init_sha256 = hashlib.sha256(data).hexdigest()
+    obj = json.loads(data.decode("utf-8"))
     mats, warnings = serialize.quadruple_from_obj(obj, components)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -221,17 +235,14 @@ def cmd_stability(args):
     }
     if args.halfline and rep.stable and rep.eta > 0:
         dirs = stability.stable_directions(rep)
-        if dirs.shape[1] == 0:
-            out["halfline"] = None
-        else:
-            direction = stability.triple_from_coordinates(dirs[:, 0], rep.basis)
-            res = stability.halfline_convergence(
-                taus,
-                direction,
-                amplitude=args.amplitude,
-                horizon=args.horizon,
-            )
-            out["halfline"] = res.as_dict()
+        direction = stability.triple_from_coordinates(dirs[:, 0], rep.basis)
+        res = stability.halfline_convergence(
+            taus,
+            direction,
+            amplitude=args.amplitude,
+            horizon=args.horizon,
+        )
+        out["halfline"] = res.as_dict()
     _emit(args, serialize.dumps(out))
     return EXIT_OK
 
@@ -283,26 +294,29 @@ def cmd_sweep(args):
 
 
 _ELLIPTIC = ("--kappa", "--a", "--b")
+_SCENARIO = ("--algebra", "--n", *_ELLIPTIC, "--seed")
 _TRAJECTORY = (
     "--algebra", "--n", *_ELLIPTIC, "--t-start", "--t-end", "--steps", "--seed", "--init"
 )
 _GRID = ("--param", "--from", "--to", "--points", "--param2", "--from2", "--to2", "--points2")
 
-# subcommand, handler, help, and the flags the handler reads (--output is
-# added to every subcommand)
+# subcommand, handler, help, the flags the handler reads (--output is
+# added to every subcommand) and those of them an --init file replaces
 _SUBCOMMANDS = (
     ("integrate", cmd_integrate, "integrate the equations and audit conservation",
-     _TRAJECTORY + ("--format",)),
+     _TRAJECTORY + ("--format",), _SCENARIO),
     ("closed-form", cmd_closed_form, "sample the su(2) elliptic solution",
-     _ELLIPTIC + ("--t-start", "--t-end", "--steps", "--format")),
-    ("spectral", cmd_spectral, "spectral curve, Lax residual and drift", _TRAJECTORY),
-    ("degeneracy", cmd_degeneracy, "shooting test for the degeneracy locus", _TRAJECTORY),
+     _ELLIPTIC + ("--t-start", "--t-end", "--steps", "--format"), ()),
+    ("spectral", cmd_spectral, "spectral curve, Lax residual and drift",
+     _TRAJECTORY, _SCENARIO),
+    ("degeneracy", cmd_degeneracy, "shooting test for the degeneracy locus",
+     _TRAJECTORY, _SCENARIO),
     ("factorize", cmd_factorize, "positivity report and Rosenblatt factors",
-     _ELLIPTIC + ("--t-start", "--shift", "--init")),
+     _ELLIPTIC + ("--t-start", "--shift", "--init"), _ELLIPTIC + ("--t-start", "--shift")),
     ("stability", cmd_stability, "stability spectrum of a commuting triple",
-     ("--triple", "--halfline", "--amplitude", "--horizon", "--init")),
+     ("--triple", "--halfline", "--amplitude", "--horizon", "--init"), ("--triple",)),
     ("sweep", cmd_sweep, "map sigma_min over a parameter grid (CSV)",
-     _ELLIPTIC + ("--steps",) + _GRID),
+     _ELLIPTIC + ("--steps",) + _GRID, ()),
 )
 
 
@@ -312,11 +326,11 @@ def build_parser():
         description="Numerical laboratory for the Nahm-Schmid equations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, help_text, flags in _SUBCOMMANDS:
+    for name, func, help_text, flags, replaced in _SUBCOMMANDS:
         p = sub.add_parser(name, help=help_text)
         for flag in flags + ("--output",):
             p.add_argument(flag, **_OPTIONS[flag])
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, init_replaces=tuple(_dest(f) for f in replaced))
     return parser
 
 
@@ -326,8 +340,8 @@ def _check_config(args):
     Raises ValueError naming the option, so such input exits 2 (a
     configuration error) before any numerics run.
     """
-    for flag, kwargs in _OPTIONS.items():
-        value = getattr(args, kwargs.get("dest", flag[2:].replace("-", "_")), None)
+    for flag in _OPTIONS:
+        value = getattr(args, _dest(flag), None)
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value!r}")
     if getattr(args, "n", 1) < 1:

@@ -116,11 +116,10 @@ def _rhs_stacked(Y, T0=None):
     return out
 
 
-def integrate(T_init, t_span=(0.0, 1.0), config=None, t0_profile=None):
+def integrate(T_init, t_span=(0.0, 1.0), config=None):
     """Integrate the Nahm-Schmid equations from an initial quadruple.
 
-    T0 is held at its initial value unless `t0_profile` (a callable
-    t -> matrix) prescribes it; either way only (T1, T2, T3) are dynamical.
+    T0 is held at its initial value; only (T1, T2, T3) are dynamical.
     Global existence makes a fixed-step scheme safe; accuracy is audited
     through :func:`conserved_report`.
 
@@ -131,8 +130,6 @@ def integrate(T_init, t_span=(0.0, 1.0), config=None, t0_profile=None):
     t_span : (float, float)
         Integration interval.
     config : SolverConfig, optional
-    t0_profile : callable, optional
-        Time-dependent T0 component.
 
     Returns
     -------
@@ -145,15 +142,8 @@ def integrate(T_init, t_span=(0.0, 1.0), config=None, t0_profile=None):
     t0, t1 = float(t_span[0]), float(t_span[1])
     h = (t1 - t0) / cfg.steps
 
-    if t0_profile is None:
-        T0_const = T_init[0]
-        static = np.max(np.abs(T0_const)) == 0.0
-        T0_of = (lambda t: None) if static else (lambda t: T0_const)
-    else:
-        T0_of = lambda t: np.asarray(t0_profile(t), dtype=complex)
-
-    def f(t, Y):
-        return _rhs_stacked(Y, T0_of(t))
+    T0 = None if np.max(np.abs(T_init[0])) == 0.0 else T_init[0]
+    f = lambda t, Y: _rhs_stacked(Y, T0)
 
     try:
         body = grids.rk4(f, T_init[1:], t0, h, cfg.steps, project=project_antihermitian)
@@ -161,10 +151,7 @@ def integrate(T_init, t_span=(0.0, 1.0), config=None, t0_profile=None):
         raise NumericalFailure(str(exc)) from exc
 
     times = np.linspace(t0, t1, cfg.steps + 1)
-    if t0_profile is None:
-        T0_path = np.broadcast_to(T_init[0], (len(times),) + T_init[0].shape)
-    else:
-        T0_path = np.array([T0_of(t) for t in times])
+    T0_path = np.broadcast_to(T_init[0], (len(times),) + T_init[0].shape)
     samples = np.concatenate([T0_path[:, None], body], axis=1)
     return Trajectory(t0, t1, samples)
 

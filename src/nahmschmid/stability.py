@@ -8,14 +8,15 @@ Commuting triples are the critical points of the reduced flow.  A triple
 has no negative eigenvalues; this is exactly the condition that the
 linearization DV of the flow at the triple has no non-real eigenvalues,
 so trajectories on the stable manifold approach the triple exponentially
-instead of oscillating around it.  The decay rate is governed by the
-positive DV eigenvalues (they come in +/- pairs).
+instead of oscillating around it.  The ad(tau_i) commute, so on each root
+space they act as w_i J with J^2 = -1; there the operator is
+sigma = w1^2 - w2^2 - w3^2 and DV has eigenvalues 0, +/- sqrt(sigma).  The
+report thus needs one symmetric eigendecomposition and the ad matrices.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import flow
 from .liealg import (
@@ -27,26 +28,37 @@ from .liealg import (
     norm,
 )
 
-SPECTRUM_TOL = 1e-10  # of the commutation check and the sign tests on both spectra
+SPECTRUM_TOL = 1e-10  # of the commutation check and the sign tests on the operator spectrum
 
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Spectra attached to a commuting triple.
+    """Spectral data of a commuting triple, in the orthonormal `basis`.
 
-    operator_spectrum: sorted eigenvalues of the stability operator on the
-    algebra.  dv_spectrum: eigenvalues of the flow linearization on three
-    copies of the algebra.  eta is the smallest positive real part among
-    the DV eigenvalues (the sharp bound on exponential decay rates), zero
-    when no eigenvalue has positive real part.
+    operator_spectrum: ascending eigenvalues sigma of the stability operator,
+    with orthonormal eigenvectors as the columns of `eigenvectors`.  ads: the
+    (3, d, d) matrices of ad(tau1), ad(tau2), ad(tau3).  eta is the smallest
+    sqrt(sigma) over sigma > SPECTRUM_TOL (the sharp bound on exponential
+    decay rates), zero when there is none.
     """
 
     operator_spectrum: np.ndarray
-    dv_spectrum: np.ndarray
-    dv_matrix: np.ndarray
+    eigenvectors: np.ndarray
+    ads: np.ndarray
     basis: np.ndarray
     stable: bool
     eta: float
+
+    @property
+    def dv_spectrum(self):
+        """DV eigenvalues: d zeros, then +sqrt(sigma), then -sqrt(sigma).
+
+        |sigma| <= SPECTRUM_TOL counts as 0; sigma < 0 gives imaginary roots.
+        """
+        spec = self.operator_spectrum
+        root = np.sqrt(np.where(np.abs(spec) > SPECTRUM_TOL, spec, 0.0).astype(complex))
+        # + 0.0 turns the -0.0 parts of -root into 0.0
+        return np.concatenate([np.zeros_like(root), root, -root]) + 0.0
 
     def as_dict(self):
         return {
@@ -68,66 +80,51 @@ def check_commuting(tau1, tau2, tau3):
     return taus
 
 
-def dv_matrix(tau1, tau2, tau3, basis):
-    """Linearization of the reduced flow at a triple, as a real 3d x 3d matrix.
-
-    Coordinates are taken in `basis`, an orthonormal basis of shape (d, n, n).
-
-    Blocks follow from differentiating ([x3,x2], [x3,x1], [x1,x2]):
-
-        [   0      ad(t3)  -ad(t2) ]
-        [ ad(t3)     0     -ad(t1) ]
-        [ -ad(t2)  ad(t1)     0    ]
-    """
-    taus = [np.asarray(t, dtype=complex) for t in (tau1, tau2, tau3)]
-    ads = ad_matrix(np.array(taus), basis)
-    d = basis.shape[0]
-    Z = np.zeros((d, d))
-    return np.block(
-        [
-            [Z, ads[2], -ads[1]],
-            [ads[2], Z, -ads[0]],
-            [-ads[1], ads[0], Z],
-        ]
-    )
-
-
 def stability_spectrum(tau1, tau2, tau3):
     """Stability report of a commuting triple.
 
     The operator (ad tau2)^2 + (ad tau3)^2 - (ad tau1)^2 is assembled in an
     orthonormal basis (where it is symmetric) with the double-bracket layer
-    that also forms the degeneracy shooting operator, and diagonalised; the DV
-    spectrum comes from the explicit block Jacobian.  A traceless triple is
-    taken in su(n), any other in u(n).
+    that also forms the degeneracy shooting operator, and diagonalised.  A
+    traceless triple is taken in su(n), any other in u(n).
     """
-    taus = check_commuting(tau1, tau2, tau3)
-    basis = basis_for(np.array(taus))
-    DV = dv_matrix(*taus, basis)
-    op = double_bracket_matrix(np.array(taus), (-1.0, 1.0, 1.0), basis)
-    spec = np.linalg.eigvalsh(0.5 * (op + op.T))
-    dv_spec = np.linalg.eigvals(DV)
-    pos = dv_spec.real[dv_spec.real > SPECTRUM_TOL]
-    eta = float(np.min(pos)) if pos.size else 0.0
+    taus = np.array(check_commuting(tau1, tau2, tau3))
+    basis = basis_for(taus)
+    op = double_bracket_matrix(taus, (-1.0, 1.0, 1.0), basis)
+    spec, vecs = np.linalg.eigh(0.5 * (op + op.T))
+    pos = spec[spec > SPECTRUM_TOL]
     return StabilityReport(
         operator_spectrum=spec,
-        dv_spectrum=dv_spec,
-        dv_matrix=DV,
+        eigenvectors=vecs,
+        ads=ad_matrix(taus, basis),
         basis=basis,
         stable=bool(spec[0] >= -SPECTRUM_TOL),
-        eta=eta,
+        eta=float(np.sqrt(pos[0])) if pos.size else 0.0,
     )
 
 
 def stable_directions(report):
     """Real orthonormal basis of the decaying invariant subspace of DV.
 
-    Columns span the sum of eigenspaces with eigenvalue real part
-    < -SPECTRUM_TOL, obtained from the sorted real Schur form.
+    DV = [[0, A3, -A2], [A3, 0, -A1], [-A2, A1, 0]] in blocks A_i = ad(tau_i),
+    which commute, so det(DV + s) = s (s^2 - op).  For an operator eigenvector
+    e with eigenvalue sigma > SPECTRUM_TOL and s = sqrt(sigma), the second
+    column of adj(DV + s) maps e into the eigenspace of -s:
+
+        x = (-s A3 e - A1 A2 e,  sigma e - A2^2 e,  -s A1 e - A2 A3 e).
+
+    The middle block sigma - A2^2 is positive definite (A2 is skew), so the
+    x are independent; their QR factor is returned.  Column 0 is the
+    eigenvector for -eta, the slowest decaying mode.
     """
-    DV = report.dv_matrix
-    _, Z, k = scipy.linalg.schur(DV, output="real", sort=lambda re, im: re < -SPECTRUM_TOL)
-    return Z[:, :k]
+    keep = report.operator_spectrum > SPECTRUM_TOL
+    sigma = report.operator_spectrum[keep]
+    s = np.sqrt(sigma)
+    E = report.eigenvectors[:, keep]
+    A1, A2, A3 = report.ads
+    A1E, A2E, A3E = A1 @ E, A2 @ E, A3 @ E
+    X = np.concatenate([-s * A3E - A1 @ A2E, sigma * E - A2 @ A2E, -s * A1E - A2 @ A3E])
+    return np.linalg.qr(X)[0]
 
 
 def triple_from_coordinates(c, basis):

@@ -296,7 +296,7 @@ def test_criterion_10_ab_flow():
     )
 
 
-def test_criterion_11_stability():
+def test_criterion_11_stability(dv_reference):
     rep_stable = stability.stability_spectrum(E1, Z2, Z2)
     rep_unstable = stability.stability_spectrum(Z2, E1, Z2)
 
@@ -318,7 +318,9 @@ def test_criterion_11_stability():
                 for p, m in zip(plus, minus)
             ]
         )
-    jac_err = float(np.max(np.abs(rep_stable.dv_matrix - FD)))
+    jac_err = float(np.max(np.abs(dv_reference(taus, basis) - FD)))
+    fd_eigs = np.sort_complex(np.linalg.eigvals(FD))
+    eig_err = float(np.max(np.abs(np.sort_complex(rep_stable.dv_spectrum) - fd_eigs)))
 
     direction = stability.triple_from_coordinates(
         stability.stable_directions(rep_stable)[:, 0], basis
@@ -331,13 +333,15 @@ def test_criterion_11_stability():
         rep_stable.stable
         and not rep_unstable.stable
         and jac_err < 1e-6
+        and eig_err < 1e-6
         and res.converged
         and rate_err < 0.10
     )
     report(
         "criterion 11 stability",
         ok,
-        f"(e1,0,0) stable, (0,e1,0) unstable; DV vs FD {jac_err:.1e} (< 1e-6); "
+        f"(e1,0,0) stable, (0,e1,0) unstable; DV vs FD {jac_err:.1e} (< 1e-6), "
+        f"DV spectrum vs FD eigenvalues {eig_err:.1e} (< 1e-6); "
         f"decay rate {res.fitted_rate:.4f} vs {rep_stable.eta} ({100 * rate_err:.1f}% < 10%)",
     )
 

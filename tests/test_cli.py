@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -7,7 +8,13 @@ from numpy.testing import assert_allclose
 from nahmschmid import cli, serialize
 from nahmschmid.cli import main
 from nahmschmid.elliptic import complete_K
-from nahmschmid.flow import SolverConfig, Trajectory, integrate, su2_closed_form_trajectory
+from nahmschmid.flow import (
+    SolverConfig,
+    Trajectory,
+    integrate,
+    su2_closed_form,
+    su2_closed_form_trajectory,
+)
 from nahmschmid.liealg import random_antihermitian, su2_basis
 
 
@@ -293,6 +300,32 @@ def test_cli_config_echoes_exactly_the_options_read(tmp_path, argv, keys):
     out = tmp_path / "out.json"
     assert run_cli(argv + ["--output", str(out)]) == 0
     assert set(json.loads(out.read_text())["config"]) == keys | {"scale"}
+
+
+@pytest.mark.parametrize(
+    "argv, components, keys",
+    [
+        (["integrate", "--steps", "10"], ("T0", "T1", "T2", "T3"), {"t_start", "t_end", "steps"}),
+        (["spectral", "--steps", "10"], ("T0", "T1", "T2", "T3"), {"t_start", "t_end", "steps"}),
+        (["degeneracy", "--steps", "10"], ("T0", "T1", "T2", "T3"), {"t_start", "t_end", "steps"}),
+        (["factorize"], ("T1", "T2", "T3"), set()),
+        (["stability"], ("tau1", "tau2", "tau3"), {"halfline", "amplitude", "horizon"}),
+    ],
+)
+def test_cli_config_echo_with_init(tmp_path, argv, components, keys):
+    # the file replaces the scenario options, so the echo records its
+    # digest instead of them
+    quad = su2_closed_form(1.0, 0.0, 0.8, 0.0)
+    quad[1] = quad[1] - 1.5j * np.eye(2)
+    mats = dict(zip(("T0", "T1", "T2", "T3"), quad))
+    mats.update(tau1=quad[1], tau2=0.5 * quad[1], tau3=0 * quad[1])
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps({c: serialize.matrix_to_pairs(mats[c]) for c in components}))
+    out = tmp_path / "out.json"
+    assert run_cli(argv + ["--init", str(init), "--output", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert set(config) == keys | {"init_sha256", "scale"}
+    assert config["init_sha256"] == hashlib.sha256(init.read_bytes()).hexdigest()
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")

@@ -1,12 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import schur
 
+from nahmschmid.cli import main
 from nahmschmid.flow import rhs_reduced
 from nahmschmid.liealg import (
     coordinates,
     random_antihermitian,
+    random_unitary,
     su2_basis,
 )
 from nahmschmid.stability import (
@@ -65,7 +69,7 @@ def test_operator_psd_for_pure_tau1(rng):
         assert rep.stable
 
 
-def test_dv_matches_finite_difference_jacobian(rng):
+def test_dv_matches_finite_difference_jacobian(dv_reference):
     rep = stability_spectrum(2 * E1, E1, Z2)
     basis = rep.basis
     d = basis.shape[0]
@@ -81,7 +85,7 @@ def test_dv_matches_finite_difference_jacobian(rng):
         FD[:, col] = np.concatenate(
             [coordinates((p - m) / (2 * eps), basis) for p, m in zip(plus, minus)]
         )
-    assert np.max(np.abs(rep.dv_matrix - FD)) < 1e-6
+    assert np.max(np.abs(dv_reference(taus, basis) - FD)) < 1e-6
     # eigenvalues agree as well
     fd_eigs = np.sort_complex(np.linalg.eigvals(FD))
     assert np.max(np.abs(np.sort_complex(rep.dv_spectrum) - fd_eigs)) < 1e-6
@@ -92,14 +96,15 @@ def test_noncommuting_rejected():
         stability_spectrum(E1, E2, Z2)
 
 
-def test_stable_directions_shape():
+def test_stable_directions_shape(dv_reference):
     rep = stability_spectrum(E1, Z2, Z2)
     dirs = stable_directions(rep)
     assert dirs.shape == (9, 2)
     # columns are orthonormal and invariant: DV v stays in the span
     assert_allclose(dirs.T @ dirs, np.eye(2), atol=1e-12)
     proj = dirs @ dirs.T
-    assert np.max(np.abs((np.eye(9) - proj) @ rep.dv_matrix @ dirs)) < 1e-10
+    DV = dv_reference([E1, Z2, Z2], rep.basis)
+    assert np.max(np.abs((np.eye(9) - proj) @ DV @ dirs)) < 1e-10
 
 
 def test_halfline_rate_matches_eigenvalue():
@@ -112,9 +117,10 @@ def test_halfline_rate_matches_eigenvalue():
     assert abs(res.fitted_rate - rep.eta) < 0.1 * rep.eta
 
 
-def test_halfline_unstable_direction_diverges():
+def test_halfline_unstable_direction_diverges(dv_reference):
     rep = stability_spectrum(E1, Z2, Z2)
-    _, Zm, k = schur(rep.dv_matrix, output="real", sort=lambda re, im: re > 1e-10)
+    DV = dv_reference([E1, Z2, Z2], rep.basis)
+    _, Zm, k = schur(DV, output="real", sort=lambda re, im: re > 1e-10)
     assert k > 0
     direction = triple_from_coordinates(Zm[:, 0], rep.basis)
     res = halfline_convergence(
@@ -130,3 +136,73 @@ def test_halfline_zero_amplitude():
                                steps_per_unit=100)
     assert np.isnan(res.fitted_rate)
     assert res.converged and not res.diverged
+
+
+def _commuting_triple(n, kind, rng):
+    # tau_k = U i diag(x_k) U*; "repeated" gives the joint eigenvalues
+    # multiplicities (2, 1, 2), "traceless" puts the triple in su(n).  The
+    # roots through the first joint eigenvalue have w1 >= 2 and
+    # |w2|, |w3| <= 1.2, so sigma > 0 there: each triple has decaying modes.
+    x = rng.uniform(-1.0, 1.0, size=(3, n)) * np.array([[1.0], [0.6], [0.6]])
+    x[0, 0] = 3.0
+    if kind == "repeated":
+        x = x[:, [0, 0, 1, 2, 2]]
+    elif kind == "traceless":
+        x -= x.mean(axis=1, keepdims=True)
+    U = random_unitary(n, rng)
+    return [U @ np.diag(1j * xk) @ U.conj().T for xk in x]
+
+
+def _spectrum_order(z):
+    # sorted by rounded (re, im), so rounding noise in the real part of an
+    # imaginary pair does not reorder it
+    return z[np.lexsort((np.round(z.imag, 6), np.round(z.real, 6)))]
+
+
+@pytest.mark.parametrize(
+    "n, kind",
+    [(2, "generic"), (3, "traceless"), (5, "generic"), (8, "generic"), (5, "repeated")],
+)
+def test_spectrum_and_directions_match_dense_dv(n, kind, dv_reference):
+    rng = np.random.default_rng([20240817, n, len(kind)])
+    taus = _commuting_triple(n, kind, rng)
+    rep = stability_spectrum(*taus)
+    DV = dv_reference(taus, rep.basis)
+    d = rep.basis.shape[0]
+    assert d == (n * n - 1 if kind == "traceless" else n * n)
+
+    A1, A2, A3 = DV[2 * d :, d : 2 * d], -DV[:d, 2 * d :], DV[:d, d : 2 * d]
+    op = A2 @ A2 + A3 @ A3 - A1 @ A1
+    scale = np.max(np.abs(rep.operator_spectrum))
+    assert_allclose(rep.operator_spectrum, np.linalg.eigvalsh(op), atol=1e-10 * scale)
+
+    eigs = np.linalg.eigvals(DV)
+    assert np.max(np.abs(_spectrum_order(rep.dv_spectrum) - _spectrum_order(eigs))) < 1e-8
+    eta = np.min(eigs.real[eigs.real > 1e-10])
+    assert rep.eta == pytest.approx(eta, rel=1e-10)
+
+    _, Zs, k = schur(DV, output="real", sort=lambda re, im: re < -1e-10)
+    dirs = stable_directions(rep)
+    assert dirs.shape == (3 * d, k) and k > 0
+    assert_allclose(dirs.T @ dirs, np.eye(k), atol=1e-12)
+    proj_ref = Zs[:, :k] @ Zs[:, :k].T
+    assert np.max(np.abs(dirs @ dirs.T - proj_ref)) < 1e-10
+    q0 = dirs[:, 0]
+    assert np.linalg.norm(DV @ q0 + rep.eta * q0) < 1e-12
+
+
+@pytest.mark.parametrize("coeffs", [(1.0, 1.0, 0.0), (1.0, 0.6, 0.8)])
+def test_marginal_triple_has_no_decay(coeffs, tmp_path):
+    # every root has sigma = 0 and a nilpotent DV block: nothing decays
+    rep = stability_spectrum(*[c * E1 for c in coeffs])
+    assert rep.stable and rep.eta == 0.0
+    assert np.all(rep.dv_spectrum == 0)
+    assert stable_directions(rep).shape == (9, 0)
+
+    out = tmp_path / "stab.json"
+    triple = ",".join(repr(c) for c in coeffs)
+    assert main(["stability", "--triple", triple, "--halfline", "--output", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["report"]["eta"] == 0.0
+    assert all(z == [0.0, 0.0] for z in data["report"]["dv_spectrum"])
+    assert "halfline" not in data
