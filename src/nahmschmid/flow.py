@@ -36,6 +36,10 @@ from .liealg import (
 )
 
 _REDUCED_SIGNS = np.array([-1.0, 1.0, 1.0]).reshape(3, 1, 1)
+# left and right factors of the products _rhs_stacked forms, as rows of
+# (T1, T2, T3) and, in the second table, of (T1, T2, T3, T0)
+_RHS_ROWS = np.array([[1, 2, 0, 2, 0, 1], [2, 0, 1, 1, 2, 0]])
+_RHS_ROWS_T0 = np.concatenate([_RHS_ROWS, [[3, 3, 3, 0, 1, 2], [0, 1, 2, 3, 3, 3]]], axis=1)
 _ETA = np.diag([1.0, -1.0, -1.0])
 _LOG_BRANCH_TOL = 1e-8  # eigenvalues of gamma this close to -1 have no principal log
 _CANONICAL_TOL = 1e-6  # of the Gram-pencil and fixed-axis tests of su2_canonicalize
@@ -94,7 +98,7 @@ class Trajectory:
 
 def rhs_reduced(T1, T2, T3):
     """Right-hand side of the reduced equations: (-[T2,T3], [T3,T1], [T1,T2])."""
-    return tuple(_rhs_stacked(np.stack([T1, T2, T3])))
+    return tuple(_rhs_stacked(np.stack([T1, T2, T3], dtype=complex)))
 
 
 def rhs_full(T):
@@ -108,12 +112,19 @@ def rhs_full(T):
 
 
 def _rhs_stacked(Y, T0=None):
-    # Y has shape (3, n, n); one stacked matmul pair covers all three brackets
-    B = bracket(Y[[1, 2, 0]], Y[[2, 0, 1]])
-    out = _REDUCED_SIGNS * B
-    if T0 is not None:
-        out = out - bracket(T0[None, :, :], Y)
-    return out
+    # Y = (T1, T2, T3) of shape (3, n, n).  One gather and one stacked matmul
+    # form P = (T2T3, T3T1, T1T2 | T3T2, T1T3, T2T1), and with T0 also
+    # (T0T1, T0T2, T0T3 | T1T0, T2T0, T3T0), in the order `bracket` forms
+    # them.  The sign is a real multiply, not a negation: -1.0 * z and -z
+    # differ in the sign of zero parts, and the multiply keeps the result
+    # bitwise equal to the two-bracket form.
+    if T0 is None:
+        G = Y[_RHS_ROWS]
+        P = G[0] @ G[1]
+        return _REDUCED_SIGNS * (P[:3] - P[3:])
+    G = np.concatenate((Y, T0[None]))[_RHS_ROWS_T0]
+    P = G[0] @ G[1]
+    return _REDUCED_SIGNS * (P[:3] - P[3:6]) - (P[6:9] - P[9:])
 
 
 def integrate(T_init, t_span=(0.0, 1.0), config=None):
@@ -432,8 +443,9 @@ def su2_closed_form_trajectory(a, b, kappa, t_span=(0.0, 1.0), steps=2000):
     t0, t1 = float(t_span[0]), float(t_span[1])
     times = np.linspace(t0, t1, steps + 1)
     # (steps+1, 3) rows (sn, cn, dn); the profiles scale the basis as in
-    # su2_closed_form, with the same operations in the same order
-    f = np.array([elliptic.jacobi(a * t + b, kappa) for t in times])
+    # su2_closed_form, with the same operations in the same order.  Python
+    # floats give the same arguments as numpy scalars, at less cost per call.
+    f = np.array([elliptic.jacobi(a * t + b, kappa) for t in times.tolist()])
     e1, e2, e3 = su2_basis()
     samples = np.zeros((steps + 1, 4, 2, 2), dtype=complex)
     samples[:, 1] = (a * kappa * f[:, 0])[:, None, None] * e1

@@ -12,6 +12,7 @@ eta^{n-k} zeta^j) satisfy the reality constraint c_{k,j} = conj(c_{k,2k-j})
 coming from T(zeta) = zeta^2 T(1/conj(zeta))*.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +109,22 @@ class SpectralCurve:
         }
 
 
+@functools.lru_cache(maxsize=64)
+def _unity_nodes(n):
+    """The 2n+1 roots of unity and the conjugate transpose of their powers.
+
+    c_j = (1/m) sum_m conj(node^j) p(node) inverts the Vandermonde matrix on
+    the roots of unity.  Every caller gets the same arrays, so both are
+    read-only.
+    """
+    m = 2 * n + 1
+    nodes = np.exp(2j * np.pi * np.arange(m) / m)
+    powers_h = (nodes[:, None] ** np.arange(m)[None, :]).conj().T
+    nodes.flags.writeable = False
+    powers_h.flags.writeable = False
+    return nodes, powers_h
+
+
 def char_poly(L):
     """Spectral curve of a Lax polynomial by evaluation-interpolation.
 
@@ -119,7 +136,7 @@ def char_poly(L):
     """
     n = L.n
     m = 2 * n + 1
-    nodes = np.exp(2j * np.pi * np.arange(m) / m)
+    nodes, powers_h = _unity_nodes(n)
     roots = np.linalg.eigvals(L.at(nodes[:, None, None]))  # (m, n)
     # det(eta - A) = eta^n + c_1 eta^{n-1} + ... + c_n; multiply in (eta - r_k)
     c = np.zeros((m, n + 1), dtype=complex)
@@ -127,16 +144,20 @@ def char_poly(L):
     for k in range(n):
         c[:, 1 : k + 2] -= roots[:, k : k + 1] * c[:, : k + 1]
     vals = c[:, 1:]  # (m, n)
-    # c_j = (1/m) sum_m conj(node^j) p(node): inverse Vandermonde on roots of unity
-    powers = nodes[:, None] ** np.arange(m)[None, :]
-    coeffs = (powers.conj().T @ vals) / m  # (m, n), row j = zeta^j coefficient
+    coeffs = (powers_h @ vals) / m  # (m, n), row j = zeta^j coefficient
     ps = tuple(coeffs[: 2 * k + 1, k - 1].copy() for k in range(1, n + 1))
     return SpectralCurve(n=n, coefficients=ps)
 
 
 def curve_path(traj):
-    """Spectral-curve coefficients along a trajectory, shape (steps+1, ncoef)."""
-    return np.array([char_poly(lax_from_quadruple(q)).flat() for q in traj.samples])
+    """Spectral-curve coefficients along a trajectory, shape (steps+1, ncoef).
+
+    The Lax polynomial is formed once for the whole path; each sample's
+    curve is one :func:`char_poly` call.
+    """
+    lax = lax_from_quadruple(traj.samples)
+    parts = zip(lax.L0, lax.L1, lax.L2, lax.M0, lax.M1)
+    return np.array([char_poly(LaxPolynomial(*p)).flat() for p in parts])
 
 
 def isospectral_drift(traj):

@@ -28,7 +28,9 @@ from .liealg import (
     norm,
 )
 
-SPECTRUM_TOL = 1e-10  # of the commutation check and the sign tests on the operator spectrum
+# of the commutation check and the sign tests on the operator spectrum, for
+# a triple whose entries are at most 1 in size; see check_commuting
+SPECTRUM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -37,9 +39,10 @@ class StabilityReport:
 
     operator_spectrum: ascending eigenvalues sigma of the stability operator,
     with orthonormal eigenvectors as the columns of `eigenvectors`.  ads: the
-    (3, d, d) matrices of ad(tau1), ad(tau2), ad(tau3).  eta is the smallest
-    sqrt(sigma) over sigma > SPECTRUM_TOL (the sharp bound on exponential
-    decay rates), zero when there is none.
+    (3, d, d) matrices of ad(tau1), ad(tau2), ad(tau3).  tol is the
+    tolerance of :func:`check_commuting` for this triple, which also decides
+    the signs of sigma.  eta is the smallest sqrt(sigma) over sigma > tol
+    (the sharp bound on exponential decay rates), zero when there is none.
     """
 
     operator_spectrum: np.ndarray
@@ -48,15 +51,16 @@ class StabilityReport:
     basis: np.ndarray
     stable: bool
     eta: float
+    tol: float
 
     @property
     def dv_spectrum(self):
         """DV eigenvalues: d zeros, then +sqrt(sigma), then -sqrt(sigma).
 
-        |sigma| <= SPECTRUM_TOL counts as 0; sigma < 0 gives imaginary roots.
+        |sigma| <= tol counts as 0; sigma < 0 gives imaginary roots.
         """
         spec = self.operator_spectrum
-        root = np.sqrt(np.where(np.abs(spec) > SPECTRUM_TOL, spec, 0.0).astype(complex))
+        root = np.sqrt(np.where(np.abs(spec) > self.tol, spec, 0.0).astype(complex))
         # + 0.0 turns the -0.0 parts of -root into 0.0
         return np.concatenate([np.zeros_like(root), root, -root]) + 0.0
 
@@ -70,14 +74,25 @@ class StabilityReport:
 
 
 def check_commuting(tau1, tau2, tau3):
+    """The triple as one complex (3, n, n) array and its tolerance; raises
+    ValueError when a bracket exceeds that tolerance.
+
+    Brackets and the stability operator are quadratic in the triple, so
+    their rounding noise grows as s^2 for s = max(1, largest |entry|), and
+    the tolerance is SPECTRUM_TOL * s^2.
+    """
     taus = [np.asarray(t, dtype=complex) for t in (tau1, tau2, tau3)]
+    s = max(1.0, max(float(np.max(np.abs(t))) for t in taus))
+    tol = SPECTRUM_TOL * (s * s)  # a product overflows to inf where ** raises
     worst = 0.0
     for i in range(3):
         for j in range(i + 1, 3):
             worst = max(worst, float(np.max(np.abs(bracket(taus[i], taus[j])))))
-    if worst > SPECTRUM_TOL:
-        raise ValueError(f"triple is not commuting (bracket norm {worst:.3e})")
-    return taus
+    if worst > tol:
+        raise ValueError(
+            f"triple is not commuting (bracket norm {worst:.3e}, tolerance {tol:.1e})"
+        )
+    return np.array(taus), tol
 
 
 def stability_spectrum(tau1, tau2, tau3):
@@ -88,18 +103,19 @@ def stability_spectrum(tau1, tau2, tau3):
     that also forms the degeneracy shooting operator, and diagonalised.  A
     traceless triple is taken in su(n), any other in u(n).
     """
-    taus = np.array(check_commuting(tau1, tau2, tau3))
+    taus, tol = check_commuting(tau1, tau2, tau3)
     basis = basis_for(taus)
     op = double_bracket_matrix(taus, (-1.0, 1.0, 1.0), basis)
     spec, vecs = np.linalg.eigh(0.5 * (op + op.T))
-    pos = spec[spec > SPECTRUM_TOL]
+    pos = spec[spec > tol]
     return StabilityReport(
         operator_spectrum=spec,
         eigenvectors=vecs,
         ads=ad_matrix(taus, basis),
         basis=basis,
-        stable=bool(spec[0] >= -SPECTRUM_TOL),
+        stable=bool(spec[0] >= -tol),
         eta=float(np.sqrt(pos[0])) if pos.size else 0.0,
+        tol=tol,
     )
 
 
@@ -108,7 +124,7 @@ def stable_directions(report):
 
     DV = [[0, A3, -A2], [A3, 0, -A1], [-A2, A1, 0]] in blocks A_i = ad(tau_i),
     which commute, so det(DV + s) = s (s^2 - op).  For an operator eigenvector
-    e with eigenvalue sigma > SPECTRUM_TOL and s = sqrt(sigma), the second
+    e with eigenvalue sigma > report.tol and s = sqrt(sigma), the second
     column of adj(DV + s) maps e into the eigenspace of -s:
 
         x = (-s A3 e - A1 A2 e,  sigma e - A2^2 e,  -s A1 e - A2 A3 e).
@@ -117,7 +133,7 @@ def stable_directions(report):
     x are independent; their QR factor is returned.  Column 0 is the
     eigenvector for -eta, the slowest decaying mode.
     """
-    keep = report.operator_spectrum > SPECTRUM_TOL
+    keep = report.operator_spectrum > report.tol
     sigma = report.operator_spectrum[keep]
     s = np.sqrt(sigma)
     E = report.eigenvectors[:, keep]

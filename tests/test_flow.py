@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nahmschmid import flow
+from nahmschmid import flow, grids
 from nahmschmid.elliptic import jacobi
 from nahmschmid.flow import (
     SolverConfig,
@@ -37,6 +37,7 @@ from nahmschmid.liealg import (
     inner,
     norm,
     orthonormal_basis,
+    project_antihermitian,
     random_antihermitian,
     random_unitary,
     su2_basis,
@@ -104,6 +105,66 @@ def test_rhs_full_reduces_and_vanishes(rng):
     Tc = np.array([0.3 * E1, E1, 2.0 * E1, -E1])
     for M in rhs_full(Tc):
         assert np.max(np.abs(M)) < 1e-15
+
+
+def _rhs_reference(Y, T0=None):
+    # the two-bracket form of the stacked right-hand side: the bitwise
+    # reference for flow._rhs_stacked
+    out = np.array([-1.0, 1.0, 1.0]).reshape(3, 1, 1) * bracket(Y[[1, 2, 0]], Y[[2, 0, 1]])
+    if T0 is not None:
+        out = out - bracket(T0[None, :, :], Y)
+    return out
+
+
+def _assert_same_bits(got, ref):
+    # equal doubles, signed zeros included (== treats -0.0 and 0.0 as equal)
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.dtype == ref.dtype == np.complex128 and got.shape == ref.shape
+    g, r = got.view(np.float64), ref.view(np.float64)
+    assert np.array_equal(g, r)
+    assert np.array_equal(np.signbit(g), np.signbit(r))
+
+
+@pytest.mark.parametrize("with_t0", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+def test_rhs_stacked_bitwise_equals_bracket_form(n, with_t0):
+    rng = np.random.default_rng([7, n, with_t0])
+    Y = np.array([random_antihermitian(n, rng) for _ in range(3)])
+    T0 = random_antihermitian(n, rng) if with_t0 else None
+    _assert_same_bits(flow._rhs_stacked(Y, T0), _rhs_reference(Y, T0))
+
+
+def test_rhs_stacked_bitwise_on_su2_closed_form(elliptic_traj_b):
+    # su(2) samples have exact zero entries, where -1.0 * z and -z differ
+    for q in elliptic_traj_b.samples[::250]:
+        for T0 in (None, 0.3 * E1, q[1]):
+            _assert_same_bits(flow._rhs_stacked(q[1:], T0), _rhs_reference(q[1:], T0))
+
+
+def test_rhs_reduced_and_full_bitwise(rng, elliptic_traj_b):
+    quads = [np.array([random_antihermitian(3, rng) for _ in range(4)]),
+             elliptic_traj_b.samples[100] + np.array([0.2 * E2, Z2, Z2, Z2])]
+    for T in quads:
+        _assert_same_bits(rhs_reduced(*T[1:]), _rhs_reference(T[1:]))
+        _assert_same_bits(rhs_full(T), _rhs_reference(T[1:], T[0]))
+
+
+@pytest.mark.parametrize("with_t0", [False, True])
+@pytest.mark.parametrize("data", ["u4", "su2"])
+def test_integrate_bitwise_against_bracket_form(data, with_t0):
+    rng = np.random.default_rng([11, with_t0])
+    if data == "u4":
+        q = np.array([random_antihermitian(4, rng) for _ in range(4)])
+    else:
+        q = su2_closed_form(1.2, 0.3, 0.8, 0.0) + np.array([0.4 * E3, Z2, Z2, Z2])
+    if not with_t0:
+        q[0] = 0.0
+    steps = 200
+    traj = integrate(q, (0.0, 1.5), SolverConfig(steps=steps))
+    T0 = q[0] if with_t0 else None
+    ref = grids.rk4(lambda t, Y: _rhs_reference(Y, T0), q[1:], 0.0, 1.5 / steps, steps,
+                    project=project_antihermitian)
+    _assert_same_bits(traj.samples[:, 1:], ref)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nahmschmid import degeneracy, grids, positive
+from nahmschmid import degeneracy, elliptic, flow, grids, positive, spectral
 from nahmschmid.flow import SolverConfig, integrate
 from nahmschmid.liealg import random_antihermitian
 
@@ -16,15 +16,15 @@ def test_rk4_is_exact_for_cubic_quadrature():
     assert np.max(np.abs(path - (t**3 - t0**3))) < 1e-13
 
 
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, name, module=grids):
     calls = []
-    inner = getattr(grids, name)
+    inner = getattr(module, name)
 
     def wrapper(*args, **kwargs):
         calls.append(name)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(grids, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -50,3 +50,29 @@ def test_shooting_does_not_step_through_rk4(monkeypatch, quad):
     sampled = _counting(monkeypatch, "rk4_sampled")
     degeneracy.shooting_matrix(traj)
     assert timed == [] and sampled == ["rk4_sampled"]
+
+
+# Per-call counts that the traced benchmark run cross-checks against each
+# job's expected counts: the kernels keep them however they are written.
+
+@pytest.mark.parametrize("zero_t0", [True, False])
+def test_integrate_evaluates_the_rhs_four_times_per_step(monkeypatch, quad, zero_t0):
+    if zero_t0:
+        quad = quad.copy()
+        quad[0] = 0.0
+    rhs = _counting(monkeypatch, "_rhs_stacked", flow)
+    integrate(quad, (0.0, 1.0), SolverConfig(steps=13))
+    assert len(rhs) == 4 * 13
+
+
+def test_curve_path_takes_one_char_poly_per_sample(monkeypatch, quad):
+    traj = integrate(quad, (0.0, 1.0), SolverConfig(steps=9))
+    calls = _counting(monkeypatch, "char_poly", spectral)
+    assert spectral.curve_path(traj).shape[0] == 10
+    assert len(calls) == 10
+
+
+def test_closed_form_sampling_takes_one_jacobi_per_sample(monkeypatch):
+    calls = _counting(monkeypatch, "jacobi", elliptic)
+    flow.su2_closed_form_trajectory(1.1, 0.2, 0.7, (0.0, 1.0), 17)
+    assert len(calls) == 18

@@ -14,6 +14,7 @@ from nahmschmid.liealg import (
     su2_basis,
 )
 from nahmschmid.stability import (
+    SPECTRUM_TOL,
     halfline_convergence,
     stability_spectrum,
     stable_directions,
@@ -206,3 +207,25 @@ def test_marginal_triple_has_no_decay(coeffs, tmp_path):
     assert data["report"]["eta"] == 0.0
     assert all(z == [0.0, 0.0] for z in data["report"]["dv_spectrum"])
     assert "halfline" not in data
+
+
+@pytest.mark.parametrize("c", [150.0, 300.0])
+def test_large_marginal_triple_is_judged_relative_to_its_size(c):
+    # tau_k = U i diag(c w_k, 0, 0) U* with w = (5, 3, 4) commutes exactly and
+    # every sigma is c^2 (w1^2 - w2^2 - w3^2) = 0.  Rounding noise in the
+    # brackets and in sigma grows as c^2 and must not read as non-commuting,
+    # unstable or decaying.
+    w = (5.0, 3.0, 4.0)
+    for seed in range(6):
+        U = random_unitary(3, np.random.default_rng(seed))
+        taus = [U @ np.diag([1j * c * wk, 0.0, 0.0]) @ U.conj().T for wk in w]
+        rep = stability_spectrum(*taus)
+        assert rep.stable and rep.eta == 0.0
+        assert np.all(rep.dv_spectrum == 0)
+        assert stable_directions(rep).shape == (27, 0)
+        assert SPECTRUM_TOL * c * c / 3 <= rep.tol <= SPECTRUM_TOL * (5 * c) ** 2
+
+
+def test_tolerance_is_absolute_for_entries_up_to_one():
+    assert stability_spectrum(2 * E1, E1, Z2).tol == SPECTRUM_TOL
+    assert stability_spectrum(0.5 * E1, Z2, 2 * E1).tol == SPECTRUM_TOL
