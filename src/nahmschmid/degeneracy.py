@@ -12,12 +12,12 @@ orthonormal basis of the algebra, and a (near-)singular matrix flags the
 locus.  A sampled sup bound 2 sup_t (|T2|^2 + |T3|^2) < pi^2 certifies
 nondegeneracy without shooting.
 
-Shooting runs in real coordinates of the adjoint representation.  With
-d = dim of the algebra, Delta_T xi = 0 becomes the real d x d system
+Shooting runs in real coordinates of the adjoint representation, in the
+gauge T0 = 0.  The operator is gauge-covariant, so a trajectory with
+T0 != 0 is first moved there by :func:`flow.gauge_fix`; with
+d = dim of the algebra, Delta_T xi = 0 then becomes the real d x d system
 
-    xi'' = M(t) xi + D(t) xi',
-    M = -ad(T0') - ad(T0)^2 - ad(T1)^2 + ad(T2)^2 + ad(T3)^2,
-    D = -2 ad(T0),
+    xi'' = M(t) xi,    M = -ad(T1)^2 + ad(T2)^2 + ad(T3)^2,
 
 formed once per grid node and midpoint with
 :func:`liealg.double_bracket_matrix` (the same layer `stability` builds its
@@ -32,15 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import grids
-from .liealg import (
-    ad_matrix,
-    basis_for,
-    bracket,
-    double_bracket_matrix,
-    inner,
-    orthonormal_basis,
-)
+from . import flow, grids
+from .liealg import basis_for, bracket, double_bracket_matrix, inner
 
 # verdict bands of sigma_min / sigma_max (see DegeneracyReport)
 TOL_LOW = 1e-6
@@ -54,7 +47,10 @@ class DegeneracyReport:
     The verdict bands are relative to the spectral norm of the matrix:
     `degenerate` below TOL_LOW, `nondegenerate` above TOL_HIGH, and
     `inconclusive` in between (near-degenerate solutions occur along
-    continuous families, so a single threshold would misreport).
+    continuous families, so a single threshold would misreport).  For
+    T0 != 0 the shooting matrix is expressed in the gauge T0 = 0 (see
+    shooting_matrix); singular values, determinant and verdict do not
+    depend on the gauge.
     """
 
     shooting_matrix: np.ndarray
@@ -73,19 +69,6 @@ class DegeneracyReport:
             "tol_low": TOL_LOW,
             "tol_high": TOL_HIGH,
         }
-
-
-def algebra_basis(traj, algebra=None):
-    """Orthonormal basis used for shooting coordinates.
-
-    Traceless trajectories live in su(n) (dimension n^2 - 1); anything else
-    is treated as u(n)-valued.  Pass algebra="su" or "un" to override.
-    """
-    if algebra is None:
-        return basis_for(traj.samples)
-    if algebra not in ("su", "un"):
-        raise ValueError("algebra must be 'su' or 'un'")
-    return orthonormal_basis(traj.n, traceless=(algebra == "su"))
 
 
 def delta_apply(traj, xi_path):
@@ -111,62 +94,53 @@ def delta_apply(traj, xi_path):
     return out
 
 
-# M and D are formed for blocks of times whose (times, d, n, n) complex
+# M is formed for blocks of times whose (times, d, n, n) complex
 # intermediates stay below this many entries: forming a whole n = 16 grid
 # at once would hold several hundred MB of them
 _FORM_BLOCK_ENTRIES = 1 << 19
 
 
-def _operator_coefficients(C, has_T0, basis):
-    """M (and D) at every time of C, in blocks of times to bound memory.
-
-    C holds (T1, T2, T3) per time, or (T0, T1, T2, T3, T0') when has_T0.
-    Returns (len(C), d, d), or (len(C), 2, d, d) stacking M and D.
-    """
+def _operator_coefficients(C, basis):
+    """M at every time of C, which holds (T1, T2, T3) per time, in blocks of
+    times to bound memory.  Returns (len(C), d, d)."""
     d, n = basis.shape[0], basis.shape[-1]
     block = max(1, _FORM_BLOCK_ENTRIES // (d * n * n))
-    out = np.empty((len(C),) + ((2,) if has_T0 else ()) + (d, d))
+    out = np.empty((len(C), d, d))
     for lo in range(0, len(C), block):
         c = C[lo : lo + block]
-        if has_T0:
-            ads = ad_matrix(c[:, (4, 0)], basis)
-            dbl = double_bracket_matrix(c[:, :4], (-1.0, -1.0, 1.0, 1.0), basis)
-            out[lo : lo + block, 0] = dbl - ads[:, 0]
-            out[lo : lo + block, 1] = -2.0 * ads[:, 1]
-        else:
-            out[lo : lo + block] = double_bracket_matrix(c, (-1.0, 1.0, 1.0), basis)
+        out[lo : lo + block] = double_bracket_matrix(c, (-1.0, 1.0, 1.0), basis)
     return out
 
 
-def shooting_matrix(traj, algebra=None):
+def shooting_matrix(traj):
     """Map xi'(0) -> xi(1) for solutions of Delta_T xi = 0 with xi(0) = 0.
 
     In real coordinates of an orthonormal basis the equation is
-    xi'' = M(t) xi + D(t) xi' with d x d matrices M and D (see the module
-    docstring; D vanishes and is skipped when T0 = 0).  M and D are formed
-    at the grid nodes and at the half-steps, where the trajectory comes
-    from cubic interpolation of the samples; RK4 then propagates the real
-    (2, d, d) fundamental matrix (xi, xi') from (0, identity).  Each step
-    costs O(d^3), against O(n^5) for the bracket form.  The result is
+    xi'' = M(t) xi with the d x d matrix M of the module docstring.  M is
+    formed at the grid nodes and at the half-steps, where the trajectory
+    comes from cubic interpolation of the samples; RK4 then propagates the
+    real (2, d, d) fundamental matrix (xi, xi') from (0, identity).  Each
+    step costs O(d^3), against O(n^5) for the bracket form.  The result is
     xi(1), so the zero trajectory gives the identity matrix.
+
+    A trajectory with T0 != 0 is shot after :func:`flow.gauge_fix`, so the
+    matrix is expressed in the gauge T0 = 0: it is Ad(u(1)) times the map
+    in the original gauge, for the gauge path u of gauge_fix.  Ad(u(1)) is
+    orthogonal with determinant 1 (U(n) is connected), so singular values,
+    determinant and verdict are those of the original gauge.  The su(n) or
+    u(n) basis is chosen from the original samples, whose trace T0 may
+    carry alone.
     """
-    basis = algebra_basis(traj, algebra)
+    basis = basis_for(traj.samples)
+    if np.max(np.abs(traj.samples[:, 0])) > 0:
+        traj = flow.gauge_fix(traj)[0]
     d = basis.shape[0]
-    S, h = traj.samples, traj.h
-    has_T0 = bool(np.max(np.abs(S[:, 0])) > 0)
-    if has_T0:
-        T0d = grids.derivative(S[:, 0], h)
-        nodes = np.concatenate([S, T0d[:, None]], axis=1)  # (m, 5, n, n)
-        rhs = lambda C, Y: np.array([Y[1], C[0] @ Y[0] + C[1] @ Y[1]])
-    else:
-        nodes = S[:, 1:]  # (m, 3, n, n)
-        rhs = lambda C, Y: np.array([Y[1], C @ Y[0]])
+    nodes = traj.samples[:, 1:]  # (m, 3, n, n)
     m = nodes.shape[0]
-    coeff = _operator_coefficients(
-        np.concatenate([nodes, grids.midpoints(nodes)]), has_T0, basis
-    )
+    coeff = _operator_coefficients(np.concatenate([nodes, grids.midpoints(nodes)]), basis)
     Y0 = np.stack([np.zeros((d, d)), np.eye(d)])
-    path = grids.rk4_sampled(rhs, coeff[:m], coeff[m:], Y0, h)
+    rhs = lambda C, Y: np.array([Y[1], C @ Y[0]])
+    path = grids.rk4_sampled(rhs, coeff[:m], coeff[m:], Y0, traj.h)
     return path[-1, 0]
 
 

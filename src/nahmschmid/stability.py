@@ -101,11 +101,15 @@ def stability_spectrum(tau1, tau2, tau3):
     The operator (ad tau2)^2 + (ad tau3)^2 - (ad tau1)^2 is assembled in an
     orthonormal basis (where it is symmetric) with the double-bracket layer
     that also forms the degeneracy shooting operator, and diagonalised.  A
-    traceless triple is taken in su(n), any other in u(n).
+    traceless triple is taken in su(n), any other in u(n).  A triple whose
+    products overflow raises FloatingPointError instead of carrying inf and
+    nan into the commutation check (where max(0.0, nan) is 0.0) and the
+    eigensolver.
     """
-    taus, tol = check_commuting(tau1, tau2, tau3)
-    basis = basis_for(taus)
-    op = double_bracket_matrix(taus, (-1.0, 1.0, 1.0), basis)
+    with np.errstate(over="raise", invalid="raise"):
+        taus, tol = check_commuting(tau1, tau2, tau3)
+        basis = basis_for(taus)
+        op = double_bracket_matrix(taus, (-1.0, 1.0, 1.0), basis)
     spec, vecs = np.linalg.eigh(0.5 * (op + op.T))
     pos = spec[spec > tol]
     return StabilityReport(

@@ -9,7 +9,9 @@ imported by path and used as they are.
 import importlib.util
 from pathlib import Path
 
-from nahmschmid import cli
+import numpy as np
+
+from nahmschmid import cli, serialize
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -44,3 +46,24 @@ def test_workload_argv_parses():
         for spec in workloads.all_specs(workload):
             argv = workloads.argv_for(spec, "in.json", "out.json")
             assert parser.parse_args(argv).command == spec["kind"], argv
+
+
+def test_shooting_jobs_have_zero_T0():
+    # shooting a trajectory with T0 != 0 first solves the gauge ODE with
+    # rk4_sampled, whose steps would enter the traced shoot count that
+    # expected_counts fixes at one run of S steps per shooting
+    workloads = _load("workloads")
+    shooting = [spec for workload in workloads.WORKLOADS
+                for spec in workloads.all_specs(workload)
+                if spec["kind"] in ("degeneracy", "sweep")]
+    assert shooting
+    parser = cli.build_parser()
+    for spec in shooting:
+        if "init" in spec:
+            quad, _ = serialize.quadruple_from_obj(spec["init"])
+        elif spec["kind"] == "degeneracy":
+            args = parser.parse_args(workloads.argv_for(spec, "in.json", "out.json"))
+            quad = cli._initial_quadruple(args)
+        else:
+            continue  # a sweep shoots su(2) closed forms, whose T0 is 0
+        assert not np.any(quad[0]), spec["key"]

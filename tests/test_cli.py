@@ -350,6 +350,17 @@ def test_cli_numerical_failure_exit_3(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("triple", ["1e300,0,0", "1e300,1e300,0"])
+def test_cli_stability_overflow_exits_3_without_warnings(tmp_path, capsys, triple):
+    # an overflowing product raises at once instead of leaving inf and nan
+    # (and numpy's RuntimeWarnings) for the commutation check and eigensolver
+    out = tmp_path / "stab.json"
+    assert run_cli(["stability", "--triple", triple, "--output", str(out)]) == 3
+    assert capsys.readouterr().err == "numerical failure: overflow encountered in matmul\n"
+    assert not out.exists()
+
+
 def test_cli_reproducible_bytes(tmp_path, monkeypatch):
     args = [
         "integrate", "--algebra", "un", "--n", "3", "--seed", "42",

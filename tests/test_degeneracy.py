@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
+from scipy.integrate import solve_ivp
+from scipy.special import ellipj, ellipk
 
 from nahmschmid import flow, grids
 from nahmschmid.degeneracy import (
-    algebra_basis,
     degeneracy_report,
     delta_apply,
     pi_bound_precheck,
@@ -23,7 +24,14 @@ from nahmschmid.flow import (
     lorentz_rotation,
     su2_closed_form_trajectory,
 )
-from nahmschmid.liealg import bracket, exp_unitary, inner, random_antihermitian, su2_basis
+from nahmschmid.liealg import (
+    basis_for,
+    bracket,
+    exp_unitary,
+    inner,
+    random_antihermitian,
+    su2_basis,
+)
 
 E1, E2, E3 = su2_basis()
 KAPPA = 0.9
@@ -84,7 +92,10 @@ def test_shooting_matrix_zero_trajectory():
     M = shooting_matrix(zero_trajectory())
     assert M.shape == (3, 3)
     assert_allclose(M, np.eye(3), atol=1e-12)
-    Mu = shooting_matrix(zero_trajectory(), algebra="un")
+    # a central T1 = i c I has ad(T1) = 0 but a trace, so it is shot in u(2)
+    central = zero_trajectory()
+    central.samples[:, 1] = 0.7j * np.eye(2)
+    Mu = shooting_matrix(central)
     assert Mu.shape == (4, 4)
     assert_allclose(Mu, np.eye(4), atol=1e-12)
 
@@ -240,7 +251,7 @@ def bracket_form_shooting(traj, basis):
 
 def assert_matches_bracket_form(traj):
     M = shooting_matrix(traj)
-    ref = bracket_form_shooting(traj, algebra_basis(traj))
+    ref = bracket_form_shooting(traj, basis_for(traj.samples))
     assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -248,17 +259,127 @@ def test_shooting_matches_bracket_form_on_locus():
     assert_matches_bracket_form(su2_closed_form_trajectory(2 * K9, 0.0, KAPPA, (0.0, 1.0), 400))
 
 
-def test_shooting_matches_bracket_form_with_T0(rng):
+def _gauged_u3_solution(rng):
+    """A u(3) solution moved by a gauge path, so that T0 and T0' are nonzero.
+
+    Returns a function of the step count: the same continuous solution
+    sampled on grids of different resolution.
+    """
     quad = np.array([np.zeros((3, 3))] + [random_antihermitian(3, rng) for _ in range(3)])
-    traj = integrate(quad, (0.0, 1.0), SolverConfig(steps=300))
     X = random_antihermitian(3, rng)
     Y = random_antihermitian(3, rng)
-    t = traj.times
-    u = np.array([exp_unitary(s * X) @ exp_unitary(s * s * Y) for s in t])
-    gauged = gauge_apply(u, traj)
+
+    def sample(steps):
+        traj = integrate(quad, (0.0, 1.0), SolverConfig(steps=steps))
+        u = np.array([exp_unitary(s * X) @ exp_unitary(s * s * Y) for s in traj.times])
+        return gauge_apply(u, traj)
+
+    return sample
+
+
+def test_shooting_with_T0_matches_bracket_form_in_the_fixed_gauge(rng):
+    gauged = _gauged_u3_solution(rng)(300)
     T0 = gauged.samples[:, 0]
-    assert np.min(np.abs(grids.derivative(T0, traj.h)).max(axis=(1, 2))) > 0.1
-    assert_matches_bracket_form(gauged)
+    assert np.min(np.abs(grids.derivative(T0, gauged.h)).max(axis=(1, 2))) > 0.1
+    M = shooting_matrix(gauged)
+    fixed, _ = flow.gauge_fix(gauged)
+    ref = bracket_form_shooting(fixed, basis_for(gauged.samples))
+    assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_shooting_basis_is_chosen_before_gauge_fixing(nondegenerate_traj):
+    # the central gauge u = exp(i c t) puts a trace into T0 alone; gauge
+    # fixing removes it again, but the matrix stays in u(2), whose central
+    # direction has ad = 0 and adds the singular value 1
+    u = np.exp(0.8j * nondegenerate_traj.times)[:, None, None] * np.eye(2)
+    M = shooting_matrix(gauge_apply(u, nondegenerate_traj))
+    assert M.shape == (4, 4)
+    sigma = np.linalg.svd(shooting_matrix(nondegenerate_traj), compute_uv=False)
+    expected = np.sort(np.append(sigma, 1.0))[::-1]
+    assert_allclose(np.linalg.svd(M, compute_uv=False), expected, atol=1e-12)
+
+
+def _ad_group(u, basis):
+    """Matrix of Ad(u) = u . u* in an orthonormal basis."""
+    return inner(basis[:, None], (u @ basis @ u.conj().T)[None, :])
+
+
+def test_gauge_fixed_shooting_converges_to_the_T0_form(rng):
+    # the bracket form with the T0 terms of Delta_T stays the oracle: mapped
+    # back by Ad(u(1))^T, the gauge-fixed matrix converges to it at 4th order
+    sample = _gauged_u3_solution(rng)
+    err, shot, direct = {}, {}, {}
+    for steps in (300, 1200):
+        traj = sample(steps)
+        basis = basis_for(traj.samples)
+        _, u = flow.gauge_fix(traj)
+        shot[steps] = shooting_matrix(traj)
+        direct[steps] = bracket_form_shooting(traj, basis)
+        err[steps] = np.max(np.abs(_ad_group(u[-1], basis).T @ shot[steps] - direct[steps]))
+    assert err[300] < 1e-7
+    assert 4.0**3.5 < err[300] / err[1200] < 4.0**4.5
+    # singular values against an 8x finer reference with the T0 terms: no
+    # worse than shooting the T0 form directly on the coarse grid
+    fine_traj = sample(2400)
+    fine = bracket_form_shooting(fine_traj, basis_for(fine_traj.samples))
+    sigma = lambda M: np.linalg.svd(M, compute_uv=False)
+    err_fixed = np.max(np.abs(sigma(shot[300]) - sigma(fine)))
+    err_direct = np.max(np.abs(sigma(direct[300]) - sigma(fine)))
+    assert err_fixed <= 2.0 * err_direct
+
+
+def lame_reference(a, b, kappa):
+    """y_j(1) of y_j'' = q_j y_j, y_j(0) = 0, y_j'(0) = 1, from scipy alone.
+
+    For T_j = f_j e_j with (f1, f2, f3) = (a k sn, a k cn, -a dn)(a t + b)
+    the adjoint directions decouple: q1 = -(f2^2 + f3^2), q2 = f1^2 - f3^2,
+    q3 = f1^2 - f2^2.
+    """
+
+    def rhs(t, y):
+        sn, cn, dn, _ = ellipj(a * t + b, kappa * kappa)
+        f1, f2, f3 = a * kappa * sn, a * kappa * cn, -a * dn
+        q = np.array([-(f2**2 + f3**2), f1**2 - f3**2, f1**2 - f2**2])
+        return np.concatenate([y[3:], q * y[:3]])
+
+    sol = solve_ivp(rhs, (0.0, 1.0), [0.0, 0.0, 0.0, 1.0, 1.0, 1.0],
+                    method="DOP853", rtol=1e-13, atol=1e-15)
+    return sol.y[:3, -1]
+
+
+def _lame_cases():
+    # kappa -> 1 with a >= 2K is left out: 2000 steps under-resolve it
+    cases = []
+    for kappa in (0.0, 0.5, 0.9, 1.0 - 1e-6):
+        K = ellipk(kappa * kappa)
+        ab = [(1.0, 0.5), (2.0, 0.3), (3.0, 0.2)]
+        if kappa <= 0.9:
+            ab += [(2 * K, 0.0), (2 * K, K), (4 * K + 0.05, 0.1)]
+        cases += [(kappa, a, b) for a, b in ab]
+    return cases
+
+
+@pytest.mark.parametrize("kappa,a,b", _lame_cases())
+def test_su2_shooting_matches_lame_oracle(kappa, a, b):
+    M = shooting_matrix(su2_closed_form_trajectory(a, b, kappa, (0.0, 1.0), 2000))
+    y = lame_reference(a, b, kappa)
+    assert np.all(M - np.diag(np.diag(M)) == 0.0)
+    assert np.all(np.abs(np.diag(M) - y) <= 1e-9 * np.maximum(1.0, np.abs(y)))
+    if b == 0.0:
+        # the e1 direction is T1 itself: y1 = sn(a t) / a
+        assert M[0, 0] == pytest.approx(ellipj(a, kappa * kappa)[0] / a, abs=1e-9)
+
+
+@pytest.mark.parametrize("a,b", [(2.0, 0.3), (3.0, 0.2)])
+def test_su2_shooting_is_fourth_order(a, b):
+    y = lame_reference(a, b, KAPPA)
+    err = [
+        np.max(np.abs(np.diag(shooting_matrix(
+            su2_closed_form_trajectory(a, b, KAPPA, (0.0, 1.0), steps))) - y))
+        for steps in (100, 200, 400)
+    ]
+    assert 14.0 <= err[0] / err[1] <= 18.0
+    assert 14.0 <= err[1] / err[2] <= 18.0
 
 
 def test_rk4_sampled_keeps_real_state_real():

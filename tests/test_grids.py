@@ -44,12 +44,18 @@ def test_flows_do_not_step_through_rk4_sampled(monkeypatch, quad):
     assert sampled == [] and timed == ["rk4", "rk4"]
 
 
-def test_shooting_does_not_step_through_rk4(monkeypatch, quad):
+@pytest.mark.parametrize("zero_t0", [True, False])
+def test_shooting_does_not_step_through_rk4(monkeypatch, quad, zero_t0):
+    # with T0 != 0 the gauge ODE of gauge_fix adds one sampled run
+    if zero_t0:
+        quad = quad.copy()
+        quad[0] = 0.0
     traj = integrate(quad, (0.0, 1.0), SolverConfig(steps=20))
     timed = _counting(monkeypatch, "rk4")
     sampled = _counting(monkeypatch, "rk4_sampled")
     degeneracy.shooting_matrix(traj)
-    assert timed == [] and sampled == ["rk4_sampled"]
+    assert timed == []
+    assert sampled == ["rk4_sampled"] * (1 if zero_t0 else 2)
 
 
 # Per-call counts that the traced benchmark run cross-checks against each

@@ -13,6 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from nahmschmid import flow, spectral  # noqa: E402
+from nahmschmid.degeneracy import shooting_matrix  # noqa: E402
 from nahmschmid.liealg import (  # noqa: E402
     exp_unitary,
     inner,
@@ -75,3 +76,18 @@ def test_gauge_action_keeps_invariants_and_solutions(seed, n):
     # the -u' u* term of T0 keeps g a solution; without it both are O(1)
     assert flow.residual(g) < 1e-3
     assert spectral.lax_residual(g) < 1e-3
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, n=st.sampled_from([2, 3]))
+def test_shooting_singular_values_are_gauge_invariant(seed, n):
+    # Delta_T is gauge-covariant, so a gauge path u = exp(sin(pi t) X) leaves
+    # the singular values of the shooting matrix unchanged, with T0 != 0
+    rng = np.random.default_rng(seed)
+    quad = np.array([0.5 * random_antihermitian(n, rng) for _ in range(4)])
+    traj = flow.integrate(quad, (0.0, 1.0), flow.SolverConfig(steps=200))
+    X = random_antihermitian(n, rng)
+    u = np.array([exp_unitary(math.sin(math.pi * t) * X) for t in traj.times])
+    sigma = np.linalg.svd(shooting_matrix(traj), compute_uv=False)
+    moved = np.linalg.svd(shooting_matrix(flow.gauge_apply(u, traj)), compute_uv=False)
+    assert_close_relative(moved, sigma, 1e-7)
