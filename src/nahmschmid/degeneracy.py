@@ -24,7 +24,9 @@ formed once per grid node and midpoint with
 operator from).  Propagating the fundamental matrix costs O(d^3) = O(n^6)
 per step, against O(d n^3) = O(n^5) for applying complex double brackets
 to all d directions; at the sizes shot here (n <= 16, no workload goes
-further) the GEMM form is the faster one.
+further) the GEMM form is the faster one.  Forming and propagation are
+streamed per block of steps, so memory is O(block d^2), independent of the
+step count.
 """
 
 import math
@@ -94,22 +96,10 @@ def delta_apply(traj, xi_path):
     return out
 
 
-# M is formed for blocks of times whose (times, d, n, n) complex
+# M is formed for blocks of steps whose (times, d, n, n) complex
 # intermediates stay below this many entries: forming a whole n = 16 grid
 # at once would hold several hundred MB of them
 _FORM_BLOCK_ENTRIES = 1 << 19
-
-
-def _operator_coefficients(C, basis):
-    """M at every time of C, which holds (T1, T2, T3) per time, in blocks of
-    times to bound memory.  Returns (len(C), d, d)."""
-    d, n = basis.shape[0], basis.shape[-1]
-    block = max(1, _FORM_BLOCK_ENTRIES // (d * n * n))
-    out = np.empty((len(C), d, d))
-    for lo in range(0, len(C), block):
-        c = C[lo : lo + block]
-        out[lo : lo + block] = double_bracket_matrix(c, (-1.0, 1.0, 1.0), basis)
-    return out
 
 
 def shooting_matrix(traj):
@@ -122,6 +112,12 @@ def shooting_matrix(traj):
     real (2, d, d) fundamental matrix (xi, xi') from (0, identity).  Each
     step costs O(d^3), against O(n^5) for the bracket form.  The result is
     xi(1), so the zero trajectory gives the identity matrix.
+
+    Forming and propagation are streamed over blocks of steps: each block
+    forms M at its new nodes and midpoints in one call, steps the state
+    across the block, and keeps only the last state and the M of the last
+    node, which the next block starts from.  Memory is O(block d^2),
+    independent of the step count.
 
     A trajectory with T0 != 0 is shot after :func:`flow.gauge_fix`, so the
     matrix is expressed in the gauge T0 = 0: it is Ad(u(1)) times the map
@@ -137,11 +133,25 @@ def shooting_matrix(traj):
     d = basis.shape[0]
     nodes = traj.samples[:, 1:]  # (m, 3, n, n)
     m = nodes.shape[0]
-    coeff = _operator_coefficients(np.concatenate([nodes, grids.midpoints(nodes)]), basis)
-    Y0 = np.stack([np.zeros((d, d)), np.eye(d)])
+    if m < 4:
+        raise ValueError("need at least 4 samples for cubic interpolation")
+    # a block of b steps forms at most b + 1 nodes and b midpoints
+    block = max(1, (_FORM_BLOCK_ENTRIES // (d * traj.n**2) - 1) // 2)
+    Y = np.stack([np.zeros((d, d)), np.eye(d)])
     rhs = lambda C, Y: np.array([Y[1], C @ Y[0]])
-    path = grids.rk4_sampled(rhs, coeff[:m], coeff[m:], Y0, traj.h)
-    return path[-1, 0]
+    C_lo = None  # M at node lo, carried from the previous block
+    for lo in range(0, m - 1, block):
+        hi = min(lo + block, m - 1)
+        # the cubic midpoints of steps lo..hi-1 read nodes lo-1..hi+1, or
+        # the four nodes at an end of the grid
+        w = max(min(lo - 1, m - 4), 0)
+        mids = grids.midpoints(nodes[w : max(hi + 2, w + 4)])[lo - w : hi - w]
+        new = nodes[lo + (C_lo is not None) : hi + 1]
+        C = double_bracket_matrix(np.concatenate([new, mids]), (-1.0, 1.0, 1.0), basis)
+        C_nodes = C[: len(new)] if C_lo is None else np.concatenate([C_lo[None], C[: len(new)]])
+        Y = grids.rk4_sampled(rhs, C_nodes, C[len(new) :], Y, traj.h)[-1]
+        C_lo = C_nodes[-1]
+    return Y[0]
 
 
 def degeneracy_report(traj):

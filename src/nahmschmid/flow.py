@@ -156,14 +156,14 @@ def integrate(T_init, t_span=(0.0, 1.0), config=None):
     T0 = None if np.max(np.abs(T_init[0])) == 0.0 else T_init[0]
     f = lambda t, Y: _rhs_stacked(Y, T0)
 
+    # RK4 writes (T1, T2, T3) straight into the sample array
+    samples = np.empty((cfg.steps + 1,) + T_init.shape, dtype=complex)
+    samples[:, 0] = T_init[0]
     try:
-        body = grids.rk4(f, T_init[1:], t0, h, cfg.steps, project=project_antihermitian)
+        grids.rk4(f, T_init[1:], t0, h, cfg.steps, project=project_antihermitian,
+                  out=samples[:, 1:])
     except FloatingPointError as exc:
         raise NumericalFailure(str(exc)) from exc
-
-    times = np.linspace(t0, t1, cfg.steps + 1)
-    T0_path = np.broadcast_to(T_init[0], (len(times),) + T_init[0].shape)
-    samples = np.concatenate([T0_path[:, None], body], axis=1)
     return Trajectory(t0, t1, samples)
 
 

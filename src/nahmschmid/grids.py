@@ -79,15 +79,18 @@ def midpoints(samples):
     return _stencil(samples, (_MID_EDGE,), _MID_CENTER, 1.0)
 
 
-def rk4(f, y0, t0, h, steps, project=None):
+def rk4(f, y0, t0, h, steps, project=None, out=None):
     """Classical fixed-step RK4 for dy/dt = f(t, y); returns all samples.
 
     y may be an ndarray of any shape.  An optional `project` map is applied
-    after every step (anti-Hermitian or unitary reprojection).  Raises
-    FloatingPointError when the state stops being finite.
+    after every step (anti-Hermitian or unitary reprojection).  The samples
+    are written to `out` when given, a complex (steps+1, ...) array or view,
+    and that array is returned.  Raises FloatingPointError when the state
+    stops being finite.
     """
     nodes = t0 + h * np.arange(steps + 1)
-    return _rk4_loop(f, nodes, nodes[:-1] + h / 2, np.asarray(y0, dtype=complex), h, project)
+    y0 = np.asarray(y0, dtype=complex)
+    return _rk4_loop(f, nodes, nodes[:-1] + h / 2, y0, h, project, out)
 
 
 def rk4_sampled(rhs, coeff_nodes, coeff_mids, y0, h, project=None):
@@ -102,26 +105,30 @@ def rk4_sampled(rhs, coeff_nodes, coeff_mids, y0, h, project=None):
     return _rk4_loop(rhs, coeff_nodes, coeff_mids, y0, h, project)
 
 
-def _rk4_loop(rhs, coeff_nodes, coeff_mids, y0, h, project):
+def _rk4_loop(rhs, coeff_nodes, coeff_mids, y0, h, project, out=None):
     # the one RK4 loop: step k evaluates rhs at node k, twice at midpoint k
     # and at node k+1.  Both entry points call it directly, so a wrapper
-    # around one of them never sees the other's steps.
+    # around one of them never sees the other's steps.  Overflow inside a
+    # step is left to the finiteness check, which names the step, instead
+    # of numpy's RuntimeWarnings.
     y = np.array(y0, dtype=np.result_type(y0, coeff_nodes, coeff_mids))
     m = coeff_nodes.shape[0]
-    out = np.empty((m,) + y.shape, dtype=y.dtype)
+    if out is None:
+        out = np.empty((m,) + y.shape, dtype=y.dtype)
     out[0] = y
     half, sixth = 0.5 * h, h / 6.0
-    for k in range(m - 1):
-        k1 = rhs(coeff_nodes[k], y)
-        k2 = rhs(coeff_mids[k], y + half * k1)
-        k3 = rhs(coeff_mids[k], y + half * k2)
-        k4 = rhs(coeff_nodes[k + 1], y + h * k3)
-        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if project is not None:
-            y = project(y)
-        if not np.isfinite(y).all():
-            raise FloatingPointError(f"state became non-finite at step {k + 1}")
-        out[k + 1] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(m - 1):
+            k1 = rhs(coeff_nodes[k], y)
+            k2 = rhs(coeff_mids[k], y + half * k1)
+            k3 = rhs(coeff_mids[k], y + half * k2)
+            k4 = rhs(coeff_nodes[k + 1], y + h * k3)
+            y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if project is not None:
+                y = project(y)
+            if not np.isfinite(y).all():
+                raise FloatingPointError(f"state became non-finite at step {k + 1}")
+            out[k + 1] = y
     return out
 
 

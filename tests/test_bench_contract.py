@@ -11,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from nahmschmid import cli, serialize
+from nahmschmid import cli, degeneracy, flow, grids, serialize
+from nahmschmid.liealg import random_antihermitian
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -67,3 +68,30 @@ def test_shooting_jobs_have_zero_T0():
         else:
             continue  # a sweep shoots su(2) closed forms, whose T0 is 0
         assert not np.any(quad[0]), spec["key"]
+
+
+def test_streamed_shooting_steps_add_up_to_one_run(monkeypatch):
+    # the traced shoot count sums len(result) - 1 over the rk4_sampled
+    # calls; a shooting streamed over several blocks must still add up to
+    # the one run of S steps that expected_counts fixes per shooting job
+    workloads = _load("workloads")
+    S = 40
+    rng = np.random.default_rng(3)
+    quad = np.array([np.zeros((3, 3))] + [random_antihermitian(3, rng, traceless=True)
+                                          for _ in range(3)])
+    traj = flow.integrate(quad, (0.0, 1.0), flow.SolverConfig(steps=S))
+    # su(3): d = 8, so blocks of 7 steps (15 forming times each)
+    monkeypatch.setattr(degeneracy, "_FORM_BLOCK_ENTRIES", 15 * 8 * 9)
+    steps = []
+    inner = grids.rk4_sampled
+
+    def counting(*args, **kwargs):
+        result = inner(*args, **kwargs)
+        steps.append(len(result) - 1)
+        return result
+
+    monkeypatch.setattr(grids, "rk4_sampled", counting)
+    degeneracy.shooting_matrix(traj)
+    assert steps == [7] * 5 + [5]
+    spec = {"kind": "degeneracy", "steps": S, "algebra": "su", "n": 3}
+    assert sum(steps) == workloads.expected_counts(spec)["shoot"] == S

@@ -328,9 +328,7 @@ def test_cli_config_echo_with_init(tmp_path, argv, components, keys):
     assert config["init_sha256"] == hashlib.sha256(init.read_bytes()).hexdigest()
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_cli_numerical_failure_exit_3(tmp_path):
+def _huge_init(tmp_path):
     # entries around 1e200 overflow inside the brackets on the first step
     big = 1e200j * np.eye(2)
     obj = {f"T{i}": serialize.matrix_to_pairs(np.zeros((2, 2))) for i in range(4)}
@@ -338,13 +336,19 @@ def test_cli_numerical_failure_exit_3(tmp_path):
     obj["T3"] = serialize.matrix_to_pairs(1e200 * np.array([[0, 1], [-1, 0]]))
     init = tmp_path / "huge.json"
     init.write_text(json.dumps(obj))
+    return init
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_cli_numerical_failure_exit_3(tmp_path):
     code = run_cli(
-        ["integrate", "--init", str(init), "--steps", "10",
+        ["integrate", "--init", str(_huge_init(tmp_path)), "--steps", "10",
          "--output", str(tmp_path / "x.json")]
     )
     assert code == 3
-    # entries of 1e300 overflow the double-bracket matrix, so its
-    # eigensolver fails (LinAlgError) before anything is written
+    # entries of 1e300 overflow the products that form the double-bracket
+    # matrix, which raise (FloatingPointError) before anything is written
     out = tmp_path / "stab.json"
     assert run_cli(["stability", "--triple", "1e300,0,0", "--output", str(out)]) == 3
     assert not out.exists()
@@ -358,6 +362,21 @@ def test_cli_stability_overflow_exits_3_without_warnings(tmp_path, capsys, tripl
     out = tmp_path / "stab.json"
     assert run_cli(["stability", "--triple", triple, "--output", str(out)]) == 3
     assert capsys.readouterr().err == "numerical failure: overflow encountered in matmul\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["integrate", "stability"])
+def test_cli_flow_overflow_exits_3_without_warnings(tmp_path, capsys, command):
+    # the first RK4 stage overflows; the finiteness check after the step
+    # reports it, with no numpy RuntimeWarnings ahead of the message
+    out = tmp_path / "out.json"
+    if command == "integrate":
+        argv = ["integrate", "--init", str(_huge_init(tmp_path)), "--steps", "10"]
+    else:
+        argv = ["stability", "--triple", "1e150,0,0", "--halfline"]
+    assert run_cli(argv + ["--output", str(out)]) == 3
+    assert capsys.readouterr().err == "numerical failure: state became non-finite at step 1\n"
     assert not out.exists()
 
 

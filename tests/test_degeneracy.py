@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 from scipy.special import ellipj, ellipk
 
-from nahmschmid import flow, grids
+from nahmschmid import degeneracy, flow, grids
 from nahmschmid.degeneracy import (
     degeneracy_report,
     delta_apply,
@@ -27,6 +28,7 @@ from nahmschmid.flow import (
 from nahmschmid.liealg import (
     basis_for,
     bracket,
+    double_bracket_matrix,
     exp_unitary,
     inner,
     random_antihermitian,
@@ -98,6 +100,96 @@ def test_shooting_matrix_zero_trajectory():
     Mu = shooting_matrix(central)
     assert Mu.shape == (4, 4)
     assert_allclose(Mu, np.eye(4), atol=1e-12)
+
+
+def _shooting_reference(traj):
+    # the whole-stack form of shooting_matrix: M at every node and midpoint
+    # in one (2m - 1, d, d) array, formed in one call (as the streamed form
+    # does when the grid fits one block), and the whole (m, 2, d, d) path
+    # of the fundamental matrix; the bitwise reference for streaming
+    basis = basis_for(traj.samples)
+    if np.max(np.abs(traj.samples[:, 0])) > 0:
+        traj = flow.gauge_fix(traj)[0]
+    d = basis.shape[0]
+    nodes = traj.samples[:, 1:]
+    m = nodes.shape[0]
+    C = np.concatenate([nodes, grids.midpoints(nodes)])
+    coeff = double_bracket_matrix(C, (-1.0, 1.0, 1.0), basis)
+    Y0 = np.stack([np.zeros((d, d)), np.eye(d)])
+    rhs = lambda C, Y: np.array([Y[1], C @ Y[0]])
+    path = grids.rk4_sampled(rhs, coeff[:m], coeff[m:], Y0, traj.h)
+    return path[-1, 0]
+
+
+def _force_block_steps(monkeypatch, traj, steps):
+    # the block size that makes shooting_matrix step `steps` at a time
+    d, n = basis_for(traj.samples).shape[0], traj.n
+    monkeypatch.setattr(degeneracy, "_FORM_BLOCK_ENTRIES", (2 * steps + 1) * d * n * n)
+
+
+def _random_solution(n, traceless, with_t0, steps, seed=0):
+    rng = np.random.default_rng([seed, n, traceless, with_t0])
+    quad = np.array([random_antihermitian(n, rng, traceless=traceless) / n for _ in range(4)])
+    if not with_t0:
+        quad[0] = 0.0
+    return integrate(quad, (0.0, 1.0), SolverConfig(steps=steps))
+
+
+@pytest.mark.parametrize("block_steps", [3, 7])
+@pytest.mark.parametrize("with_t0", [False, True])
+@pytest.mark.parametrize("traceless", [True, False])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_streamed_shooting_bitwise_equals_whole_stack(monkeypatch, n, traceless, with_t0,
+                                                      block_steps):
+    # 100 steps in blocks of 3 or 7 end on a short block of 1 or 2 steps.
+    # Blocks of 1 or 2 steps throughout are left out: at su(4) the
+    # coordinate GEMM of double_bracket_matrix then has so few rows that
+    # OpenBLAS rounds them differently from a long stack, as it did for a
+    # short forming block before streaming.  Default blocks are 3 steps at
+    # n = 16 and longer for smaller n.
+    traj = _random_solution(n, traceless, with_t0, 100)
+    ref = _shooting_reference(traj)
+    _force_block_steps(monkeypatch, traj, block_steps)
+    M = shooting_matrix(traj)
+    assert M.dtype == ref.dtype == np.float64 and M.shape == ref.shape
+    assert np.array_equal(M.view(np.uint64), ref.view(np.uint64))
+    assert np.array_equal(np.signbit(M), np.signbit(ref))
+
+
+def test_shooting_forms_each_node_once(monkeypatch):
+    # blocks share their boundary node: its M is carried, not formed again,
+    # so the forming calls see every node and midpoint exactly once
+    traj = _random_solution(3, True, False, 50)
+    _force_block_steps(monkeypatch, traj, 7)
+    formed = []
+
+    def counting(T, signs, basis):
+        formed.append(len(T))
+        return double_bracket_matrix(T, signs, basis)
+
+    monkeypatch.setattr(degeneracy, "double_bracket_matrix", counting)
+    shooting_matrix(traj)
+    assert len(formed) == 8 and sum(formed) == 2 * 50 + 1
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_shooting_memory_does_not_grow_with_steps(monkeypatch):
+    # blocks of 20 steps at u(4): the whole-stack form peaks at 1.8 MB for
+    # 200 steps and 16.4 MB for 2,000; the streamed form at 0.94 MB for both
+    short = _random_solution(4, False, False, 200)
+    long = _random_solution(4, False, False, 2000)
+    _force_block_steps(monkeypatch, short, 20)
+    peak_short = _traced_peak(lambda: shooting_matrix(short))
+    peak_long = _traced_peak(lambda: shooting_matrix(long))
+    assert peak_long <= 1.1 * peak_short
 
 
 def test_shooting_matrix_block_structure(nondegenerate_traj):

@@ -16,6 +16,17 @@ def test_rk4_is_exact_for_cubic_quadrature():
     assert np.max(np.abs(path - (t**3 - t0**3))) < 1e-13
 
 
+def test_rk4_writes_into_out():
+    # the samples land in the given view, which is returned whole: the
+    # traced step count reads len(result) - 1
+    f = lambda t, y: t * y
+    buf = np.zeros((8, 3), dtype=complex)
+    path = grids.rk4(f, [1.0, 2.0], 0.0, 0.1, 7, out=buf[:, 1:])
+    assert path.base is buf and len(path) - 1 == 7
+    assert np.all(buf[:, 0] == 0.0)
+    assert np.array_equal(buf[:, 1:], grids.rk4(f, [1.0, 2.0], 0.0, 0.1, 7))
+
+
 def _counting(monkeypatch, name, module=grids):
     calls = []
     inner = getattr(module, name)

@@ -17,6 +17,7 @@ from nahmschmid.degeneracy import shooting_matrix  # noqa: E402
 from nahmschmid.liealg import (  # noqa: E402
     exp_unitary,
     inner,
+    norm,
     random_antihermitian,
     random_unitary,
 )
@@ -91,3 +92,24 @@ def test_shooting_singular_values_are_gauge_invariant(seed, n):
     sigma = np.linalg.svd(shooting_matrix(traj), compute_uv=False)
     moved = np.linalg.svd(shooting_matrix(flow.gauge_apply(u, traj)), compute_uv=False)
     assert_close_relative(moved, sigma, 1e-7)
+
+
+# Worst Lax residual measured on this draw (unit-norm components, 200 steps)
+# over seeds 0..1499 for n = 3 and 0..499 for n = 2, in all four algebra/T0
+# cases: 9.4e-8 (su(2) with T0).  The bound leaves a factor of about 5; a
+# non-solution leaves an O(1) residual.
+LAX_RESIDUAL_BOUND = 5e-7
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, n=st.sampled_from([2, 3]), traceless=st.booleans(), with_t0=st.booleans())
+def test_lax_residual_is_small_on_solutions(seed, n, traceless, with_t0):
+    # dT(zeta)/dt = [T(zeta), T+(zeta)] holds along every solution of the
+    # full equations, in u(n) and su(n)
+    rng = np.random.default_rng(seed)
+    quad = np.array([random_antihermitian(n, rng, traceless=traceless) for _ in range(4)])
+    quad = quad / norm(quad)[:, None, None]
+    if not with_t0:
+        quad[0] = 0.0
+    traj = flow.integrate(quad, (0.0, 1.0), flow.SolverConfig(steps=200))
+    assert spectral.lax_residual(traj) < LAX_RESIDUAL_BOUND
