@@ -11,8 +11,11 @@ circle.  Such quadratic matrix polynomials factor as
     T(zeta) = (A + B* zeta)(B + A* zeta)
 
 with det(B + A* zeta) != 0 on the closed unit disk, uniquely once B is
-Hermitian positive definite.  The factorization intertwines the reduced
-flow with the first-order system
+Hermitian positive definite.  Then P = B^2 is the maximal Hermitian
+solution of P + L0 P^{-1} L0* = L1, with L0 = beta and L1 = 2i T1 (Engwerda,
+Ran & Rijkeboer, Linear Algebra Appl. 186, 1993), which cyclic reduction
+reaches quadratically (Meini, Math. Comp. 71, 2002).  The factorization
+intertwines the reduced flow with the first-order system
 
     A' = (B*BA - ABB*)/2,   B' = (A*AB - BAA*)/2,
 
@@ -23,7 +26,6 @@ T2 + i T3 = AB.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import grids
 from .liealg import project_antihermitian
@@ -31,6 +33,8 @@ from .serialize import matrix_to_pairs
 
 _CIRCLE_TOL = 1e-9  # a root this close to the unit circle refuses the factorization
 _NORM_BOUND_TOL = 1e-10  # rounding slack of the norm-bound comparison
+_CR_TOL = 1e-15  # cyclic reduction stops once max|C| <= _CR_TOL max|L1|
+_CR_MAX_ITER = 60  # more steps than any root margin above _CIRCLE_TOL needs
 
 
 class NotFactorizableError(ValueError):
@@ -90,21 +94,21 @@ class FactorPair:
 
 
 def circle_pencil(T1, T2, T3, theta):
-    """H(theta) = beta e^{-i theta} + 2 i T1 + beta* e^{i theta}, Hermitian."""
+    """H(theta) = beta e^{-i theta} + 2 i T1 + beta* e^{i theta}, Hermitian.
+
+    An array of theta gives the stack of pencils, shape theta.shape + (n, n).
+    """
     beta = np.asarray(T2, dtype=complex) + 1j * np.asarray(T3, dtype=complex)
-    z = np.exp(1j * theta)
+    z = np.exp(1j * np.asarray(theta))[..., None, None]
     H = beta / z + 2j * np.asarray(T1, dtype=complex) + beta.conj().T * z
-    return 0.5 * (H + H.conj().T)
+    return 0.5 * (H + H.conj().swapaxes(-1, -2))
 
 
 def positivity_report(T1, T2, T3, samples=64):
     """Sample the circle pencil and report the positivity certificate."""
     beta = np.asarray(T2, dtype=complex) + 1j * np.asarray(T3, dtype=complex)
     thetas = 2.0 * np.pi * np.arange(samples) / samples
-    min_eig = np.inf
-    for th in thetas:
-        w = np.linalg.eigvalsh(circle_pencil(T1, T2, T3, th))
-        min_eig = min(min_eig, float(w[0]))
+    min_eig = float(np.min(np.linalg.eigvalsh(circle_pencil(T1, T2, T3, thetas))[:, 0]))
     lip = 2.0 * float(np.linalg.norm(beta, 2))
     margin = min_eig - (np.pi / samples) * lip
     return PositivityReport(
@@ -116,46 +120,21 @@ def positivity_report(T1, T2, T3, samples=64):
     )
 
 
-def _inside_invariant_pair(L0, L1, L2):
-    """Eigenpairs of the reversed pencil L2 + L1 z + L0 z^2 inside the disk.
-
-    The reversal swaps roots zeta <-> 1/zeta, so the n inside eigenvalues
-    found here are the reciprocals of the outside roots of T(zeta); roots
-    at infinity of T become tame zeros of the reversed problem.
-    """
-    n = L0.shape[0]
-    Z, I = np.zeros((n, n), dtype=complex), np.eye(n, dtype=complex)
-    Ac = np.block([[Z, I], [-L2, -L1]])
-    Bc = np.block([[I, Z], [Z, L0]])
-    lam, vecs = scipy.linalg.eig(Ac, Bc)
-    finite = np.isfinite(lam)
-    mod = np.where(finite, np.abs(lam), np.inf)
-    if np.any(np.abs(mod - 1.0) < _CIRCLE_TOL):
-        raise NotFactorizableError(
-            "quadratic eigenvalue within tolerance of the unit circle"
-        )
-    inside = mod < 1.0
-    if int(np.sum(inside)) != n:
-        raise NotFactorizableError(
-            f"expected {n} roots inside the unit circle, found {int(np.sum(inside))}"
-        )
-    return lam[inside], vecs[:n, inside]
-
-
 def rosenblatt_factorize(L0, L1, L2):
     """Factor a positive T(zeta) = L0 + L1 z + L2 z^2 as (A + B*z)(B + A*z).
 
-    The kernel vectors of T at its n roots outside the closed disk pin the
-    right factor: with V the eigenvector matrix and M the diagonal of the
-    reciprocal roots, A* = B N for N = -V M V^{-1}, and P = B^2 solves the
-    Stein equation P + N* P N = L1.  B is the Hermitian square root of P,
-    which realises the unitary gauge freedom (A, B) -> (A g^{-1}, g B) in
-    the unique Hermitian-positive normalisation.
+    With B Hermitian, L0 = AB and L1 = AA* + B^2: P = B^2 solves
+    P + L0 P^{-1} L0* = L1, and the right-factor roots -1/mu, mu the
+    eigenvalues of N = P^{-1} L2 = B^{-1} A*, lie outside the closed disk
+    for the maximal solution.  Cyclic reduction squares the coupling C each
+    step (C ~ rho(N)^(2^k)).  Its phi_k(z) = Q_k - C_k*/z - C_k z start at
+    T(-z)/(-z) and phi_{k+1}(z^2)^{-1} averages phi_k(+-z)^{-1}, so positive
+    input keeps every Q_k (the circle mean of phi_k) positive definite.
+    B = sqrt(P) is the Hermitian-positive gauge of (A, B) -> (A g^{-1}, g B).
     """
     L0 = np.asarray(L0, dtype=complex)
     L1 = np.asarray(L1, dtype=complex)
     L2 = np.asarray(L2, dtype=complex)
-    n = L0.shape[0]
     if np.max(np.abs(L2 - L0.conj().T)) > 1e-8 or np.max(np.abs(L1 - L1.conj().T)) > 1e-8:
         raise NotFactorizableError("coefficients lack the reality twist L2 = L0*, L1 = L1*")
 
@@ -169,26 +148,33 @@ def rosenblatt_factorize(L0, L1, L2):
             f"pencil is not positive on the circle (min eigenvalue {report.min_eig:.3e})"
         )
 
-    mu, V = _inside_invariant_pair(L0, L1, L2)
-    cond = np.linalg.cond(V)
-    if not np.isfinite(cond) or cond > 1e10:
-        raise NotFactorizableError("defective eigenvector basis for the right factor")
-    N = -V @ np.diag(mu) @ np.linalg.inv(V)
+    C, Q, P = L2, L1, L1
+    for _ in range(_CR_MAX_ITER):
+        if np.max(np.abs(C)) <= _CR_TOL * np.max(np.abs(L1)):
+            break
+        Ch = C.conj().T
+        try:
+            np.linalg.cholesky(Q)  # only tests that Q is positive definite
+            QiC, QiCh = np.split(np.linalg.solve(Q, np.concatenate([C, Ch], axis=1)), 2, axis=1)
+        except np.linalg.LinAlgError:
+            raise NotFactorizableError("cyclic reduction lost positive definiteness") from None
+        P = P - Ch @ QiC
+        Q = Q - C @ QiCh - Ch @ QiC
+        C = C @ QiC
+    else:
+        raise NotFactorizableError(f"cyclic reduction did not converge in {_CR_MAX_ITER} steps")
 
-    # Stein equation P + N* P N = L1, unique since rho(N) < 1;
-    # row-major vec gives vec(N* P N) = (N* kron N^T) vec(P)
-    m = n * n
-    K = np.eye(m, dtype=complex) + np.kron(N.conj().T, N.T)
-    P = np.linalg.solve(K, L1.reshape(-1)).reshape(n, n)
-    P = 0.5 * (P + P.conj().T)
-    wmin = float(np.min(np.linalg.eigvalsh(P)))
-    if wmin <= 0.0:
-        raise NotFactorizableError(f"square of the right factor is not positive ({wmin:.3e})")
-    B = scipy.linalg.sqrtm(P)
-    B = 0.5 * (B + B.conj().T).astype(complex)
-    A = N.conj().T @ B
+    w, V = np.linalg.eigh(P)
+    if w[0] <= 0.0:
+        raise NotFactorizableError(f"square of the right factor is not positive ({w[0]:.3e})")
+    B = (V * np.sqrt(w)) @ V.conj().T
+    Binv = (V / np.sqrt(w)) @ V.conj().T
+    A = L0 @ Binv
 
+    mu = np.linalg.eigvals(Binv @ A.conj().T)  # of N; the right-factor roots are -1/mu
     margin = float(np.min(1.0 / np.abs(mu[np.abs(mu) > 0]))) - 1.0 if np.any(mu != 0) else np.inf
+    if margin < _CIRCLE_TOL:
+        raise NotFactorizableError("right-factor root within tolerance of the unit circle")
     pair = FactorPair(A=A, B=B, root_margin=margin)
 
     # consistency of the construction: residual at a spread of sample points

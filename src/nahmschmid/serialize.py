@@ -40,6 +40,7 @@ def quadruple_to_obj(T):
 def quadruple_from_obj(obj, components=("T0", "T1", "T2", "T3")):
     """Read a quadruple (or triple) of algebra elements from decoded JSON.
 
+    Non-finite entries (JSON NaN, Infinity) raise ValueError.
     Anti-Hermiticity is validated; defects above REPROJECT_TOL trigger a
     warning and reprojection onto the algebra.
     """
@@ -48,6 +49,8 @@ def quadruple_from_obj(obj, components=("T0", "T1", "T2", "T3")):
         if name not in obj:
             raise ValueError(f"initial-data file is missing component {name!r}")
         M = matrix_from_pairs(obj[name])
+        if not np.all(np.isfinite(M)):
+            raise ValueError(f"component {name!r} has non-finite entries")
         if not is_antihermitian(M, tol=REPROJECT_TOL):
             defect = float(np.max(np.abs(M + M.conj().T)))
             warnings.append(

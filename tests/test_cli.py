@@ -328,6 +328,36 @@ def test_cli_config_echo_with_init(tmp_path, argv, components, keys):
     assert config["init_sha256"] == hashlib.sha256(init.read_bytes()).hexdigest()
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "argv, components",
+    [
+        (["integrate", "--steps", "10"], ("T0", "T1", "T2", "T3")),
+        (["degeneracy", "--steps", "10"], ("T0", "T1", "T2", "T3")),
+        (["spectral", "--steps", "10"], ("T0", "T1", "T2", "T3")),
+        (["stability"], ("tau1", "tau2", "tau3")),
+        (["factorize"], ("T1", "T2", "T3")),
+    ],
+)
+def test_cli_non_finite_init_entry_exits_2(tmp_path, capsys, argv, components, bad):
+    # json reads NaN and Infinity; such an entry is a config error that
+    # names its component, reported before any numerics run
+    quad = su2_closed_form(1.0, 0.0, 0.8, 0.0)
+    quad[1] = quad[1] - 1.5j * np.eye(2)
+    mats = dict(zip(("T0", "T1", "T2", "T3"), quad))
+    mats.update(tau1=quad[1], tau2=0.5 * quad[1], tau3=0 * quad[1])
+    obj = {c: serialize.matrix_to_pairs(mats[c]) for c in components}
+    obj[components[1]][0][1][0] = bad
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps(obj))
+    assert ("NaN" if bad != bad else "Infinity") in init.read_text()
+    out = tmp_path / "out.json"
+    assert run_cli(argv + ["--init", str(init), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: component {components[1]!r} has non-finite entries\n"
+    assert not out.exists()
+
+
 def _huge_init(tmp_path):
     # entries around 1e200 overflow inside the brackets on the first step
     big = 1e200j * np.eye(2)

@@ -70,6 +70,20 @@ def test_circle_pencil_hermitian(rng):
     assert np.max(np.abs(H - H.conj().T)) < 1e-14
 
 
+def test_circle_pencil_stack_matches_single_angles(rng):
+    # an array of angles gives the stack of pencils, bit for bit, and the
+    # report's minimum is the minimum over per-angle eigensolves
+    for n in (1, 2, 4):
+        T1, T2, T3 = (random_antihermitian(n, rng) for _ in range(3))
+        thetas = 2.0 * np.pi * np.arange(64) / 64
+        stack = circle_pencil(T1, T2, T3, thetas)
+        assert stack.shape == (64, n, n)
+        for k, th in enumerate(thetas):
+            assert np.array_equal(stack[k], circle_pencil(T1, T2, T3, th))
+        single = min(float(np.linalg.eigvalsh(H)[0]) for H in stack)
+        assert positivity_report(T1, T2, T3).min_eig == single
+
+
 # ---------------------------------------------------------------------------
 # factorization
 
@@ -104,6 +118,71 @@ def test_factorize_random_positive(rng):
             Tz = beta + 2j * T1 * z + beta.conj().T * z**2
             worst = max(worst, np.max(np.abs(pair.polynomial_at(z) - Tz)))
     assert worst < 1e-8
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_factorize_scalar_near_circle(delta):
+    # T(z) = 0.5 + (1 + delta) z + 0.5 z^2 has roots -(1 + delta) +- sqrt(delta (2 + delta)),
+    # a pair closing in on -1 as delta -> 0; the outer one sets the margin
+    L0, L1 = 0.5 * np.eye(1), (1.0 + delta) * np.eye(1)
+    pair = rosenblatt_factorize(L0, L1, L0)
+    worst = max(
+        abs(pair.polynomial_at(z)[0, 0] - (0.5 + (1.0 + delta) * z + 0.5 * z * z))
+        for z in list(np.exp(2j * np.pi * np.arange(16) / 16)) + [0.0, 2.0]
+    )
+    assert worst < 1e-12
+    assert abs(pair.root_margin - (delta + np.sqrt(delta * (2.0 + delta)))) < 1e-10
+
+
+@pytest.mark.parametrize("delta", [0.0, -1e-6])
+def test_factorize_rejects_nonpositive_between_samples(delta):
+    # H(theta) = 1 + delta + cos(theta - pi/64) has its minimum delta at
+    # theta = pi + pi/64, halfway between two of the 64 samples, which all
+    # read at least 1 + delta - cos(pi/64) > 0
+    beta = 0.5 * np.exp(1j * np.pi / 64) * np.eye(1)
+    T1 = -0.5j * (1.0 + delta) * np.eye(1)
+    rep = positivity_report(T1, 0.5 * (beta - beta.conj()), -0.5j * (beta + beta.conj()))
+    assert rep.sampled_positive and not rep.certified
+    with pytest.raises(NotFactorizableError):
+        rosenblatt_factorize(beta, (1.0 + delta) * np.eye(1), beta.conj())
+
+
+def test_factorize_rejects_nonpositive_u2_between_samples(rng):
+    # shifted so that the minimum over 4096 angles, an upper bound for the
+    # true minimum, is -1e-6; cyclic reduction must then refuse, since its
+    # Q_k lose positive definiteness when T(z)/z is not positive
+    thetas = 2.0 * np.pi * np.arange(4096) / 4096
+    tested = 0
+    for _ in range(20):
+        T1s, T2, T3 = (random_antihermitian(2, rng) for _ in range(3))
+        fine = float(np.min(np.linalg.eigvalsh(circle_pencil(T1s, T2, T3, thetas))[:, 0]))
+        T1 = T1s + 0.5j * (fine + 1e-6) * np.eye(2)
+        if positivity_report(T1, T2, T3).sampled_positive:
+            tested += 1
+            with pytest.raises(NotFactorizableError, match="lost positive definiteness"):
+                factorize_triple(T1, T2, T3)
+    assert tested >= 15
+
+
+def test_factorize_roots_match_determinant_roots(rng):
+    # independent oracle: the right-factor roots -1/mu (mu the eigenvalues
+    # of B^{-1} A*) are the roots of det T(z) outside the closed disk
+    for _ in range(10):
+        T1, T2, T3 = random_positive_triple(rng)
+        pair = factorize_triple(T1, T2, T3)
+        beta = T2 + 1j * T3
+        # entries of T(z) as coefficient arrays, highest power first
+        L = (beta, 2j * T1, beta.conj().T)
+        entry = [[np.array([L[2][r, c], L[1][r, c], L[0][r, c]]) for c in range(2)]
+                 for r in range(2)]
+        det = np.polysub(np.polymul(entry[0][0], entry[1][1]),
+                         np.polymul(entry[0][1], entry[1][0]))
+        outside = np.sort_complex([z for z in np.roots(det) if abs(z) > 1.0])
+        mu = np.linalg.eigvals(np.linalg.solve(pair.B, pair.A.conj().T))
+        roots = np.sort_complex(-1.0 / mu)
+        assert len(outside) == 2
+        assert np.max(np.abs(roots - outside)) < 1e-9
+        assert pair.root_margin == pytest.approx(np.min(np.abs(outside)) - 1.0, abs=1e-9)
 
 
 def test_factorize_rejects_nonpositive():
