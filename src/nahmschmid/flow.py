@@ -21,8 +21,6 @@ grid; quadruples are arrays of shape (4, n, n).
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.spatial.transform import Rotation
 
 from . import elliptic, grids
 from .liealg import (
@@ -43,6 +41,10 @@ _RHS_ROWS_T0 = np.concatenate([_RHS_ROWS, [[3, 3, 3, 0, 1, 2], [0, 1, 2, 3, 3, 3
 _ETA = np.diag([1.0, -1.0, -1.0])
 _LOG_BRANCH_TOL = 1e-8  # eigenvalues of gamma this close to -1 have no principal log
 _CANONICAL_TOL = 1e-6  # of the Gram-pencil and fixed-axis tests of su2_canonicalize
+# the flow is stepped in blocks of at most this many steps per grids.rk4
+# call: a block's (steps+1, 3, n, n) complex samples take 3.2 MB at n = 16,
+# so a consumer that keeps less than the samples runs in bounded memory
+_STEP_BLOCK = 256
 
 
 class NumericalFailure(RuntimeError):
@@ -151,20 +153,35 @@ def integrate(T_init, t_span=(0.0, 1.0), config=None):
     if T_init.ndim != 3 or T_init.shape[0] != 4:
         raise ValueError("initial data must be a quadruple of shape (4, n, n)")
     t0, t1 = float(t_span[0]), float(t_span[1])
-    h = (t1 - t0) / cfg.steps
 
-    T0 = None if np.max(np.abs(T_init[0])) == 0.0 else T_init[0]
-    f = lambda t, Y: _rhs_stacked(Y, T0)
-
-    # RK4 writes (T1, T2, T3) straight into the sample array
+    # each block of (T1, T2, T3) is written straight into the sample array
     samples = np.empty((cfg.steps + 1,) + T_init.shape, dtype=complex)
     samples[:, 0] = T_init[0]
-    try:
-        grids.rk4(f, T_init[1:], t0, h, cfg.steps, project=project_antihermitian,
-                  out=samples[:, 1:])
-    except FloatingPointError as exc:
-        raise NumericalFailure(str(exc)) from exc
+    for _ in _flow_blocks(T_init, t0, (t1 - t0) / cfg.steps, cfg.steps, out=samples[:, 1:]):
+        pass
     return Trajectory(t0, t1, samples)
+
+
+def _flow_blocks(T_init, t0, h, steps, out=None):
+    # Steps (T1, T2, T3) from the quadruple T_init by RK4 with step h and
+    # yields (lo, Y) per block of at most _STEP_BLOCK steps: Y holds the
+    # states at steps lo..hi, so consecutive blocks share a row.  Each block
+    # starts from the last state of the previous one, so the states are
+    # bitwise those of one rk4 call over all steps.  With `out`, a complex
+    # (steps+1, 3, n, n) array or view, Y is the slice out[lo:hi+1].
+    T0 = None if np.max(np.abs(T_init[0])) == 0.0 else T_init[0]
+    f = lambda t, Y: _rhs_stacked(Y, T0)
+    y = T_init[1:]
+    for lo in range(0, steps, _STEP_BLOCK):
+        hi = min(lo + _STEP_BLOCK, steps)
+        try:
+            Y = grids.rk4(f, y, t0 + lo * h, h, hi - lo, project=project_antihermitian,
+                          out=None if out is None else out[lo : hi + 1])
+        except FloatingPointError as exc:
+            # rk4 numbers the steps of its block; report the step of the run
+            raise NumericalFailure(f"state became non-finite at step {lo + exc.step}") from exc
+        y = Y[-1]
+        yield lo, Y
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +362,8 @@ def principal_log_unitary(gamma):
 
     Fails for eigenvalues at -1 where the principal branch is undefined.
     """
+    import scipy.linalg  # imported here so that importing the package loads no scipy
+
     gamma = np.asarray(gamma, dtype=complex)
     T, Q = scipy.linalg.schur(gamma, output="complex")
     lam = np.diagonal(T)
@@ -473,6 +492,8 @@ class Su2CanonicalForm:
 def _su2_rotation_from_frame(X):
     # lift the frame map X -> identity from SO(3) to SU(2); conjugation by
     # exp(theta * (n . e)) rotates the e-basis by theta about n
+    from scipy.spatial.transform import Rotation  # here, as in principal_log_unitary
+
     R = grids.unitarize(X.T.astype(complex)).real
     rotvec = Rotation.from_matrix(R).as_rotvec()
     e = su2_basis()

@@ -86,7 +86,7 @@ def rk4(f, y0, t0, h, steps, project=None, out=None):
     after every step (anti-Hermitian or unitary reprojection).  The samples
     are written to `out` when given, a complex (steps+1, ...) array or view,
     and that array is returned.  Raises FloatingPointError when the state
-    stops being finite.
+    stops being finite; its `step` attribute is the failing step (1-based).
     """
     nodes = t0 + h * np.arange(steps + 1)
     y0 = np.asarray(y0, dtype=complex)
@@ -127,7 +127,9 @@ def _rk4_loop(rhs, coeff_nodes, coeff_mids, y0, h, project, out=None):
             if project is not None:
                 y = project(y)
             if not np.isfinite(y).all():
-                raise FloatingPointError(f"state became non-finite at step {k + 1}")
+                exc = FloatingPointError(f"state became non-finite at step {k + 1}")
+                exc.step = k + 1
+                raise exc
             out[k + 1] = y
     return out
 

@@ -95,3 +95,31 @@ def test_streamed_shooting_steps_add_up_to_one_run(monkeypatch):
     assert steps == [7] * 5 + [5]
     spec = {"kind": "degeneracy", "steps": S, "algebra": "su", "n": 3}
     assert sum(steps) == workloads.expected_counts(spec)["shoot"] == S
+
+
+def test_streamed_halfline_counts_add_up_to_one_run(monkeypatch, tmp_path):
+    # the half-line run steps the flow in blocks of flow._STEP_BLOCK; the
+    # traced rk4 count sums len(result) - 1 over the blocks and the rhs
+    # count is one per _rhs_stacked call, both fixed by expected_counts
+    workloads = _load("workloads")
+    spec = workloads.job_spec("large_algebra", "stab4", 0)
+    init_path = workloads.write_inputs([spec], str(tmp_path))[spec["key"]]
+    steps, rhs = [], []
+    inner_rk4, inner_rhs = grids.rk4, flow._rhs_stacked
+
+    def counting_rk4(*args, **kwargs):
+        result = inner_rk4(*args, **kwargs)
+        steps.append(len(result) - 1)
+        return result
+
+    def counting_rhs(*args, **kwargs):
+        rhs.append(1)
+        return inner_rhs(*args, **kwargs)
+
+    monkeypatch.setattr(grids, "rk4", counting_rk4)
+    monkeypatch.setattr(flow, "_rhs_stacked", counting_rhs)
+    workloads.run_cli(workloads.argv_for(spec, init_path, str(tmp_path / "out.json")))
+    expected = workloads.expected_counts(spec)
+    assert len(steps) > 1 and max(steps) == flow._STEP_BLOCK
+    assert sum(steps) == expected["rk4"]
+    assert len(rhs) == expected["rhs"] == 4 * expected["rk4"]

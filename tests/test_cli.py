@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import nahmschmid
 from nahmschmid import cli, serialize
 from nahmschmid.cli import main
 from nahmschmid.elliptic import complete_K
@@ -589,3 +594,13 @@ def test_cli_sweep_two_parameters(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("a,kappa,")
     assert len(lines) == 5
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported only by the flow functions that use it, so a CLI
+    # run that needs none of them does not pay for loading it
+    src = str(Path(nahmschmid.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, nahmschmid.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -196,6 +196,30 @@ def test_integrate_bitwise_against_body_and_concatenate(data, with_t0):
     _assert_same_bits(traj.samples, _integrate_reference(q, (0.5, 2.0), 300))
 
 
+@pytest.mark.parametrize("with_t0", [False, True])
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_integrate_blocks_are_bitwise_one_rk4_run(block, with_t0, monkeypatch):
+    # 200 steps end off the block boundary for blocks of 3 and 7; each block
+    # starts from the last state of the one before
+    rng = np.random.default_rng([19, with_t0])
+    q = np.array([random_antihermitian(3, rng) for _ in range(4)])
+    if not with_t0:
+        q[0] = 0.0
+    ref = _integrate_reference(q, (0.0, 1.5), 200)
+    monkeypatch.setattr(flow, "_STEP_BLOCK", block)
+    calls = []
+    inner = grids.rk4
+
+    def counting(*args, **kwargs):
+        calls.append(args[4])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(grids, "rk4", counting)
+    traj = integrate(q, (0.0, 1.5), SolverConfig(steps=200))
+    assert calls == [block] * (200 // block) + ([200 % block] if 200 % block else [])
+    _assert_same_bits(traj.samples, ref)
+
+
 def test_integrate_peak_memory_is_the_sample_array():
     # the samples are the only O(steps) array: the body-plus-concatenate
     # form peaked at 1.76x their size (u(4), 2,000 steps), this one at 1.03x

@@ -1,20 +1,24 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import schur
 
+from nahmschmid import flow
 from nahmschmid.cli import main
 from nahmschmid.flow import rhs_reduced
 from nahmschmid.liealg import (
     coordinates,
+    norm,
     random_antihermitian,
     random_unitary,
     su2_basis,
 )
 from nahmschmid.stability import (
     SPECTRUM_TOL,
+    ConvergenceResult,
     halfline_convergence,
     stability_spectrum,
     stable_directions,
@@ -128,6 +132,82 @@ def test_halfline_unstable_direction_diverges(dv_reference):
         [E1, Z2, Z2], direction, amplitude=1e-4, horizon=12.0, steps_per_unit=400
     )
     assert res.diverged and not res.converged
+
+
+def _halfline_reference(tau, direction, amplitude, horizon, steps_per_unit):
+    # the whole-trajectory form of halfline_convergence: integrate, then
+    # take the deviation of every sample at once
+    tau = [np.asarray(t, dtype=complex) for t in tau]
+    direction = [np.asarray(v, dtype=complex) for v in direction]
+    init = np.array(
+        [np.zeros_like(tau[0])] + [tau[i] + amplitude * direction[i] for i in range(3)]
+    )
+    steps = max(int(round(horizon * steps_per_unit)), 10)
+    traj = flow.integrate(init, (0.0, horizon), flow.SolverConfig(steps=steps))
+    dev = np.sqrt(sum(norm(traj.samples[:, i + 1] - tau[i][None]) ** 2 for i in range(3)))
+    t = traj.times
+    mask = t >= 0.5 * horizon
+    slope = np.polyfit(t[mask], np.log(np.maximum(dev[mask], 1e-300)), 1)[0]
+    return t, dev, float(-slope)
+
+
+def _diagonal_stable_triple(n):
+    # tau_k = i diag(x) s_k with x in {0, 0.6}: a stable triple in u(n)
+    x = np.array([0.0] * (n // 2) + [0.6] * (n - n // 2))
+    return [1j * np.diag(x * s) for s in (1.0, 0.4, 0.3)]
+
+
+@pytest.mark.parametrize("case", ["su2", "u4"])
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_halfline_blocks_match_whole_trajectory(case, block, monkeypatch):
+    # 200 steps end off the block boundary for blocks of 3 and 7; the
+    # reference runs before the patch, as one rk4 call of 200 steps
+    tau = [E1, Z2, Z2] if case == "su2" else _diagonal_stable_triple(4)
+    rep = stability_spectrum(*tau)
+    direction = triple_from_coordinates(stable_directions(rep)[:, 0], rep.basis)
+    args = (tau, direction, 1e-4, 2.0, 100)
+    t_ref, dev_ref, rate_ref = _halfline_reference(*args)
+    assert len(t_ref) == 201 and flow._STEP_BLOCK >= 200
+    monkeypatch.setattr(flow, "_STEP_BLOCK", block)
+    res = halfline_convergence(*args)
+    assert isinstance(res, ConvergenceResult)
+    assert res.times.tobytes() == t_ref.tobytes()
+    assert res.deviation.tobytes() == dev_ref.tobytes()
+    assert np.float64(res.fitted_rate).tobytes() == np.float64(rate_ref).tobytes()
+    assert np.signbit(res.fitted_rate) == np.signbit(rate_ref)
+
+
+def test_halfline_memory_does_not_grow_with_horizon():
+    # the states are held one block at a time; only the deviation path
+    # (one float per step) grows with the horizon
+    tau = _diagonal_stable_triple(16)
+    rep = stability_spectrum(*tau)
+    direction = triple_from_coordinates(stable_directions(rep)[:, 0], rep.basis)
+    peaks = {}
+    for horizon in (2.0, 8.0):
+        tracemalloc.start()
+        try:
+            halfline_convergence(tau, direction, horizon=horizon, steps_per_unit=250)
+            peaks[horizon] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[8.0] <= 1.1 * peaks[2.0]
+
+
+def test_halfline_failure_names_the_global_step(monkeypatch):
+    # this su(2) data overflows RK4 at step 10 of 100; in blocks of 3 that
+    # is the first step of the fourth block
+    tau = [200.0 * E1, 100.0 * E2, 60.0 * E3]
+    init = np.array([Z2] + tau)
+    with pytest.raises(flow.NumericalFailure) as whole:
+        flow.integrate(init, (0.0, 1.0), flow.SolverConfig(steps=100))
+    monkeypatch.setattr(flow, "_STEP_BLOCK", 3)
+    with pytest.raises(flow.NumericalFailure) as blocked:
+        flow.integrate(init, (0.0, 1.0), flow.SolverConfig(steps=100))
+    with pytest.raises(flow.NumericalFailure) as half:
+        halfline_convergence(tau, [Z2, Z2, Z2], horizon=1.0, steps_per_unit=100)
+    assert str(whole.value) == "state became non-finite at step 10"
+    assert str(blocked.value) == str(half.value) == str(whole.value)
 
 
 def test_halfline_zero_amplitude():
