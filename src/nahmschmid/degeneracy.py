@@ -145,11 +145,16 @@ def shooting_matrix(traj):
         # the cubic midpoints of steps lo..hi-1 read nodes lo-1..hi+1, or
         # the four nodes at an end of the grid
         w = max(min(lo - 1, m - 4), 0)
-        mids = grids.midpoints(nodes[w : max(hi + 2, w + 4)])[lo - w : hi - w]
-        new = nodes[lo + (C_lo is not None) : hi + 1]
-        C = double_bracket_matrix(np.concatenate([new, mids]), (-1.0, 1.0, 1.0), basis)
+        with np.errstate(over="raise", invalid="raise"):  # raise, not warn, on overflow
+            mids = grids.midpoints(nodes[w : max(hi + 2, w + 4)])[lo - w : hi - w]
+            new = nodes[lo + (C_lo is not None) : hi + 1]
+            C = double_bracket_matrix(np.concatenate([new, mids]), (-1.0, 1.0, 1.0), basis)
         C_nodes = C[: len(new)] if C_lo is None else np.concatenate([C_lo[None], C[: len(new)]])
-        Y = grids.rk4_sampled(rhs, C_nodes, C[len(new) :], Y, traj.h)[-1]
+        try:
+            Y = grids.rk4_sampled(rhs, C_nodes, C[len(new) :], Y, traj.h)[-1]
+        except FloatingPointError as exc:
+            step = lo + exc.step  # rk4 numbers the steps of its block
+            raise flow.NumericalFailure(f"state became non-finite at step {step}") from exc
         C_lo = C_nodes[-1]
     return Y[0]
 
@@ -162,7 +167,9 @@ def degeneracy_report(traj):
     `inconclusive`.
     """
     M = shooting_matrix(traj)
-    sigma = np.linalg.svd(M, compute_uv=False)
+    with np.errstate(over="raise", invalid="raise"):
+        sigma = np.linalg.svd(M, compute_uv=False)
+        det = float(np.linalg.det(M))
     smin, smax = float(sigma[-1]), float(sigma[0])
     if smin < TOL_LOW * smax:
         verdict = "degenerate"
@@ -174,7 +181,7 @@ def degeneracy_report(traj):
         shooting_matrix=M,
         singular_values=sigma,
         sigma_min=smin,
-        determinant=float(np.linalg.det(M)),
+        determinant=det,
         verdict=verdict,
     )
 

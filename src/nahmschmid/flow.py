@@ -451,26 +451,24 @@ def su2_closed_form(a, b, kappa, t):
     f3 = -a dn(at+b); modulus kappa in [0, 1] (kappa = 1 gives the
     hyperbolic solution).
     """
-    sn, cn, dn = elliptic.jacobi(a * t + b, kappa)
-    e1, e2, e3 = su2_basis()
-    Z = np.zeros((2, 2), dtype=complex)
-    return np.array([Z, a * kappa * sn * e1, a * kappa * cn * e2, -a * dn * e3])
+    return _su2_samples(a, kappa, [elliptic.jacobi(a * t + b, kappa)])[0]
 
 
 def su2_closed_form_trajectory(a, b, kappa, t_span=(0.0, 1.0), steps=2000):
     """Trajectory built by sampling the closed form (an exact solution)."""
     t0, t1 = float(t_span[0]), float(t_span[1])
-    times = np.linspace(t0, t1, steps + 1)
-    # (steps+1, 3) rows (sn, cn, dn); the profiles scale the basis as in
-    # su2_closed_form, with the same operations in the same order.  Python
-    # floats give the same arguments as numpy scalars, at less cost per call.
-    f = np.array([elliptic.jacobi(a * t + b, kappa) for t in times.tolist()])
-    e1, e2, e3 = su2_basis()
-    samples = np.zeros((steps + 1, 4, 2, 2), dtype=complex)
-    samples[:, 1] = (a * kappa * f[:, 0])[:, None, None] * e1
-    samples[:, 2] = (a * kappa * f[:, 1])[:, None, None] * e2
-    samples[:, 3] = (-a * f[:, 2])[:, None, None] * e3
-    return Trajectory(t0, t1, samples)
+    # Python floats give the same arguments as numpy scalars, at less cost per call
+    rows = [elliptic.jacobi(a * t + b, kappa) for t in np.linspace(t0, t1, steps + 1).tolist()]
+    return Trajectory(t0, t1, _su2_samples(a, kappa, rows))
+
+
+def _su2_samples(a, kappa, rows):
+    """Quadruples (k, 4, 2, 2) of su2_closed_form from k rows (sn, cn, dn)."""
+    f = np.array(rows)
+    profiles = np.stack([a * kappa * f[:, 0], a * kappa * f[:, 1], -a * f[:, 2]], axis=1)
+    samples = np.zeros((f.shape[0], 4, 2, 2), dtype=complex)
+    samples[:, 1:] = profiles[:, :, None, None] * np.array(su2_basis())
+    return samples
 
 
 class NonCanonicalizableError(ValueError):

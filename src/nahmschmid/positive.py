@@ -12,9 +12,10 @@ circle.  Such quadratic matrix polynomials factor as
 
 with det(B + A* zeta) != 0 on the closed unit disk, uniquely once B is
 Hermitian positive definite.  Then P = B^2 is the maximal Hermitian
-solution of P + L0 P^{-1} L0* = L1, with L0 = beta and L1 = 2i T1 (Engwerda,
-Ran & Rijkeboer, Linear Algebra Appl. 186, 1993), which cyclic reduction
-reaches quadratically (Meini, Math. Comp. 71, 2002).  The factorization
+solution of P + L0 P^{-1} L0* = L1, with L0 = beta and L1 = 2i T1, which
+exists only for positive triples (Engwerda, Ran & Rijkeboer, Linear Algebra
+Appl. 186, 1993); cyclic reduction reaches it quadratically and is the
+positivity gate (Meini, Math. Comp. 71, 2002).  The factorization
 intertwines the reduced flow with the first-order system
 
     A' = (B*BA - ABB*)/2,   B' = (A*AB - BAA*)/2,
@@ -108,7 +109,8 @@ def positivity_report(T1, T2, T3, samples=64):
     """Sample the circle pencil and report the positivity certificate."""
     beta = np.asarray(T2, dtype=complex) + 1j * np.asarray(T3, dtype=complex)
     thetas = 2.0 * np.pi * np.arange(samples) / samples
-    min_eig = float(np.min(np.linalg.eigvalsh(circle_pencil(T1, T2, T3, thetas))[:, 0]))
+    with np.errstate(over="raise", invalid="raise"):
+        min_eig = float(np.min(np.linalg.eigvalsh(circle_pencil(T1, T2, T3, thetas))[:, 0]))
     lip = 2.0 * float(np.linalg.norm(beta, 2))
     margin = min_eig - (np.pi / samples) * lip
     return PositivityReport(
@@ -129,24 +131,13 @@ def rosenblatt_factorize(L0, L1, L2):
     for the maximal solution.  Cyclic reduction squares the coupling C each
     step (C ~ rho(N)^(2^k)).  Its phi_k(z) = Q_k - C_k*/z - C_k z start at
     T(-z)/(-z) and phi_{k+1}(z^2)^{-1} averages phi_k(+-z)^{-1}, so positive
-    input keeps every Q_k (the circle mean of phi_k) positive definite.
+    input keeps every Q_k (the circle mean of phi_k) positive definite; a Q_k
+    that is not refuses the input, and semidefinite input fails the root margin.
     B = sqrt(P) is the Hermitian-positive gauge of (A, B) -> (A g^{-1}, g B).
     """
-    L0 = np.asarray(L0, dtype=complex)
-    L1 = np.asarray(L1, dtype=complex)
-    L2 = np.asarray(L2, dtype=complex)
+    L0, L1, L2 = (np.asarray(L, dtype=complex) for L in (L0, L1, L2))
     if np.max(np.abs(L2 - L0.conj().T)) > 1e-8 or np.max(np.abs(L1 - L1.conj().T)) > 1e-8:
         raise NotFactorizableError("coefficients lack the reality twist L2 = L0*, L1 = L1*")
-
-    T1 = project_antihermitian(-0.5j * L1)
-    beta = L0
-    T2 = 0.5 * (beta - beta.conj().T)
-    T3 = -0.5j * (beta + beta.conj().T)
-    report = positivity_report(T1, T2, T3)
-    if not report.sampled_positive:
-        raise NotFactorizableError(
-            f"pencil is not positive on the circle (min eigenvalue {report.min_eig:.3e})"
-        )
 
     C, Q, P = L2, L1, L1
     for _ in range(_CR_MAX_ITER):

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import nahmschmid
-from nahmschmid import cli, serialize
+from nahmschmid import cli, positive, serialize
 from nahmschmid.cli import main
 from nahmschmid.elliptic import complete_K
 from nahmschmid.flow import (
@@ -413,6 +413,54 @@ def test_cli_flow_overflow_exits_3_without_warnings(tmp_path, capsys, command):
     assert run_cli(argv + ["--output", str(out)]) == 3
     assert capsys.readouterr().err == "numerical failure: state became non-finite at step 1\n"
     assert not out.exists()
+
+
+def _scaled_commuting_init(tmp_path, n, scale):
+    # T1 = scale X with T0 = T2 = T3 = 0: a commuting triple, so a constant
+    # solution whose shooting grows like exp(scale |ad X| t)
+    X = random_antihermitian(n, np.random.default_rng(1), traceless=True)
+    obj = {f"T{i}": serialize.matrix_to_pairs(np.zeros((n, n))) for i in range(4)}
+    obj["T1"] = serialize.matrix_to_pairs(scale * X)
+    init = tmp_path / "commuting.json"
+    init.write_text(json.dumps(obj))
+    return init
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["det", "pencil", "forming"])
+def test_cli_overflow_outside_rk4_exits_3_with_one_message(tmp_path, capsys, case):
+    # a finite shooting matrix whose determinant overflows, a circle pencil
+    # that overflows while sampled, and an su(2) sweep point whose M
+    # overflows while formed: each raises instead of printing numpy warnings
+    out = tmp_path / "out.txt"
+    if case == "det":
+        argv = ["degeneracy", "--init", str(_scaled_commuting_init(tmp_path, 4, 30.0)),
+                "--steps", "400"]
+    elif case == "pencil":
+        argv = ["factorize", "--shift", "1e308"]
+    else:
+        argv = ["sweep", "--param", "a", "--from", "1", "--to", "1e300", "--points", "2",
+                "--steps", "20"]
+    assert run_cli(argv + ["--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_factorize_samples_the_pencil_once(tmp_path, monkeypatch):
+    # cyclic reduction gates the factorization, so only the printed
+    # positivity block samples the circle pencil
+    sample, calls = positive.positivity_report, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(positive, "positivity_report", counting)
+    out = tmp_path / "fac.json"
+    assert run_cli(["factorize", "--kappa", "0.8", "--shift", "3.0", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["factors"] is not None
+    assert len(calls) == 1
 
 
 def test_cli_reproducible_bytes(tmp_path, monkeypatch):

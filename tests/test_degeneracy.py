@@ -172,6 +172,23 @@ def test_shooting_forms_each_node_once(monkeypatch):
     assert len(formed) == 8 and sum(formed) == 2 * 50 + 1
 
 
+def test_streamed_shooting_failure_names_the_grid_step(monkeypatch):
+    # T1 = 400 X, T0 = T2 = T3 = 0 is a constant solution whose shooting
+    # overflows at step 423 of a grid with h = 1/2000: in blocks of 64 steps
+    # that is step 39 of the seventh block, and the error names the former
+    X = random_antihermitian(8, np.random.default_rng(1), traceless=True)
+    S = np.zeros((441, 4, 8, 8), dtype=complex)
+    S[:, 1] = 400.0 * X
+    traj = Trajectory(0.0, 440 / 2000, S)
+    messages = []
+    for entries in (degeneracy._FORM_BLOCK_ENTRIES, 1 << 40):
+        monkeypatch.setattr(degeneracy, "_FORM_BLOCK_ENTRIES", entries)
+        with pytest.raises(flow.NumericalFailure) as exc:
+            shooting_matrix(traj)
+        messages.append(str(exc.value))
+    assert messages == ["state became non-finite at step 423"] * 2
+
+
 def _traced_peak(fn):
     tracemalloc.start()
     try:

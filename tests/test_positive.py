@@ -164,6 +164,24 @@ def test_factorize_rejects_nonpositive_u2_between_samples(rng):
     assert tested >= 15
 
 
+def test_factorize_refuses_every_sampled_nonpositive_triple():
+    # cyclic reduction is the only positivity gate: triples at n = 1..4
+    # shifted so that their 64-sample minimum is -dip <= 0, half of them
+    # within 1e-6 of zero, are refused from the triple and from (L0, L1, L2)
+    rng = np.random.default_rng(15)
+    for k in range(300):
+        n = 1 + k % 4
+        T1, T2, T3 = (random_antihermitian(n, rng) for _ in range(3))
+        dip = 10.0 ** rng.uniform(-10.0, -6.0) if k % 2 else rng.uniform(0.0, 0.5)
+        T1 = T1 + 0.5j * (positivity_report(T1, T2, T3).min_eig + dip) * np.eye(n)
+        assert positivity_report(T1, T2, T3).min_eig <= 0.0
+        with pytest.raises(NotFactorizableError):
+            factorize_triple(T1, T2, T3)
+        beta = T2 + 1j * T3
+        with pytest.raises(NotFactorizableError):
+            rosenblatt_factorize(beta, 2j * T1, beta.conj().T)
+
+
 def test_factorize_roots_match_determinant_roots(rng):
     # independent oracle: the right-factor roots -1/mu (mu the eigenvalues
     # of B^{-1} A*) are the roots of det T(z) outside the closed disk
