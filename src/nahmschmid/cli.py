@@ -202,13 +202,17 @@ def cmd_factorize(args):
         "config": _config_echo(args),
         "positivity": rep.as_dict(),
     }
+    out["factors"] = None
     if rep.sampled_positive:
-        pair = positive.factorize_triple(T1, T2, T3)
-        lhs, rhs, holds = positive.norm_bound_check(T1, T2, T3)
-        out["factors"] = pair.as_dict()
-        out["norm_bound"] = {"lhs": lhs, "rhs": rhs, "holds": holds}
-    else:
-        out["factors"] = None
+        try:
+            pair = positive.factorize_triple(T1, T2, T3)
+        except positive.NotFactorizableError as exc:
+            # cyclic reduction finds the pencil not positive between the samples
+            print(f"factorization refused: {exc}", file=sys.stderr)
+        else:
+            lhs, rhs, holds = positive.norm_bound_check(T1, T2, T3)
+            out["factors"] = pair.as_dict()
+            out["norm_bound"] = {"lhs": lhs, "rhs": rhs, "holds": holds}
     _emit(args, serialize.dumps(out))
     return EXIT_OK
 

@@ -26,7 +26,10 @@ per step, against O(d n^3) = O(n^5) for applying complex double brackets
 to all d directions; at the sizes shot here (n <= 16, no workload goes
 further) the GEMM form is the faster one.  Forming and propagation are
 streamed per block of steps, so memory is O(block d^2), independent of the
-step count.
+step count.  Forming a block keeps three complex (times, d, n, n)
+intermediates alive (the images of the basis, summed in place, one X b_i
+product and one T_k b_i T_k buffer), each of at most _FORM_BLOCK_ENTRIES
+entries (1 MB) unless a single step needs more.
 """
 
 import math
@@ -62,9 +65,15 @@ class DegeneracyReport:
     verdict: str
 
     def as_dict(self):
+        """JSON-ready dict for :func:`serialize.dumps`.
+
+        The matrix and the singular values stay float ndarrays, which
+        `dumps` writes as their nested lists would be written, so the dict
+        must be rendered with `dumps`, not `json.dumps`.
+        """
         return {
-            "shooting_matrix": self.shooting_matrix.tolist(),
-            "singular_values": self.singular_values.tolist(),
+            "shooting_matrix": self.shooting_matrix,
+            "singular_values": self.singular_values,
             "sigma_min": self.sigma_min,
             "determinant": self.determinant,
             "verdict": self.verdict,
@@ -97,9 +106,12 @@ def delta_apply(traj, xi_path):
 
 
 # M is formed for blocks of steps whose (times, d, n, n) complex
-# intermediates stay below this many entries: forming a whole n = 16 grid
-# at once would hold several hundred MB of them
-_FORM_BLOCK_ENTRIES = 1 << 19
+# intermediates stay below this many entries (1 MB), or for single steps
+# where one step exceeds it.  double_bracket_matrix keeps three of them
+# alive: at most 3 MB for blocks of 7 steps at n = 8, and 6 MB for the
+# single steps (2 forming times of 2 MB) at n = 16.  Forming a whole
+# n = 16 grid at once would hold several hundred MB
+_FORM_BLOCK_ENTRIES = 1 << 16
 
 
 def shooting_matrix(traj):

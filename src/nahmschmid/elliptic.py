@@ -57,18 +57,21 @@ def _agm_scheme(kappa):
 
 @functools.lru_cache(maxsize=64)
 def _modulus_data(kappa):
-    # K and the Landen ladder depend on kappa alone; a trajectory samples
-    # one modulus thousands of times, so they are computed once per kappa
-    return complete_K(kappa), tuple(_agm_scheme(kappa))
-
-
-def _jacobi_core(u, kappa, ladder):
-    # valid for u in [-K, K]; principal arcsin branch throughout
+    # K and the descent constants depend on kappa alone; a trajectory
+    # samples one modulus thousands of times, so they are computed once per
+    # kappa: the scale 2^N a_N of the start angle and the ratios c_n / a_n
+    # for n = N..1, in the order the descent uses them
+    ladder = _agm_scheme(kappa)
     N = len(ladder) - 1
-    phi = (2.0**N) * ladder[N][0] * u
-    for n in range(N, 0, -1):
-        a_n, c_n = ladder[n]
-        phi = 0.5 * (phi + math.asin(max(-1.0, min(1.0, c_n / a_n * math.sin(phi)))))
+    ratios = tuple(c / a for a, c in reversed(ladder[1:]))
+    return complete_K(kappa), (2.0**N) * ladder[N][0], ratios
+
+
+def _jacobi_core(u, kappa, scale, ratios):
+    # valid for u in [-K, K]; principal arcsin branch throughout
+    phi = scale * u
+    for r in ratios:
+        phi = 0.5 * (phi + math.asin(max(-1.0, min(1.0, r * math.sin(phi)))))
     sn = math.sin(phi)
     cn = math.cos(phi)
     # dn from the Pythagorean identity; dn >= kappa' > 0 on the real line
@@ -89,7 +92,7 @@ def jacobi(u, kappa):
         e = math.exp(-abs(u))
         sech = 2.0 * e / (1.0 + e * e)
         return math.tanh(u), sech, sech
-    K, ladder = _modulus_data(kappa)
+    K, scale, ratios = _modulus_data(kappa)
     # reduce to [0, 4K), then to [0, 2K), then to [0, K]
     v = math.fmod(u, 4.0 * K)
     if v < 0.0:
@@ -101,5 +104,5 @@ def jacobi(u, kappa):
     if v > K:
         v = 2.0 * K - v
         sign_cn = -sign_cn
-    sn, cn, dn = _jacobi_core(v, kappa, ladder)
+    sn, cn, dn = _jacobi_core(v, kappa, scale, ratios)
     return sign_sn * sn, sign_cn * cn, dn

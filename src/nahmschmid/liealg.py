@@ -184,9 +184,10 @@ def from_coordinates(c, basis):
     return np.tensordot(np.asarray(c), basis, axes=(0, 0))
 
 
-# Images of the basis under a linear map are held as (..., n, d, n) arrays
-# whose [..., a, i, c] entry is entry (a, c) of the image of b_i: in that
-# layout X b_i for all i is one GEMM against the concatenated basis.
+# Images of the basis under a linear map are held as (..., d, n, n) arrays
+# whose [..., i, :, :] entry is the image of b_i.  X b_i for all i is one
+# GEMM against the concatenated basis, which leaves it in the (..., n, d, n)
+# layout; callers add it to an image array through a swapaxes view.
 
 
 def _times_basis(X, basis):
@@ -197,10 +198,9 @@ def _times_basis(X, basis):
 
 
 def _basis_times(X, basis):
-    """b_i X for every basis element, as (..., n, d, n)."""
+    """b_i X for every basis element, as (..., d, n, n)."""
     d, n = basis.shape[0], basis.shape[-1]
-    prod = (basis.reshape(d * n, n) @ X).reshape(X.shape[:-2] + (d, n, n))
-    return prod.swapaxes(-3, -2)
+    return (basis.reshape(d * n, n) @ X).reshape(X.shape[:-2] + (d, n, n))
 
 
 def _coordinates_of_images(Y, basis):
@@ -208,12 +208,12 @@ def _coordinates_of_images(Y, basis):
 
     The coordinate map Y -> <b_j, Y> = -INNER_SCALE * Re tr(b_j Y) is one
     real GEMM between the interleaved (re, im) entries of Y and a (d, 2n^2)
-    matrix built from the basis.
+    matrix built from the basis.  A C-contiguous Y is read in place.
     """
     d = basis.shape[0]
     bt = basis.swapaxes(-1, -2)
     P = -INNER_SCALE * np.stack([bt.real, -bt.imag], axis=-1).reshape(d, -1)
-    Yc = np.ascontiguousarray(Y.swapaxes(-3, -2))  # (..., d, n, n)
+    Yc = np.ascontiguousarray(Y)
     flat = Yc.view(np.float64).reshape(-1, P.shape[1])
     A = (flat @ P.T).reshape(Yc.shape[:-2] + (d,))
     return np.ascontiguousarray(A.swapaxes(-1, -2))
@@ -227,7 +227,7 @@ def ad_matrix(X, basis):
     batch axes: X of shape (..., n, n) gives (..., d, d).
     """
     X = np.asarray(X, dtype=complex)
-    images = _times_basis(X, basis) - _basis_times(X, basis)
+    images = _times_basis(X, basis).swapaxes(-3, -2) - _basis_times(X, basis)
     return _coordinates_of_images(images, basis)
 
 
@@ -240,14 +240,21 @@ def double_bracket_matrix(T, signs, basis):
     d x 2n^2 x d GEMM maps the sum to coordinates, where squaring ad
     matrices would take K GEMMs of d x d x d.  For anti-Hermitian T_k the
     result is symmetric (ad T_k is skew).
+
+    Three complex (..., d, n, n) arrays are alive at a time: the images,
+    summed in place, one X b_i product and the buffer that each T_k b_i T_k
+    is written into and scaled in.
     """
     T = np.asarray(T, dtype=complex)
     signs = np.asarray(signs, dtype=float)
     n, d = T.shape[-1], basis.shape[0]
     Q = np.sum(signs[:, None, None] * (T @ T), axis=-3)
-    images = _times_basis(Q, basis) + _basis_times(Q, basis)
+    images = _basis_times(Q, basis)
+    images += _times_basis(Q, basis).swapaxes(-3, -2)
+    TbT = np.empty(Q.shape[:-2] + (n * d, n), dtype=complex)
     for k, s in enumerate(signs):
         Tk = T[..., k, :, :]
-        TbT = _times_basis(Tk, basis).reshape(Tk.shape[:-2] + (n * d, n)) @ Tk
-        images -= (2.0 * s) * TbT.reshape(images.shape)
+        np.matmul(_times_basis(Tk, basis).reshape(TbT.shape), Tk, out=TbT)
+        TbT *= 2.0 * s
+        images -= TbT.reshape(Q.shape[:-2] + (n, d, n)).swapaxes(-3, -2)
     return _coordinates_of_images(images, basis)

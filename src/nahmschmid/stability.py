@@ -65,8 +65,14 @@ class StabilityReport:
         return np.concatenate([np.zeros_like(root), root, -root]) + 0.0
 
     def as_dict(self):
+        """JSON-ready dict for :func:`serialize.dumps`.
+
+        operator_spectrum stays a float ndarray, which `dumps` writes as its
+        nested list would be written, so the dict must be rendered with
+        `dumps`, not `json.dumps`.
+        """
         return {
-            "operator_spectrum": self.operator_spectrum.tolist(),
+            "operator_spectrum": self.operator_spectrum,
             "dv_spectrum": [[float(z.real), float(z.imag)] for z in self.dv_spectrum],
             "stable": self.stable,
             "eta": self.eta,

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import nahmschmid
-from nahmschmid import cli, positive, serialize
+from nahmschmid import cli, degeneracy, positive, serialize
 from nahmschmid.cli import main
 from nahmschmid.elliptic import complete_K
 from nahmschmid.flow import (
@@ -374,8 +374,6 @@ def _huge_init(tmp_path):
     return init
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_cli_numerical_failure_exit_3(tmp_path):
     code = run_cli(
         ["integrate", "--init", str(_huge_init(tmp_path)), "--steps", "10",
@@ -461,6 +459,46 @@ def test_cli_factorize_samples_the_pencil_once(tmp_path, monkeypatch):
     assert run_cli(["factorize", "--kappa", "0.8", "--shift", "3.0", "--output", str(out)]) == 0
     assert json.loads(out.read_text())["factors"] is not None
     assert len(calls) == 1
+
+
+def test_cli_factorize_refused_between_samples_prints_no_factors(tmp_path, capsys):
+    # beta = 0.5 e^{i pi/64}, T1 = -0.5i(1 - 1e-3): the pencil is positive at
+    # the 64 samples and negative between them, so cyclic reduction refuses
+    # it; the output is that of a triple that is not positive at the samples
+    beta = 0.5 * np.exp(1j * np.pi / 64)
+    T1 = np.array([[-0.5j * (1 - 1e-3)]])
+    T2 = np.array([[0.5 * (beta - np.conj(beta))]])
+    T3 = np.array([[-0.5j * (beta + np.conj(beta))]])
+    init = tmp_path / "dip.json"
+    init.write_text(json.dumps({k: serialize.matrix_to_pairs(v)
+                                for k, v in (("T1", T1), ("T2", T2), ("T3", T3))}))
+    out = tmp_path / "fac.json"
+    assert run_cli(["factorize", "--init", str(init), "--output", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["positivity"]["sampled_positive"] and not data["positivity"]["certified"]
+    assert data["factors"] is None and "norm_bound" not in data
+    assert capsys.readouterr().err.startswith("factorization refused: ")
+
+
+def test_cli_degeneracy_output_equals_json_of_the_list_form(tmp_path):
+    # the report's arrays go through the template path of serialize.dumps;
+    # the text is json.dumps of the same report with nested lists
+    rng = np.random.default_rng(4)
+    quad = np.array([np.zeros((4, 4))]
+                    + [random_antihermitian(4, rng, traceless=True) / 4 for _ in range(3)])
+    init = tmp_path / "su4.json"
+    init.write_text(json.dumps(serialize.quadruple_to_obj(quad)))
+    out = tmp_path / "deg.json"
+    assert run_cli(["degeneracy", "--init", str(init), "--steps", "200",
+                    "--output", str(out)]) == 0
+    text = out.read_text()
+    data = json.loads(text)
+    traj = integrate(quad, (0.0, 1.0), SolverConfig(steps=200))
+    rep = degeneracy.degeneracy_report(traj)
+    assert len(data["report"]["singular_values"]) == 15
+    data["report"]["shooting_matrix"] = rep.shooting_matrix.tolist()
+    data["report"]["singular_values"] = rep.singular_values.tolist()
+    assert text == json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def test_cli_reproducible_bytes(tmp_path, monkeypatch):

@@ -174,8 +174,8 @@ def test_shooting_forms_each_node_once(monkeypatch):
 
 def test_streamed_shooting_failure_names_the_grid_step(monkeypatch):
     # T1 = 400 X, T0 = T2 = T3 = 0 is a constant solution whose shooting
-    # overflows at step 423 of a grid with h = 1/2000: in blocks of 64 steps
-    # that is step 39 of the seventh block, and the error names the former
+    # overflows at step 423 of a grid with h = 1/2000: in blocks of 7 steps
+    # that is step 3 of the 61st block, and the error names the former
     X = random_antihermitian(8, np.random.default_rng(1), traceless=True)
     S = np.zeros((441, 4, 8, 8), dtype=complex)
     S[:, 1] = 400.0 * X
@@ -207,6 +207,14 @@ def test_shooting_memory_does_not_grow_with_steps(monkeypatch):
     peak_short = _traced_peak(lambda: shooting_matrix(short))
     peak_long = _traced_peak(lambda: shooting_matrix(long))
     assert peak_long <= 1.1 * peak_short
+
+
+def test_shooting_memory_at_the_default_block_budget():
+    # u(8) over 200 steps: three live forming intermediates of 2^16 entries
+    # (blocks of 7 steps) peak near 4.2 MB; six of 2^19 entries would reach
+    # 44 MB
+    traj = _random_solution(8, False, False, 200)
+    assert _traced_peak(lambda: shooting_matrix(traj)) < 8e6
 
 
 def test_shooting_matrix_block_structure(nondegenerate_traj):

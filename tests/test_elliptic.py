@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from nahmschmid import elliptic
 from nahmschmid.elliptic import complete_K, jacobi
 
 
@@ -150,3 +151,43 @@ def test_jacobi_and_K_against_mpmath():
                 ref = [mpmath.ellipfun(f, u, m=m) for f in ("sn", "cn", "dn")]
                 err = max(abs(g - r) for g, r in zip(got, ref))
                 assert err < 1e-10, (kappa, u, float(err))
+
+
+def _jacobi_reference(u, kappa):
+    # the descent without cached constants: the Landen ladder is walked
+    # from a_N, c_N down, dividing c_n / a_n at every step
+    if kappa == 1.0:
+        e = math.exp(-abs(u))
+        sech = 2.0 * e / (1.0 + e * e)
+        return math.tanh(u), sech, sech
+    K, ladder = complete_K(kappa), elliptic._agm_scheme(kappa)
+    v = math.fmod(u, 4.0 * K)
+    if v < 0.0:
+        v += 4.0 * K
+    sign_sn, sign_cn = 1.0, 1.0
+    if v >= 2.0 * K:
+        v -= 2.0 * K
+        sign_sn, sign_cn = -sign_sn, -sign_cn
+    if v > K:
+        v = 2.0 * K - v
+        sign_cn = -sign_cn
+    N = len(ladder) - 1
+    phi = (2.0**N) * ladder[N][0] * v
+    for n in range(N, 0, -1):
+        a_n, c_n = ladder[n]
+        phi = 0.5 * (phi + math.asin(max(-1.0, min(1.0, c_n / a_n * math.sin(phi)))))
+    sn = math.sin(phi)
+    dn = math.sqrt(max(1.0 - (kappa * sn) ** 2, 0.0))
+    return sign_sn * sn, sign_cn * math.cos(phi), dn
+
+
+def test_jacobi_bitwise_equals_uncached_descent():
+    rng = np.random.default_rng(11)
+    for kappa in (0.0, 0.3, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-12, 1.0):
+        K = complete_K(kappa) if kappa < 1.0 else 1.0
+        multiples = [j * K for j in range(-8, 9)]
+        us = [0.0, -0.0, math.nan, *multiples, *rng.uniform(-30.0, 30.0, 200)]
+        for u in map(float, us):
+            got, ref = jacobi(u, kappa), _jacobi_reference(u, kappa)
+            # tuples of floats compare by value; the sign of zero by repr
+            assert repr(got) == repr(ref), (u, kappa)

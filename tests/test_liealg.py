@@ -173,3 +173,48 @@ def test_adjoint_layer_batches_over_leading_axes(rng):
         assert_allclose(batched.reshape(4, 9, 9)[i], single, atol=1e-13)
         for k in range(2):
             assert_allclose(ads[i, k], ad_matrix(T[i, k], basis), atol=1e-13)
+
+
+def _double_bracket_reference(T, signs, basis):
+    # the same expansion out of place: images in the (..., n, d, n) layout,
+    # a new array for every term and for the scaled T b T, and a contiguous
+    # copy for the coordinate GEMM
+    d, n = basis.shape[0], basis.shape[-1]
+    cat = basis.transpose(1, 0, 2).reshape(n, d * n)
+
+    def times_basis(X):
+        return (X.reshape(-1, n) @ cat).reshape(X.shape[:-1] + (d, n))
+
+    def basis_times(X):
+        prod = (basis.reshape(d * n, n) @ X).reshape(X.shape[:-2] + (d, n, n))
+        return prod.swapaxes(-3, -2)
+
+    signs = np.asarray(signs, dtype=float)
+    Q = np.sum(signs[:, None, None] * (T @ T), axis=-3)
+    images = times_basis(Q) + basis_times(Q)
+    for k, s in enumerate(signs):
+        Tk = T[..., k, :, :]
+        TbT = times_basis(Tk).reshape(Tk.shape[:-2] + (n * d, n)) @ Tk
+        images -= (2.0 * s) * TbT.reshape(images.shape)
+    bt = basis.swapaxes(-1, -2)
+    P = -liealg.INNER_SCALE * np.stack([bt.real, -bt.imag], axis=-1).reshape(d, -1)
+    Yc = np.ascontiguousarray(images.swapaxes(-3, -2))
+    A = (Yc.view(np.float64).reshape(-1, P.shape[1]) @ P.T).reshape(Yc.shape[:-2] + (d,))
+    return np.ascontiguousarray(A.swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("n, traceless, many", [
+    (2, True, 40), (4, True, 40), (5, True, 40), (4, False, 40), (8, True, 40), (16, True, 13),
+])
+def test_double_bracket_matrix_bitwise_equals_expansion(n, traceless, many):
+    # summing in place changes no operation on any element, so every chunk
+    # of times gives the bits of the reference on the same chunk
+    rng = np.random.default_rng([7, n, traceless])
+    basis = orthonormal_basis(n, traceless=traceless)
+    T = np.array([[random_antihermitian(n, rng, traceless=traceless) for _ in range(3)]
+                  for _ in range(many)])
+    for chunk in (T[0], T[:1], T[1:3], T[3:6], T[6:13], T):
+        D = double_bracket_matrix(chunk, (-1.0, 1.0, 1.0), basis)
+        ref = _double_bracket_reference(chunk, (-1.0, 1.0, 1.0), basis)
+        assert D.dtype == ref.dtype and D.shape == ref.shape
+        assert np.array_equal(D.view(np.uint64), ref.view(np.uint64))
