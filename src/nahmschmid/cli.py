@@ -13,7 +13,9 @@ normalisation <X, Y> = -2 Re tr(XY) of `liealg`, not an option: the
 degeneracy bound 2 sup(|T2|^2 + |T3|^2) < pi^2 holds only in it.  Exit
 codes: 0 success, 2 configuration error, 3 numerical failure.  Sweep
 points run serially: the small-matrix numpy calls of one point hold the
-GIL, so a worker pool measured no faster.
+GIL, so a worker pool measured no faster.  Handlers return a dict (JSON)
+or text (CSV); `main` alone writes it, a dict through `serialize.dumps`
+with the config echo added, then any `args.csv_report` to stderr.
 
 Initial-data files are JSON objects with components "T0".."T3" (or
 "tau1".."tau3" for stability) encoded as row-major [re, im] matrices;
@@ -133,16 +135,9 @@ def cmd_integrate(args):
     traj = _solution_trajectory(args)
     report = flow.conserved_report(traj)
     if args.format == "csv":
-        _emit(args, "\n".join(serialize.trajectory_csv_lines(traj)) + "\n")
-        sys.stderr.write(serialize.dumps(report.as_dict()))
-    else:
-        obj = {
-            "config": _config_echo(args),
-            "trajectory": serialize.trajectory_to_obj(traj),
-            "conserved": report.as_dict(),
-        }
-        _emit(args, serialize.dumps(obj))
-    return EXIT_OK
+        args.csv_report = report.as_dict()  # main writes it to stderr after the CSV
+        return "\n".join(serialize.trajectory_csv_lines(traj)) + "\n"
+    return {"trajectory": serialize.trajectory_to_obj(traj), "conserved": report.as_dict()}
 
 
 def cmd_closed_form(args):
@@ -150,44 +145,28 @@ def cmd_closed_form(args):
         args.a, args.b, args.kappa, (args.t_start, args.t_end), args.steps
     )
     if args.format == "csv":
-        _emit(args, "\n".join(serialize.trajectory_csv_lines(traj)) + "\n")
-    else:
-        obj = {
-            "config": _config_echo(args),
-            "trajectory": serialize.trajectory_to_obj(traj),
-        }
-        _emit(args, serialize.dumps(obj))
-    return EXIT_OK
+        return "\n".join(serialize.trajectory_csv_lines(traj)) + "\n"
+    return {"trajectory": serialize.trajectory_to_obj(traj)}
 
 
 def cmd_spectral(args):
     traj = _solution_trajectory(args)
     lax0 = spectral.lax_from_quadruple(traj.samples[0])
     curve = spectral.char_poly(lax0)
-    obj = {
-        "config": _config_echo(args),
+    return {
         "curve": curve.as_dict(),
         "curve_reality_defect": curve.reality_defect(),
         "isospectral_drift": spectral.isospectral_drift(traj),
         "lax_residual": spectral.lax_residual(traj),
         "conserved_C": spectral.conserved_C_from_trace(lax0),
     }
-    _emit(args, serialize.dumps(obj))
-    return EXIT_OK
 
 
 def cmd_degeneracy(args):
     traj = _solution_trajectory(args)
     rep = degeneracy.degeneracy_report(traj)
     bound, certified = degeneracy.pi_bound_precheck(traj)
-    obj = {
-        "config": _config_echo(args),
-        "report": rep.as_dict(),
-        "pi_bound": bound,
-        "pi_certified": certified,
-    }
-    _emit(args, serialize.dumps(obj))
-    return EXIT_OK
+    return {"report": rep.as_dict(), "pi_bound": bound, "pi_certified": certified}
 
 
 def cmd_factorize(args):
@@ -198,11 +177,7 @@ def cmd_factorize(args):
         T1 = quad[1] - 0.5j * args.shift * np.eye(2)
         T2, T3 = quad[2], quad[3]
     rep = positive.positivity_report(T1, T2, T3)
-    out = {
-        "config": _config_echo(args),
-        "positivity": rep.as_dict(),
-    }
-    out["factors"] = None
+    out = {"positivity": rep.as_dict(), "factors": None}
     if rep.sampled_positive:
         try:
             pair = positive.factorize_triple(T1, T2, T3)
@@ -213,8 +188,7 @@ def cmd_factorize(args):
             lhs, rhs, holds = positive.norm_bound_check(T1, T2, T3)
             out["factors"] = pair.as_dict()
             out["norm_bound"] = {"lhs": lhs, "rhs": rhs, "holds": holds}
-    _emit(args, serialize.dumps(out))
-    return EXIT_OK
+    return out
 
 
 def _triple_coefficients(text):
@@ -233,10 +207,7 @@ def cmd_stability(args):
         e1, _, _ = su2_basis()
         taus = [ci * e1 for ci in _triple_coefficients(args.triple)]
     rep = stability.stability_spectrum(*taus)
-    out = {
-        "config": _config_echo(args),
-        "report": rep.as_dict(),
-    }
+    out = {"report": rep.as_dict()}
     if args.halfline and rep.stable and rep.eta > 0:
         dirs = stability.stable_directions(rep)
         direction = stability.triple_from_coordinates(dirs[:, 0], rep.basis)
@@ -247,8 +218,7 @@ def cmd_stability(args):
             horizon=args.horizon,
         )
         out["halfline"] = res.as_dict()
-    _emit(args, serialize.dumps(out))
-    return EXIT_OK
+    return out
 
 
 def _sweep_point(params, steps):
@@ -293,8 +263,7 @@ def cmd_sweep(args):
             str(certified),
         ]
         lines.append(",".join(row))
-    _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
 _ELLIPTIC = ("--kappa", "--a", "--b")
@@ -359,14 +328,21 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _check_config(args)
-        return args.func(args)
+        out = args.func(args)
+        if isinstance(out, dict):
+            out = serialize.dumps({"config": _config_echo(args), **out})
+        _emit(args, out)
+        if getattr(args, "csv_report", None) is not None:
+            sys.stderr.write(serialize.dumps(args.csv_report))
     # LinAlgError subclasses ValueError, so it is caught before the config clause
     except (flow.NumericalFailure, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    # a MemoryError is a size asked for in the options (--steps, --horizon)
+    except (ValueError, OSError, KeyError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    return EXIT_OK
 
 
 if __name__ == "__main__":

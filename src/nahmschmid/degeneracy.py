@@ -207,5 +207,5 @@ def pi_bound_precheck(traj):
     """
     S = traj.samples
     vals = inner(S[:, 2], S[:, 2]) + inner(S[:, 3], S[:, 3])
-    bound = 2.0 * float(np.max(vals))
+    bound = 2.0 * float(np.max(vals)) + 0.0  # 0.0, not -0.0, for zero T2 and T3
     return bound, bool(bound < math.pi**2)

@@ -285,8 +285,7 @@ def gauge_apply(u_path, traj):
     udot = grids.derivative(u_path, traj.h)
     out = np.empty_like(S)
     out[:, 0] = project_antihermitian(u_path @ S[:, 0] @ uh - udot @ uh)
-    for i in (1, 2, 3):
-        out[:, i] = project_antihermitian(u_path @ S[:, i] @ uh)
+    out[:, 1:] = project_antihermitian(u_path[:, None] @ S[:, 1:] @ uh[:, None])
     return Trajectory(traj.t_start, traj.t_end, out)
 
 
@@ -319,8 +318,7 @@ def gauge_fix(traj):
     u_path = uh.conj().swapaxes(-1, -2)
     out = np.empty_like(S)
     out[:, 0] = 0.0
-    for i in (1, 2, 3):
-        out[:, i] = project_antihermitian(u_path @ S[:, i] @ uh)
+    out[:, 1:] = project_antihermitian(u_path[:, None] @ S[:, 1:] @ uh[:, None])
     return Trajectory(traj.t_start, traj.t_end, out), u_path
 
 
@@ -569,10 +567,7 @@ def su2_canonicalize(traj):
     m = rotated.samples.shape[0]
     gauge_path = np.broadcast_to(u_rot, (m, 2, 2)) @ u0
     canon_samples = rotated.samples.copy()
-    for i in (1, 2, 3):
-        canon_samples[:, i] = project_antihermitian(
-            u_rot @ rotated.samples[:, i] @ u_rot.conj().T
-        )
+    canon_samples[:, 1:] = project_antihermitian(u_rot @ rotated.samples[:, 1:] @ u_rot.conj().T)
     canonical = Trajectory(traj.t_start, traj.t_end, canon_samples)
     profiles = np.stack(
         [inner(canon_samples[:, i + 1], e[i]) for i in range(3)], axis=1

@@ -30,7 +30,6 @@ import numpy as np
 
 from . import grids
 from .liealg import project_antihermitian
-from .serialize import matrix_to_pairs
 
 _CIRCLE_TOL = 1e-9  # a root this close to the unit circle refuses the factorization
 _NORM_BOUND_TOL = 1e-10  # rounding slack of the norm-bound comparison
@@ -86,10 +85,13 @@ class FactorPair:
         return self.left_factor_at(zeta) @ self.right_factor_at(zeta)
 
     def as_dict(self):
+        """JSON-ready dict for :func:`serialize.dumps`, which writes the
+        complex ndarrays A and B as [re, im] pairs; render it with `dumps`,
+        not `json.dumps`."""
         margin = self.root_margin if np.isfinite(self.root_margin) else None
         return {
-            "A": matrix_to_pairs(self.A),
-            "B": matrix_to_pairs(self.B),
+            "A": self.A,
+            "B": self.B,
             "root_margin": margin,  # None when all roots sit at infinity
         }
 

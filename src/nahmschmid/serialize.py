@@ -4,10 +4,11 @@ Complex matrices are encoded row-major as nested lists of [re, im] pairs.
 JSON output is rendered with sorted keys and Python's shortest
 round-trip float encoding, so identical inputs give byte-identical files.
 
-`trajectory_to_obj` keeps its samples as float (n, n, 2) arrays (the
-[re, im] pairs as the last axis) rather than nested lists; such objects
-must be rendered with :func:`dumps`, which writes each array leaf as the
-text `json.dumps` would give its nested-list form, not with `json.dumps`.
+Objects for :func:`dumps` may hold ndarray leaves rather than nested lists:
+a float array is written as the text `json.dumps` would give its nested-list
+form, a complex array as that of its [re, im] pairs (`matrix_to_pairs`).
+`trajectory_to_obj` keeps its samples as such float (n, n, 2) views, so
+these objects must be rendered with :func:`dumps`, not with `json.dumps`.
 """
 
 import json
@@ -20,9 +21,14 @@ from .liealg import is_antihermitian, project_antihermitian
 REPROJECT_TOL = 1e-8  # anti-Hermiticity defect of loaded data that is reported
 
 
+def _pairs(M):
+    # float view of M as complex, with the [re, im] pairs as a new last axis
+    M = np.ascontiguousarray(M, dtype=complex)
+    return M.view(np.float64).reshape(M.shape + (2,))
+
+
 def matrix_to_pairs(M):
-    M = np.asarray(M, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+    return _pairs(M).tolist()
 
 
 def matrix_from_pairs(obj):
@@ -63,12 +69,6 @@ def quadruple_from_obj(obj, components=("T0", "T1", "T2", "T3")):
     return np.array(mats), warnings
 
 
-def _sample_pairs(traj):
-    # float view of the samples, shape (steps+1, 4, n, n, 2): [re, im] last
-    S = np.ascontiguousarray(traj.samples, dtype=complex)
-    return S.view(np.float64).reshape(S.shape + (2,))
-
-
 def trajectory_to_obj(traj):
     """Trajectory as a JSON-ready dict for :func:`dumps`.
 
@@ -76,7 +76,7 @@ def trajectory_to_obj(traj):
     views of `traj.samples`, not nested lists, so the object must be
     rendered with :func:`dumps`, not `json.dumps`.
     """
-    pairs = _sample_pairs(traj)
+    pairs = _pairs(traj.samples)
     return {
         "t_start": traj.t_start,
         "t_end": traj.t_end,
@@ -103,7 +103,7 @@ def trajectory_csv_lines(traj):
                 header.append(f"T{i}_{r}{c}_re")
                 header.append(f"T{i}_{r}{c}_im")
     yield ",".join(header)
-    rows = _sample_pairs(traj).reshape(traj.steps + 1, -1).tolist()
+    rows = _pairs(traj.samples).reshape(traj.steps + 1, -1).tolist()
     for t, row in zip(traj.times.tolist(), rows):
         yield ",".join(map(repr, [t] + row))
 
@@ -133,13 +133,16 @@ def dumps(obj):
     """Deterministic JSON rendering (sorted keys, round-trip floats).
 
     Float ndarray leaves are written as their nested lists would be: the
-    text is byte-identical to `json.dumps` of the `.tolist()` form.  %r of
-    a Python float is `float.__repr__`, which is what json writes.
+    text is byte-identical to `json.dumps` of the `.tolist()` form.  Complex
+    ndarray leaves are written as their [re, im] pairs, the text of
+    `json.dumps` of `matrix_to_pairs`.  %r of a Python float is
+    `float.__repr__`, which is what json writes.
     """
     held = []
 
     def hold(o):
-        if isinstance(o, np.ndarray) and o.dtype.kind == "f":
+        if isinstance(o, np.ndarray) and o.dtype.kind in "fc":
+            o = _pairs(o) if o.dtype.kind == "c" else o
             if not np.all(np.isfinite(o)):
                 raise ValueError("Out of range float values are not JSON compliant")
             held.append(o)

@@ -67,13 +67,13 @@ class StabilityReport:
     def as_dict(self):
         """JSON-ready dict for :func:`serialize.dumps`.
 
-        operator_spectrum stays a float ndarray, which `dumps` writes as its
-        nested list would be written, so the dict must be rendered with
-        `dumps`, not `json.dumps`.
+        operator_spectrum and dv_spectrum stay float and complex ndarrays,
+        which `dumps` writes as their nested lists and [re, im] pairs, so the
+        dict must be rendered with `dumps`, not `json.dumps`.
         """
         return {
             "operator_spectrum": self.operator_spectrum,
-            "dv_spectrum": [[float(z.real), float(z.imag)] for z in self.dv_spectrum],
+            "dv_spectrum": self.dv_spectrum,
             "stable": self.stable,
             "eta": self.eta,
         }
@@ -173,7 +173,7 @@ class ConvergenceResult:
 
     def as_dict(self):
         return {
-            "fitted_rate": float(self.fitted_rate),
+            "fitted_rate": None if np.isnan(self.fitted_rate) else float(self.fitted_rate),
             "max_fit_residual": float(self.max_fit_residual),
             "converged": bool(self.converged),
             "diverged": bool(self.diverged),
@@ -204,7 +204,10 @@ def halfline_convergence(
     The flow is stepped in blocks and each block is reduced to its slice
     of the deviation before the next is stepped, so memory is O(block n^2)
     for the states plus the deviation path itself, whatever the horizon.
+    A horizon that is not positive raises ValueError.
     """
+    if not horizon > 0:
+        raise ValueError(f"the horizon must be positive, got {horizon!r}")
     tau = [np.asarray(t, dtype=complex) for t in tau]
     direction = [np.asarray(v, dtype=complex) for v in direction]
     init = np.array(

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import nahmschmid
-from nahmschmid import cli, degeneracy, positive, serialize
+from nahmschmid import cli, degeneracy, positive, serialize, stability
 from nahmschmid.cli import main
 from nahmschmid.elliptic import complete_K
 from nahmschmid.flow import (
@@ -159,6 +159,28 @@ def test_dumps_rejects_non_finite_array_leaf(bad):
         serialize.dumps(obj)
     with pytest.raises(ValueError):
         serialize.dumps({"x": np.array([1.0, bad])})
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3,), (2, 1, 3)])
+def test_dumps_complex_leaf_equals_json_of_its_pairs(shape):
+    # complex leaves go through the template path as their [re, im] pairs:
+    # signed zeros, subnormals and large values keep json's round-trip text
+    vals = np.array([-0.0, 5e-324, 1e200, -1.5, 0.1, -5e-324])
+    M = (vals[: np.prod(shape)] + 1j * vals[::-1][: np.prod(shape)]).reshape(shape)
+    assert serialize.dumps(M) == json.dumps(serialize.matrix_to_pairs(M), indent=2) + "\n"
+    obj = {"b": M, "a": [M.T, {"c": M[..., ::-1]}]}
+    ref = {"b": serialize.matrix_to_pairs(M),
+           "a": [serialize.matrix_to_pairs(M.T), {"c": serialize.matrix_to_pairs(M[..., ::-1])}]}
+    assert serialize.dumps(obj) == json.dumps(ref, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf),
+                                 complex(-np.inf, 1.0)])
+def test_dumps_rejects_non_finite_complex_leaf(bad):
+    M = np.zeros((2, 2), dtype=complex)
+    M[1, 0] = bad
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        serialize.dumps({"M": M})
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +521,117 @@ def test_cli_degeneracy_output_equals_json_of_the_list_form(tmp_path):
     data["report"]["shooting_matrix"] = rep.shooting_matrix.tolist()
     data["report"]["singular_values"] = rep.singular_values.tolist()
     assert text == json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _positive_init(tmp_path, n):
+    # a triple whose pencil is positive: T1 is shifted by -i mu / 2 with mu
+    # above 2 |T1| + 2 |T2 + i T3| of the unshifted parts
+    rng = np.random.default_rng(30 + n)
+    T1, T2, T3 = (0.3 / np.sqrt(n) * random_antihermitian(n, rng) for _ in range(3))
+    mu = 2 * np.linalg.norm(T1, 2) + 2 * np.linalg.norm(T2 + 1j * T3, 2) + 0.5
+    obj = {k: serialize.matrix_to_pairs(M)
+           for k, M in (("T1", T1 - 0.5j * mu * np.eye(n)), ("T2", T2), ("T3", T3))}
+    init = tmp_path / "positive.json"
+    init.write_text(json.dumps(obj))
+    return init, obj
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cli_factorize_output_equals_json_of_the_list_form(tmp_path, n):
+    # A and B reach serialize.dumps as complex arrays; the text is json.dumps
+    # of the same output with their [re, im] pairs as nested lists
+    init, obj = _positive_init(tmp_path, n)
+    out = tmp_path / "fac.json"
+    assert run_cli(["factorize", "--init", str(init), "--output", str(out)]) == 0
+    text = out.read_text()
+    data = json.loads(text)
+    T1, T2, T3 = serialize.quadruple_from_obj(obj, ("T1", "T2", "T3"))[0]
+    pair = positive.factorize_triple(T1, T2, T3)
+    assert np.any(pair.A.imag != 0)
+    data["factors"]["A"] = serialize.matrix_to_pairs(pair.A)
+    data["factors"]["B"] = serialize.matrix_to_pairs(pair.B)
+    assert text == json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("triple", ["1,0,0", "0,1,0", "0.5,0.6,0.8"])
+def test_cli_stability_output_equals_json_of_the_list_form(tmp_path, triple):
+    # operator_spectrum and dv_spectrum reach serialize.dumps as arrays; the
+    # unstable triples give dv_spectrum imaginary parts
+    out = tmp_path / "stab.json"
+    assert run_cli(["stability", "--triple", triple, "--output", str(out)]) == 0
+    text = out.read_text()
+    data = json.loads(text)
+    e1 = su2_basis()[0]
+    rep = stability.stability_spectrum(*[float(c) * e1 for c in triple.split(",")])
+    assert np.any(rep.dv_spectrum.imag != 0) == (triple != "1,0,0")
+    data["report"]["operator_spectrum"] = rep.operator_spectrum.tolist()
+    data["report"]["dv_spectrum"] = [[float(z.real), float(z.imag)] for z in rep.dv_spectrum]
+    assert text == json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def test_cli_csv_to_a_bad_path_prints_only_the_error(tmp_path, capsys):
+    # the conservation report goes to stderr only after the CSV was written
+    bad = tmp_path / "missing" / "x.csv"
+    argv = ["integrate", "--steps", "50", "--format", "csv", "--output"]
+    assert run_cli(argv + [str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    good = tmp_path / "x.csv"
+    assert run_cli(argv + [str(good)]) == 0
+    assert good.exists()
+    assert set(json.loads(capsys.readouterr().err)) == {"scale", "initial", "drift",
+                                                         "relative_drift"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--steps", str(10**15)],
+    ["stability", "--triple", "1,0,0", "--halfline", "--horizon", "1e14"],
+])
+def test_cli_size_beyond_memory_exits_2(tmp_path, capfd, argv):
+    # arrays far beyond any address space: numpy's MemoryError is a
+    # configuration error with one line, not a traceback
+    out = tmp_path / "out.json"
+    assert run_cli(argv + ["--output", str(out)]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("horizon", ["0", "-1"])
+def test_cli_halfline_horizon_not_positive_exits_2(tmp_path, capfd, horizon):
+    # no LAPACK noise, no RuntimeWarning and no backwards run: one error line
+    out = tmp_path / "hl.json"
+    argv = ["stability", "--triple", "1,0,0", "--halfline", "--horizon", horizon]
+    assert run_cli(argv + ["--output", str(out)]) == 2
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the horizon must be positive, got {float(horizon)!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_halfline_zero_amplitude_writes_null_rate(tmp_path, capfd):
+    out = tmp_path / "hl.json"
+    argv = ["stability", "--triple", "1,0,0", "--halfline", "--amplitude", "0",
+            "--horizon", "2"]
+    assert run_cli(argv + ["--output", str(out)]) == 0
+    assert capfd.readouterr().err == ""
+    hl = json.loads(out.read_text())["halfline"]
+    assert hl["fitted_rate"] is None and hl["converged"] and not hl["diverged"]
+
+
+def test_cli_pi_bound_of_zero_T2_T3_is_positive_zero(tmp_path):
+    # inner(0, 0) is -0.0; the bound of a T1-only solution is written 0.0
+    obj = {f"T{i}": serialize.matrix_to_pairs(np.zeros((2, 2))) for i in range(4)}
+    obj["T1"] = serialize.matrix_to_pairs(0.7 * su2_basis()[0])
+    init = tmp_path / "t1.json"
+    init.write_text(json.dumps(obj))
+    out = tmp_path / "deg.json"
+    assert run_cli(["degeneracy", "--init", str(init), "--steps", "50",
+                    "--output", str(out)]) == 0
+    text = out.read_text()
+    assert '"pi_bound": 0.0,' in text and "-0.0" not in text.split('"report"')[0]
 
 
 def test_cli_reproducible_bytes(tmp_path, monkeypatch):

@@ -268,6 +268,8 @@ def test_pi_bound_pure_T1():
     samples[:, 1] = 5.0 * E1
     bound, certified = pi_bound_precheck(Trajectory(0.0, 1.0, samples))
     assert bound == 0.0 and certified
+    # inner(0, 0) is -0.0; the bound is 0.0, not -0.0
+    assert math.copysign(1.0, bound) == 1.0
 
 
 def test_pi_bound_large_solution(degenerate_traj):

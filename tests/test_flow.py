@@ -383,6 +383,41 @@ def test_gauge_fix_produces_reduced_solution(rng, elliptic_traj_b):
     assert np.max(norm(check.samples[:, 0])) < 1e-8
 
 
+def _conjugated_components(u, S):
+    # the per-component loop that the stacked conjugation of T1..T3 replaced
+    uh = u.conj().swapaxes(-1, -2)
+    return np.stack([project_antihermitian(u @ S[:, i] @ uh) for i in (1, 2, 3)], axis=1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+def test_gauge_conjugation_bitwise_equals_component_loop(n):
+    rng = np.random.default_rng(100 + n)
+    quad = np.array([random_antihermitian(n, rng) for _ in range(4)]) / n
+    traj = integrate(quad, (0.0, 1.0), SolverConfig(steps=50))
+    fixed, u_fix = gauge_fix(traj)
+    _assert_same_bits(fixed.samples[:, 1:], _conjugated_components(u_fix, traj.samples))
+    X, Y = random_antihermitian(n, rng), random_antihermitian(n, rng)
+    u = smooth_g00_path(traj.times, X, Y) @ random_unitary(n, rng)
+    out = gauge_apply(u, traj)
+    _assert_same_bits(out.samples[:, 1:], _conjugated_components(u, traj.samples))
+
+
+def test_su2_canonicalize_conjugation_bitwise_equals_component_loop(rng, elliptic_traj_b):
+    # a constant conjugation and a gauge path make T0 nonzero and the axes
+    # generic, so every stage of the canonical form acts
+    w = random_unitary(2, rng)
+    S = elliptic_traj_b.samples.copy()
+    S[:, 1:] = w @ S[:, 1:] @ w.conj().T
+    X = random_antihermitian(2, rng, traceless=True)
+    traj = gauge_apply(smooth_g00_path(elliptic_traj_b.times, X, 0.5 * X),
+                       Trajectory(0.0, 1.0, S))
+    cf = su2_canonicalize(traj)
+    rotated = lorentz_apply(cf.lorentz, gauge_fix(traj)[0])
+    u_rot = flow._su2_rotation_from_frame(cf.axes)
+    _assert_same_bits(cf.trajectory.samples[:, 1:],
+                      _conjugated_components(u_rot, rotated.samples))
+
+
 # ---------------------------------------------------------------------------
 # monodromy and boundary data
 

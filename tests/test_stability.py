@@ -217,6 +217,14 @@ def test_halfline_zero_amplitude():
                                steps_per_unit=100)
     assert np.isnan(res.fitted_rate)
     assert res.converged and not res.diverged
+    # NaN is not JSON; as_dict writes None
+    assert res.as_dict()["fitted_rate"] is None
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan")])
+def test_halfline_rejects_a_horizon_that_is_not_positive(horizon):
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        halfline_convergence([E1, Z2, Z2], [Z2, E1, Z2], horizon=horizon)
 
 
 def _commuting_triple(n, kind, rng):
