@@ -113,20 +113,21 @@ def rhs_full(T):
     return tuple(_rhs_stacked(T[1:], T[0]))
 
 
-def _rhs_stacked(Y, T0=None):
+def _rhs_stacked(Y, T0=None, out=None):
     # Y = (T1, T2, T3) of shape (3, n, n).  One gather and one stacked matmul
     # form P = (T2T3, T3T1, T1T2 | T3T2, T1T3, T2T1), and with T0 also
     # (T0T1, T0T2, T0T3 | T1T0, T2T0, T3T0), in the order `bracket` forms
     # them.  The sign is a real multiply, not a negation: -1.0 * z and -z
     # differ in the sign of zero parts, and the multiply keeps the result
-    # bitwise equal to the two-bracket form.
+    # bitwise equal to the two-bracket form.  The result is written to
+    # `out` when given (the RK4 stage buffer) and returned.
     if T0 is None:
         G = Y[_RHS_ROWS]
         P = G[0] @ G[1]
-        return _REDUCED_SIGNS * (P[:3] - P[3:])
+        return np.multiply(_REDUCED_SIGNS, P[:3] - P[3:], out=out)
     G = np.concatenate((Y, T0[None]))[_RHS_ROWS_T0]
     P = G[0] @ G[1]
-    return _REDUCED_SIGNS * (P[:3] - P[3:6]) - (P[6:9] - P[9:])
+    return np.subtract(_REDUCED_SIGNS * (P[:3] - P[3:6]), P[6:9] - P[9:], out=out)
 
 
 def integrate(T_init, t_span=(0.0, 1.0), config=None):
@@ -170,7 +171,7 @@ def _flow_blocks(T_init, t0, h, steps, out=None):
     # bitwise those of one rk4 call over all steps.  With `out`, a complex
     # (steps+1, 3, n, n) array or view, Y is the slice out[lo:hi+1].
     T0 = None if np.max(np.abs(T_init[0])) == 0.0 else T_init[0]
-    f = lambda t, Y: _rhs_stacked(Y, T0)
+    f = lambda t, Y, k: _rhs_stacked(Y, T0, out=k)
     y = T_init[1:]
     for lo in range(0, steps, _STEP_BLOCK):
         hi = min(lo + _STEP_BLOCK, steps)
@@ -295,13 +296,14 @@ def _solve_gauge_ode(coeff_nodes, h):
     This is the one gauge ODE: for anti-Hermitian A its conjugate transpose
     v = u* solves v' = v A, the right-multiplied form.  The path is
     re-unitarized after every step by the polar projection, so it stays on
-    the group instead of drifting off it.
+    the group instead of drifting off it.  The negation runs in place on
+    the product, bitwise -(A @ u).
     """
     mids = grids.midpoints(coeff_nodes)
     n = coeff_nodes.shape[-1]
     return grids.rk4_sampled(
-        lambda A, u: -(A @ u), coeff_nodes, mids, np.eye(n, dtype=complex), h,
-        project=grids.unitarize,
+        lambda A, u, k: np.negative(np.matmul(A, u, out=k), out=k), coeff_nodes, mids,
+        np.eye(n, dtype=complex), h, project=grids.unitarize,
     )
 
 

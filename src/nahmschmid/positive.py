@@ -205,9 +205,8 @@ def integrate_ab(A0, B0, t_span=(0.0, 1.0), steps=2000):
     t0, t1 = float(t_span[0]), float(t_span[1])
     h = (t1 - t0) / steps
 
-    def f(t, Y):
-        dA, dB = ab_flow_rhs(Y[0], Y[1])
-        return np.stack([dA, dB])
+    def f(t, Y, k):
+        k[0], k[1] = ab_flow_rhs(Y[0], Y[1])
 
     path = grids.rk4(f, Y0, t0, h, steps)
     return path[:, 0], path[:, 1]

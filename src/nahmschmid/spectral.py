@@ -47,9 +47,13 @@ class LaxPolynomial:
         return self.M0 + zeta * self.M1
 
     def reality_defect(self):
-        """Max violation of L2 = L0* and L1 = L1* (zero for algebra data)."""
-        d1 = np.max(np.abs(self.L2 - self.L0.conj().T))
-        d2 = np.max(np.abs(self.L1 - self.L1.conj().T))
+        """Max violation of L2 = L0* and L1 = L1* (zero for algebra data).
+
+        Coefficients stacked over samples give the maximum over the samples.
+        """
+        adj = lambda M: M.conj().swapaxes(-1, -2)
+        d1 = np.max(np.abs(self.L2 - adj(self.L0)))
+        d2 = np.max(np.abs(self.L1 - adj(self.L1)))
         return float(max(d1, d2))
 
 

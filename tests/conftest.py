@@ -22,6 +22,25 @@ def elliptic_traj_b():
     return flow.su2_closed_form_trajectory(1.0, 0.3, 0.8, (0.0, 1.0), 2000)
 
 
+@pytest.fixture(scope="session")
+def spin_images():
+    """Images (rho(e1), rho(e2), rho(e3)) = (iJz, iJy, iJx) of the su(2) basis.
+
+    J are the spin-(n-1)/2 angular momentum matrices in the basis of Jz
+    eigenvalues s, s-1, ..., -s, so rho is the irreducible representation
+    su(2) -> su(n), a Lie algebra homomorphism; rho at n = 2 is the identity
+    on `su2_basis()`.  Returns a function of n giving a (3, n, n) array.
+    """
+    def images(n):
+        s = (n - 1) / 2.0
+        m = s - np.arange(n)
+        raise_ = np.diag(np.sqrt(s * (s + 1.0) - m[1:] * (m[1:] + 1.0)), 1)  # J+
+        Jx = 0.5 * (raise_ + raise_.T)
+        Jy = -0.5j * (raise_ - raise_.T)
+        return np.array([1j * np.diag(m), 1j * Jy, 1j * Jx])
+    return images
+
+
 def _dv_reference(taus, basis):
     """Linearization of the reduced flow at a triple, as a dense real 3d x 3d matrix.
 

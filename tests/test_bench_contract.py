@@ -10,8 +10,9 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from nahmschmid import cli, degeneracy, flow, grids, serialize
+from nahmschmid import cli, degeneracy, elliptic, flow, grids, serialize, spectral
 from nahmschmid.liealg import random_antihermitian
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -123,3 +124,48 @@ def test_streamed_halfline_counts_add_up_to_one_run(monkeypatch, tmp_path):
     assert len(steps) > 1 and max(steps) == flow._STEP_BLOCK
     assert sum(steps) == expected["rk4"]
     assert len(rhs) == expected["rhs"] == 4 * expected["rk4"]
+
+
+# one catalogue job of every kind: integrate with JSON and with CSV export,
+# spectral, sweep, degeneracy from the CLI's su(2) data and from --init,
+# stability and factorize
+EVERY_KIND = [
+    ("trajectory", "int_su2_json"),
+    ("trajectory", "int_un2_csv"),
+    ("trajectory", "spec_su2"),
+    ("locus_sweep", "sweep_kappa4"),
+    ("locus_sweep", "locus_point"),
+    ("large_algebra", "shoot_su4"),
+    ("large_algebra", "stab4"),
+    ("large_algebra", "fact4"),
+]
+
+
+@pytest.mark.parametrize("workload, slot", EVERY_KIND)
+def test_every_job_kind_keeps_its_expected_counts(workload, slot, monkeypatch, tmp_path):
+    # the traced run cross-checks these counts per job; counting the same
+    # call sites here fails the suite when a kernel rewrite moves one.  The
+    # sweep shoots on a thread pool, so each wrapper appends (atomic) and
+    # the counts are summed afterwards
+    workloads = _load("workloads")
+    spec = workloads.job_spec(workload, slot, 0)
+    init_path = workloads.write_inputs([spec], str(tmp_path)).get(spec["key"])
+    seen = {key: [] for key in ("rhs", "rk4", "shoot", "jacobi", "char_poly")}
+
+    def count(module, name, key, steps=False):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            result = inner(*args, **kwargs)
+            seen[key].append(len(result) - 1 if steps else 1)
+            return result
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    count(flow, "_rhs_stacked", "rhs")
+    count(grids, "rk4", "rk4", steps=True)
+    count(grids, "rk4_sampled", "shoot", steps=True)
+    count(elliptic, "jacobi", "jacobi")
+    count(spectral, "char_poly", "char_poly")
+    workloads.run_job(spec, init_path, str(tmp_path / "out"))
+    assert {key: sum(v) for key, v in seen.items()} == workloads.expected_counts(spec)

@@ -35,6 +35,8 @@ from nahmschmid.liealg import (
     su2_basis,
 )
 
+from rk4_reference import rk4_loop_reference
+
 E1, E2, E3 = su2_basis()
 KAPPA = 0.9
 K9 = complete_K(KAPPA)
@@ -117,7 +119,7 @@ def _shooting_reference(traj):
     coeff = double_bracket_matrix(C, (-1.0, 1.0, 1.0), basis)
     Y0 = np.stack([np.zeros((d, d)), np.eye(d)])
     rhs = lambda C, Y: np.array([Y[1], C @ Y[0]])
-    path = grids.rk4_sampled(rhs, coeff[:m], coeff[m:], Y0, traj.h)
+    path = rk4_loop_reference(rhs, coeff[:m], coeff[m:], Y0, traj.h)
     return path[-1, 0]
 
 
@@ -504,7 +506,8 @@ def test_su2_shooting_is_fourth_order(a, b):
 def test_rk4_sampled_keeps_real_state_real():
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
     nodes = np.broadcast_to(A, (101, 2, 2))
-    path = grids.rk4_sampled(lambda C, y: C @ y, nodes, nodes[1:], np.eye(2), 0.01)
+    path = grids.rk4_sampled(lambda C, y, k: np.matmul(C, y, out=k), nodes, nodes[1:], np.eye(2),
+                             0.01)
     assert path.dtype == np.float64
     assert_allclose(path[-1], scipy.linalg.expm(A), atol=1e-10)
 

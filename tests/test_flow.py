@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import ellipj
 
 from nahmschmid import flow, grids
 from nahmschmid.elliptic import jacobi
@@ -44,6 +45,8 @@ from nahmschmid.liealg import (
     random_unitary,
     su2_basis,
 )
+
+from rk4_reference import rk4_reference
 
 E1, E2, E3 = su2_basis()
 Z2 = np.zeros((2, 2), dtype=complex)
@@ -134,6 +137,10 @@ def test_rhs_stacked_bitwise_equals_bracket_form(n, with_t0):
     Y = np.array([random_antihermitian(n, rng) for _ in range(3)])
     T0 = random_antihermitian(n, rng) if with_t0 else None
     _assert_same_bits(flow._rhs_stacked(Y, T0), _rhs_reference(Y, T0))
+    # written into a buffer, as the RK4 stages call it
+    k = np.empty_like(Y)
+    assert flow._rhs_stacked(Y, T0, out=k) is k
+    _assert_same_bits(k, _rhs_reference(Y, T0))
 
 
 def test_rhs_stacked_bitwise_on_su2_closed_form(elliptic_traj_b):
@@ -164,8 +171,8 @@ def test_integrate_bitwise_against_bracket_form(data, with_t0):
     steps = 200
     traj = integrate(q, (0.0, 1.5), SolverConfig(steps=steps))
     T0 = q[0] if with_t0 else None
-    ref = grids.rk4(lambda t, Y: _rhs_reference(Y, T0), q[1:], 0.0, 1.5 / steps, steps,
-                    project=project_antihermitian)
+    ref = rk4_reference(lambda t, Y: _rhs_reference(Y, T0), q[1:], 0.0, 1.5 / steps, steps,
+                        project=project_antihermitian)
     _assert_same_bits(traj.samples[:, 1:], ref)
 
 
@@ -176,8 +183,8 @@ def _integrate_reference(T_init, t_span, steps):
     T_init = np.asarray(T_init, dtype=complex)
     t0, t1 = float(t_span[0]), float(t_span[1])
     T0 = None if np.max(np.abs(T_init[0])) == 0.0 else T_init[0]
-    body = grids.rk4(lambda t, Y: flow._rhs_stacked(Y, T0), T_init[1:], t0, (t1 - t0) / steps,
-                     steps, project=project_antihermitian)
+    body = rk4_reference(lambda t, Y: flow._rhs_stacked(Y, T0), T_init[1:], t0,
+                         (t1 - t0) / steps, steps, project=project_antihermitian)
     T0_path = np.broadcast_to(T_init[0], (steps + 1,) + T_init[0].shape)
     return np.concatenate([T0_path[:, None], body], axis=1)
 
@@ -246,6 +253,31 @@ def test_integrate_matches_closed_form(elliptic_traj):
     init = su2_closed_form(1.0, 0.0, 0.8, 0.0)
     traj = integrate(init, (0.0, 1.0), SolverConfig(steps=2000))
     assert np.max(np.abs(traj.samples - elliptic_traj.samples)) < 1e-8
+
+
+def test_spin_images_are_a_representation(spin_images):
+    assert np.array_equal(spin_images(2), np.array(su2_basis()))
+    for n in (3, 4, 8):
+        rho = spin_images(n)
+        for i in range(3):
+            j, k = (i + 1) % 3, (i + 2) % 3
+            assert np.max(np.abs(bracket(rho[i], rho[j]) - rho[k])) <= 1.6e-15
+        assert np.max(np.abs(rho + rho.conj().swapaxes(-1, -2))) == 0.0
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_integrate_matches_the_spin_closed_form(spin_images, n):
+    # T_j = f_j(t) rho(e_j) solves the reduced equations exactly because
+    # rho is a homomorphism; f_j are the su(2) profiles of su2_closed_form,
+    # here from scipy's ellipj (parameter kappa^2), independent of `elliptic`
+    a, b, kappa, steps = 1.0, 0.3, 0.8, 2000
+    t = np.linspace(0.0, 1.0, steps + 1)
+    sn, cn, dn, _ = ellipj(a * t + b, kappa**2)
+    f = np.stack([a * kappa * sn, a * kappa * cn, -a * dn], axis=1)
+    exact = f[:, :, None, None] * spin_images(n)
+    init = np.concatenate([np.zeros((1, n, n)), exact[0]])
+    traj = integrate(init, (0.0, 1.0), SolverConfig(steps=steps))
+    assert np.max(np.abs(traj.samples[:, 1:] - exact)) < 1e-12
 
 
 def test_integrate_fourth_order_convergence():

@@ -3,14 +3,16 @@ import pytest
 
 from nahmschmid import degeneracy, elliptic, flow, grids, positive, spectral
 from nahmschmid.flow import SolverConfig, integrate
-from nahmschmid.liealg import random_antihermitian
+from nahmschmid.liealg import project_antihermitian, random_antihermitian, su2_basis
+
+from rk4_reference import assert_same_bits, rk4_loop_reference, rk4_reference
 
 
 def test_rk4_is_exact_for_cubic_quadrature():
     # for y' = f(t) RK4 is Simpson's rule on each step, exact for cubics;
     # wrong midpoint or end-node times would break the identity
     t0, h, steps = 0.5, 0.1, 7
-    path = grids.rk4(lambda t, y: 3.0 * t * t, 0.0, t0, h, steps)
+    path = grids.rk4(lambda t, y, k: np.copyto(k, 3.0 * t * t), 0.0, t0, h, steps)
     t = t0 + h * np.arange(steps + 1)
     assert path.dtype == np.complex128
     assert np.max(np.abs(path - (t**3 - t0**3))) < 1e-13
@@ -19,7 +21,7 @@ def test_rk4_is_exact_for_cubic_quadrature():
 def test_rk4_writes_into_out():
     # the samples land in the given view, which is returned whole: the
     # traced step count reads len(result) - 1
-    f = lambda t, y: t * y
+    f = lambda t, y, k: np.multiply(t, y, out=k)
     buf = np.zeros((8, 3), dtype=complex)
     path = grids.rk4(f, [1.0, 2.0], 0.0, 0.1, 7, out=buf[:, 1:])
     assert path.base is buf and len(path) - 1 == 7
@@ -93,3 +95,142 @@ def test_closed_form_sampling_takes_one_jacobi_per_sample(monkeypatch):
     calls = _counting(monkeypatch, "jacobi", elliptic)
     flow.su2_closed_form_trajectory(1.1, 0.2, 0.7, (0.0, 1.0), 17)
     assert len(calls) == 18
+
+
+# ---------------------------------------------------------------------------
+# the buffered loop against the functional one, bit for bit
+
+@pytest.mark.parametrize("with_t0", [False, True])
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_flow_steps_bitwise_equal_the_functional_loop(n, with_t0):
+    rng = np.random.default_rng([23, n, with_t0])
+    Y = np.array([random_antihermitian(n, rng) / n for _ in range(3)])
+    T0 = random_antihermitian(n, rng) / n if with_t0 else None
+    h, steps = 1.0 / 40, 40
+    got = grids.rk4(lambda t, Y, k: flow._rhs_stacked(Y, T0, out=k), Y, 0.25, h, steps,
+                    project=project_antihermitian)
+    ref = rk4_reference(lambda t, Y: flow._rhs_stacked(Y, T0), Y, 0.25, h, steps,
+                        project=project_antihermitian)
+    assert_same_bits(got, ref)
+
+
+@pytest.mark.parametrize("with_t0", [False, True])
+def test_su2_flow_steps_bitwise_equal_the_functional_loop(with_t0):
+    # su(2) closed-form data has exact zeros, where the sign of zero shows
+    q = flow.su2_closed_form(1.2, 0.3, 0.8, 0.0)
+    T0 = 0.4 * su2_basis()[2] if with_t0 else None
+    got = grids.rk4(lambda t, Y, k: flow._rhs_stacked(Y, T0, out=k), q[1:], 0.0, 0.01, 100,
+                    project=project_antihermitian)
+    ref = rk4_reference(lambda t, Y: flow._rhs_stacked(Y, T0), q[1:], 0.0, 0.01, 100,
+                        project=project_antihermitian)
+    assert_same_bits(got, ref)
+
+
+@pytest.mark.parametrize("d", [3, 15, 63])
+def test_second_order_layout_bitwise_equals_the_functional_loop(d):
+    # the shooting's xi'' = C xi from (0, identity), whose zeros carry signs
+    rng = np.random.default_rng([29, d])
+    steps = 30
+    C = rng.standard_normal((2 * steps + 1, d, d)) / d
+    Y0 = np.stack([np.zeros((d, d)), np.eye(d)])
+    got = grids.rk4_sampled(lambda C, Y, k: np.matmul(C, Y[0], out=k[1]), C[: steps + 1],
+                            C[steps + 1 :], Y0, 1.0 / steps, second_order=True)
+    ref = rk4_loop_reference(lambda C, Y: np.array([Y[1], C @ Y[0]]), C[: steps + 1],
+                             C[steps + 1 :], Y0, 1.0 / steps)
+    assert got.dtype == np.float64
+    assert_same_bits(got, ref)
+
+
+def test_gauge_ode_bitwise_equals_the_functional_loop(quad):
+    traj = integrate(quad, (0.0, 1.0), SolverConfig(steps=60))
+    A = traj.samples[:, 0]
+    ref = rk4_loop_reference(lambda A, u: -(A @ u), A, grids.midpoints(A),
+                             np.eye(3, dtype=complex), traj.h, project=grids.unitarize)
+    assert_same_bits(flow._solve_gauge_ode(A, traj.h), ref)
+
+
+def test_ab_flow_bitwise_equals_the_functional_loop(quad):
+    A0, B0 = quad[1], quad[2] + 1j * quad[3]
+    A, B = positive.integrate_ab(A0, B0, (0.0, 1.0), steps=50)
+    ref = rk4_reference(lambda t, Y: np.stack(positive.ab_flow_rhs(Y[0], Y[1])),
+                        np.stack([A0, B0]), 0.0, 1.0 / 50, 50)
+    assert_same_bits(np.stack([A, B], axis=1), ref)
+
+
+def test_zero_dim_state_bitwise_equals_the_functional_loop():
+    got = grids.rk4(lambda t, y, k: np.multiply(1j + t, y, out=k), 1.0 - 0.5j, 0.5, 0.1, 9)
+    ref = rk4_reference(lambda t, y: (1j + t) * y, 1.0 - 0.5j, 0.5, 0.1, 9)
+    assert got.shape == (10,)
+    assert_same_bits(got, ref)
+
+
+def test_rk4_into_a_strided_view_bitwise_equals_the_functional_loop(quad):
+    # every other row of a larger buffer: the states land in place and the
+    # rows between stay untouched
+    T0 = quad[0]
+    buf = np.zeros((2 * 21, 3, 3, 3), dtype=complex)
+    got = grids.rk4(lambda t, Y, k: flow._rhs_stacked(Y, T0, out=k), quad[1:], 0.0, 0.05, 20,
+                    project=project_antihermitian, out=buf[::2])
+    ref = rk4_reference(lambda t, Y: flow._rhs_stacked(Y, T0), quad[1:], 0.0, 0.05, 20,
+                        project=project_antihermitian)
+    assert got.base is buf
+    assert_same_bits(buf[::2], ref)
+    assert np.all(buf[1::2] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the first non-finite state names its step, wherever it falls in a call
+
+def _blowup_rhs(t_from):
+    # y' = y, infinite from the first stage evaluated after t_from on
+    return lambda t, y, k: np.multiply(np.inf if t > t_from else 1.0, y, out=k)
+
+
+def _assert_names_step(exc, j):
+    assert exc.value.step == j
+    assert str(exc.value) == f"state became non-finite at step {j}"
+
+
+@pytest.mark.parametrize("steps, j", [(9, 1), (9, 5), (9, 9), (1, 1)])
+def test_rk4_names_the_first_non_finite_step(steps, j):
+    # the first stage past node j - 1 is the midpoint of step j
+    t0, h = 0.5, 0.1
+    with pytest.raises(FloatingPointError) as exc:
+        grids.rk4(_blowup_rhs(t0 + (j - 0.75) * h), np.ones((2, 2)), t0, h, steps)
+    _assert_names_step(exc, j)
+    functional = lambda t, y: np.inf * y if t > t0 + (j - 0.75) * h else y
+    with pytest.raises(FloatingPointError) as ref:
+        rk4_reference(functional, np.ones((2, 2)), t0, h, steps)
+    assert ref.value.step == j
+
+
+@pytest.mark.parametrize("second_order", [False, True])
+@pytest.mark.parametrize("steps, j", [(9, 1), (9, 5), (9, 9), (1, 1)])
+def test_rk4_sampled_names_the_first_non_finite_step(steps, j, second_order):
+    # an infinite coefficient at the midpoint of step j, and nowhere before
+    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    nodes = np.array(np.broadcast_to(A, (steps + 1, 2, 2)))
+    mids = nodes[1:].copy()
+    mids[j - 1] = np.inf
+    if second_order:
+        rhs = lambda C, Y, k: np.matmul(C, Y[0], out=k[1])
+        y0 = np.stack([np.zeros((2, 2)), np.eye(2)])
+    else:
+        rhs = lambda C, y, k: np.matmul(C, y, out=k)
+        y0 = np.eye(2)
+    with pytest.raises(FloatingPointError) as exc:
+        grids.rk4_sampled(rhs, nodes, mids, y0, 0.1, second_order=second_order)
+    _assert_names_step(exc, j)
+
+
+@pytest.mark.parametrize("block", [1, 4, 9, 10, 256])
+def test_integrate_names_the_first_non_finite_step_in_any_block(block, monkeypatch):
+    # this su(2) data overflows at step 10 of 100: a one-step block, the
+    # second step of a block of 4, the first of a block of 9, the last of a
+    # block of 10 and a middle step of one block of 256
+    e1, e2, e3 = su2_basis()
+    init = np.array([np.zeros((2, 2)), 200.0 * e1, 100.0 * e2, 60.0 * e3])
+    monkeypatch.setattr(flow, "_STEP_BLOCK", block)
+    with pytest.raises(flow.NumericalFailure) as exc:
+        integrate(init, (0.0, 1.0), SolverConfig(steps=100))
+    assert str(exc.value) == "state became non-finite at step 10"

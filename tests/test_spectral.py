@@ -76,6 +76,20 @@ def test_lax_coefficients_and_reality(rng):
         assert_allclose(lhs, rhs, atol=1e-12)
 
 
+@pytest.mark.parametrize("m", [3, 11])
+def test_reality_defect_of_a_stacked_path_is_the_per_sample_maximum(rng, m):
+    # lax_from_quadruple of a sample stack: the adjoint swaps the matrix
+    # axes only, never the time axis
+    traj = integrate(random_quadruple(3, rng), (0.0, 1.0), SolverConfig(steps=m - 1))
+    L = lax_from_quadruple(traj.samples)
+    per_sample = [lax_from_quadruple(q).reality_defect() for q in traj.samples]
+    assert L.reality_defect() == max(per_sample) == 0.0
+    off = L.L2.copy()
+    off[m // 2, 0, 1] += 0.25
+    broken = LaxPolynomial(L.L0, L.L1, off, L.M0, L.M1)
+    assert broken.reality_defect() == 0.25
+
+
 def test_lax_residual_zero_and_solution(elliptic_traj_b):
     zero = Trajectory(0.0, 1.0, np.zeros((101, 4, 2, 2), dtype=complex))
     assert lax_residual(zero) == 0.0
