@@ -23,6 +23,7 @@ anti-Hermiticity defects above 1e-8 are reported and reprojected.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -307,6 +308,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # built on the first call of main, not at import, and reused after it:
+    # each parse fills a new namespace and no default is mutable, so one
+    # run leaves nothing behind for the next
+    return build_parser()
+
+
 def _check_config(args):
     """Reject non-finite float options, a bad --triple and --n below 1.
 
@@ -324,8 +333,7 @@ def _check_config(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_config(args)
         out = args.func(args)

@@ -113,21 +113,46 @@ def rhs_full(T):
     return tuple(_rhs_stacked(T[1:], T[0]))
 
 
-def _rhs_stacked(Y, T0=None, out=None):
+def _rhs_views(P, signs):
+    # the products, the views of them _rhs_stacked reads, and its signs
+    return P, P[:3], P[3:6], signs, P[6:9], P[9:]
+
+
+def _rhs_workspace(n, with_t0):
+    """Buffers of _rhs_stacked for one flow at size n.
+
+    The products take 6 matrices, 12 with T0, and come with their views;
+    the signs are _REDUCED_SIGNS cast to a contiguous complex (3, n, n)
+    table.
+    """
+    P = np.empty((12 if with_t0 else 6, n, n), dtype=complex)
+    return _rhs_views(P, np.broadcast_to(_REDUCED_SIGNS, (3, n, n)).astype(complex))
+
+
+def _rhs_stacked(Y, T0=None, out=None, work=None):
     # Y = (T1, T2, T3) of shape (3, n, n).  One gather and one stacked matmul
     # form P = (T2T3, T3T1, T1T2 | T3T2, T1T3, T2T1), and with T0 also
     # (T0T1, T0T2, T0T3 | T1T0, T2T0, T3T0), in the order `bracket` forms
     # them.  The sign is a real multiply, not a negation: -1.0 * z and -z
     # differ in the sign of zero parts, and the multiply keeps the result
-    # bitwise equal to the two-bracket form.  The result is written to
-    # `out` when given (the RK4 stage buffer) and returned.
+    # bitwise equal to the two-bracket form.  With `work` (_rhs_workspace)
+    # the products and their differences are written into its buffer, whose
+    # views are made once, and the signs come from its complex table: numpy
+    # casts the real signs to -1+0j and 1+0j before it multiplies anyway, so
+    # the bits are the same and only the per-call broadcast, slicing and
+    # allocations go.  Without it the same operations allocate.  The result
+    # is written to `out` when given (the RK4 stage buffer) and returned.
+    G = Y[_RHS_ROWS] if T0 is None else np.concatenate((Y, T0[None]))[_RHS_ROWS_T0]
+    if work is None:
+        work = _rhs_views(G[0] @ G[1], _REDUCED_SIGNS)
+    else:
+        np.matmul(G[0], G[1], out=work[0])
+    _, left, right, signs, left0, right0 = work
+    D = np.subtract(left, right, out=left)
     if T0 is None:
-        G = Y[_RHS_ROWS]
-        P = G[0] @ G[1]
-        return np.multiply(_REDUCED_SIGNS, P[:3] - P[3:], out=out)
-    G = np.concatenate((Y, T0[None]))[_RHS_ROWS_T0]
-    P = G[0] @ G[1]
-    return np.subtract(_REDUCED_SIGNS * (P[:3] - P[3:6]), P[6:9] - P[9:], out=out)
+        return np.multiply(signs, D, out=out)
+    np.multiply(signs, D, out=D)
+    return np.subtract(D, np.subtract(left0, right0, out=left0), out=out)
 
 
 def integrate(T_init, t_span=(0.0, 1.0), config=None):
@@ -169,9 +194,11 @@ def _flow_blocks(T_init, t0, h, steps, out=None):
     # states at steps lo..hi, so consecutive blocks share a row.  Each block
     # starts from the last state of the previous one, so the states are
     # bitwise those of one rk4 call over all steps.  With `out`, a complex
-    # (steps+1, 3, n, n) array or view, Y is the slice out[lo:hi+1].
+    # (steps+1, 3, n, n) array or view, Y is the slice out[lo:hi+1].  All
+    # right-hand sides of the flow share one _rhs_workspace.
     T0 = None if np.max(np.abs(T_init[0])) == 0.0 else T_init[0]
-    f = lambda t, Y, k: _rhs_stacked(Y, T0, out=k)
+    work = _rhs_workspace(T_init.shape[-1], T0 is not None)
+    f = lambda t, Y, k: _rhs_stacked(Y, T0, out=k, work=work)
     y = T_init[1:]
     for lo in range(0, steps, _STEP_BLOCK):
         hi = min(lo + _STEP_BLOCK, steps)
@@ -455,7 +482,12 @@ def su2_closed_form(a, b, kappa, t):
 
 
 def su2_closed_form_trajectory(a, b, kappa, t_span=(0.0, 1.0), steps=2000):
-    """Trajectory built by sampling the closed form (an exact solution)."""
+    """Trajectory built by sampling the closed form (an exact solution).
+
+    Raises ValueError when steps is below 1, as SolverConfig does.
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     t0, t1 = float(t_span[0]), float(t_span[1])
     # Python floats give the same arguments as numpy scalars, at less cost per call
     rows = [elliptic.jacobi(a * t + b, kappa) for t in np.linspace(t0, t1, steps + 1).tolist()]

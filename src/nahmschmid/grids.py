@@ -9,8 +9,11 @@ of a linear matrix ODE (:func:`rk4_sampled`).
 Right-hand sides write in place: rhs(c, y, k) writes the derivative of the
 state y into the buffer k, which has y's shape and dtype.  The loop
 allocates its stage buffers once per call and writes each new state
-straight into its row of the output, so a step allocates nothing beyond
-what the right-hand side and the projection do.
+straight into its row of the output, where the projection, when given,
+maps it in place: project(y, out=y).  So a step allocates nothing beyond
+what the right-hand side and the projection do.  For the flow that is the
+gather of the right-hand side (its products go to a workspace of the
+flow) and the conjugate copy of the anti-Hermitian projection.
 
 A second-order system y'' = f, stepped as the state (x, v), has the layout
 `second_order=True` of :func:`rk4_sampled`.  Each stage is one buffer
@@ -103,11 +106,12 @@ def rk4(f, y0, t0, h, steps, project=None, out=None):
     """Classical fixed-step RK4 for dy/dt = f(t, y); returns all samples.
 
     f(t, y, k) writes the derivative into k.  y may be an ndarray of any
-    shape.  An optional `project` map is applied after every step
-    (anti-Hermitian or unitary reprojection).  The samples are written to
-    `out` when given, a complex (steps+1, ...) array or view, and that array
-    is returned.  Raises FloatingPointError when the state stops being
-    finite; its `step` attribute is the first failing step (1-based).
+    shape.  An optional `project` map (anti-Hermitian or unitary
+    reprojection) is applied in place after every step, project(y, out=y).
+    The samples are written to `out` when given, a complex (steps+1, ...)
+    array or view, and that array is returned.  Raises FloatingPointError
+    when the state stops being finite; its `step` attribute is the first
+    failing step (1-based).
     """
     nodes = t0 + h * np.arange(steps + 1)
     y0 = np.asarray(y0, dtype=complex)
@@ -178,7 +182,7 @@ def _rk4_loop(rhs, coeff_nodes, coeff_mids, y0, h, project, out=None, second_ord
             np.add(k3, k4, out=k4)
             y = np.add(y, np.multiply(sixth, k4, out=k4), out=out[k + 1, ...])
             if project is not None:
-                y[...] = project(y)
+                project(y, out=y)
     if m > 1 and not np.isfinite(y).all():  # y is the last state
         step = next(k for k in range(1, m) if not np.isfinite(out[k, ...]).all())
         exc = FloatingPointError(f"state became non-finite at step {step}")
@@ -187,7 +191,11 @@ def _rk4_loop(rhs, coeff_nodes, coeff_mids, y0, h, project, out=None, second_ord
     return out
 
 
-def unitarize(U):
-    """Nearest unitary matrix (polar factor) via the SVD."""
+def unitarize(U, out=None):
+    """Nearest unitary matrix (polar factor) via the SVD.
+
+    The result is written to `out` when given, which may be U itself, and
+    returned; without it a new array is returned.
+    """
     W, _, Vh = np.linalg.svd(U)
-    return W @ Vh
+    return np.matmul(W, Vh, out=out)

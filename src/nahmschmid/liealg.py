@@ -30,14 +30,19 @@ class DimensionMismatchError(ValueError):
     """Raised when two algebra elements of different size are combined."""
 
 
-def project_antihermitian(X):
+def project_antihermitian(X, out=None):
     """Orthogonal projection onto anti-Hermitian matrices, X -> (X - X*)/2.
 
     Applied after floating-point constructions that should land in the
     algebra, so that accumulated rounding never leaks Hermitian parts.
+    Works on stacks (..., n, n).  The result is written to `out` when
+    given, which may be X itself (the RK4 loop projects each new state in
+    its row), and returned; without it a new array is returned.  X* is a
+    conjugate copy taken before anything is written, never a view of X.
     """
     X = np.asarray(X, dtype=complex)
-    return 0.5 * (X - X.conj().swapaxes(-1, -2))
+    D = np.subtract(X, X.conj().swapaxes(-1, -2), out=out)
+    return np.multiply(0.5, D, out=D)
 
 
 def is_antihermitian(X, tol=ANTIHERM_TOL):

@@ -289,6 +289,19 @@ def test_cli_non_finite_or_degenerate_config_exits_2(tmp_path, capsys, argv, fla
 SWEEP = ["sweep", "--param", "a", "--from", "1", "--to", "2", "--points", "2"]
 
 
+@pytest.mark.parametrize("steps", ["-1", "0"])
+@pytest.mark.parametrize("argv", [["closed-form"], SWEEP], ids=["closed-form", "sweep"])
+def test_cli_steps_below_one_exits_2(tmp_path, capfd, argv, steps):
+    # the closed form is sampled without a SolverConfig; it checks the
+    # step count itself, so no IndexError and no zero-step trajectory
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--steps", steps, "--output", str(out)]) == 2
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: steps must be >= 1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -815,11 +828,39 @@ def test_cli_sweep_two_parameters(tmp_path):
     assert len(lines) == 5
 
 
+def _python(code):
+    # a fresh interpreter that imports this checkout's package
+    src = str(Path(nahmschmid.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is imported only by the flow functions that use it, so a CLI
     # run that needs none of them does not pay for loading it
-    src = str(Path(nahmschmid.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, nahmschmid.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _python(code).stdout.strip() == "[]"
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path):
+    # main builds its parser on the first call and reuses it: a run after
+    # an --init run has no init_sha256 and writes the bytes of a run in a
+    # fresh interpreter, where importing the CLI built no parser
+    mats = (np.zeros((2, 2)),) + su2_basis()
+    obj = {f"T{i}": serialize.matrix_to_pairs(0.5 * M) for i, M in enumerate(mats)}
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps(obj))
+    argv = ["integrate", "--steps", "20", "--output"]
+    a, b, fresh = (tmp_path / f"{name}.json" for name in ("a", "b", "fresh"))
+    assert run_cli(argv + [str(a), "--init", str(init)]) == 0
+    assert "init_sha256" in json.loads(a.read_text())["config"]
+    assert run_cli(argv + [str(b)]) == 0
+    assert "init_sha256" not in json.loads(b.read_text())["config"]
+    assert cli._parser() is cli._parser()
+    code = (
+        "import sys, nahmschmid.cli as c\n"
+        "assert c._parser.cache_info().currsize == 0\n"
+        f"sys.exit(c.main({argv + [str(fresh)]!r}))"
+    )
+    _python(code)
+    assert b.read_bytes() == fresh.read_bytes()

@@ -141,6 +141,11 @@ def test_rhs_stacked_bitwise_equals_bracket_form(n, with_t0):
     k = np.empty_like(Y)
     assert flow._rhs_stacked(Y, T0, out=k) is k
     _assert_same_bits(k, _rhs_reference(Y, T0))
+    # as the flow calls it: products in the workspace, the complex sign
+    # table, the result in the stage buffer
+    k = np.empty_like(Y)
+    assert flow._rhs_stacked(Y, T0, out=k, work=flow._rhs_workspace(n, with_t0)) is k
+    _assert_same_bits(k, _rhs_reference(Y, T0))
 
 
 def test_rhs_stacked_bitwise_on_su2_closed_form(elliptic_traj_b):
@@ -148,6 +153,20 @@ def test_rhs_stacked_bitwise_on_su2_closed_form(elliptic_traj_b):
     for q in elliptic_traj_b.samples[::250]:
         for T0 in (None, 0.3 * E1, q[1]):
             _assert_same_bits(flow._rhs_stacked(q[1:], T0), _rhs_reference(q[1:], T0))
+            work = flow._rhs_workspace(2, T0 is not None)
+            _assert_same_bits(flow._rhs_stacked(q[1:], T0, work=work), _rhs_reference(q[1:], T0))
+
+
+@pytest.mark.parametrize("with_t0", [False, True])
+def test_rhs_workspace_reused_reads_no_stale_values(with_t0):
+    # one workspace on two different states, and back: each result has the
+    # bits of a fresh call
+    rng = np.random.default_rng([19, with_t0])
+    A, B = (np.array([random_antihermitian(4, rng) for _ in range(3)]) for _ in range(2))
+    T0 = random_antihermitian(4, rng) if with_t0 else None
+    work = flow._rhs_workspace(4, with_t0)
+    for Y in (A, B, A):
+        _assert_same_bits(flow._rhs_stacked(Y, T0, work=work), flow._rhs_stacked(Y, T0))
 
 
 def test_rhs_reduced_and_full_bitwise(rng, elliptic_traj_b):
@@ -308,6 +327,12 @@ def test_integrate_rejects_bad_shape():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(steps=0)
+
+
+@pytest.mark.parametrize("steps", [0, -1])
+def test_closed_form_trajectory_rejects_steps_below_one(steps):
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        su2_closed_form_trajectory(1.0, 0.0, 0.8, (0.0, 1.0), steps)
 
 
 def test_integrate_holds_constant_t0():

@@ -141,6 +141,30 @@ def test_second_order_layout_bitwise_equals_the_functional_loop(d):
     assert_same_bits(got, ref)
 
 
+def _unitarize_cases():
+    rng = np.random.default_rng(37)
+    stack = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    # one Euler step of the gauge ODE along su(2) closed-form data: exact
+    # zeros off the diagonal of the e1 part
+    T = flow.su2_closed_form_trajectory(1.0, 0.3, 0.8, (0.0, 1.0), 4).samples[:, 1]
+    su2 = np.eye(2) - 0.01 * T
+    big = rng.standard_normal((8, 3, 6)) + 1j * rng.standard_normal((8, 3, 6))
+    return {"stack": stack, "su2_zeros": su2, "strided": big[::2, ::-1, ::2]}
+
+
+@pytest.mark.parametrize("case", ["stack", "su2_zeros", "strided"])
+def test_unitarize_out_bitwise_equals_the_former_form(case):
+    U = _unitarize_cases()[case]
+    W, _, Vh = np.linalg.svd(U)
+    ref = W @ Vh  # the former body
+    before = U.copy()
+    got = grids.unitarize(U)
+    assert got is not U and np.array_equal(U, before)
+    assert_same_bits(got, ref)
+    assert grids.unitarize(U, out=U) is U
+    assert_same_bits(U, ref)
+
+
 def test_gauge_ode_bitwise_equals_the_functional_loop(quad):
     traj = integrate(quad, (0.0, 1.0), SolverConfig(steps=60))
     A = traj.samples[:, 0]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nahmschmid import liealg
+from nahmschmid import flow, liealg
 from nahmschmid.liealg import (
     ad_matrix,
     bracket,
@@ -20,6 +20,8 @@ from nahmschmid.liealg import (
     su2_basis,
     su2_from_components,
 )
+
+from rk4_reference import assert_same_bits
 
 
 def test_bracket_antisymmetry_and_closure(rng):
@@ -116,6 +118,30 @@ def test_project_antihermitian(rng):
     X = project_antihermitian(G)
     assert is_antihermitian(X, tol=1e-14)
     assert_allclose(project_antihermitian(X), X, atol=1e-15)
+
+
+def _projection_cases():
+    rng = np.random.default_rng(23)
+    stack = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
+    # su(2) closed-form states carry exact zeros; rounding-sized Hermitian
+    # parts as an RK4 step leaves them
+    su2 = flow.su2_closed_form_trajectory(1.0, 0.3, 0.8, (0.0, 1.0), 4).samples[:, 1:]
+    su2 = su2 + 1e-17 * (1.0 + 1j) * (su2 != 0)
+    big = rng.standard_normal((6, 4, 8)) + 1j * rng.standard_normal((6, 4, 8))
+    return {"stack": stack, "su2_zeros": su2, "strided": big[::2, :, ::2]}
+
+
+@pytest.mark.parametrize("case", ["stack", "su2_zeros", "strided"])
+def test_project_antihermitian_out_bitwise_equals_the_former_form(case):
+    X = _projection_cases()[case]
+    ref = 0.5 * (X - X.conj().swapaxes(-1, -2))  # the former body
+    before = X.copy()
+    got = project_antihermitian(X)
+    assert got is not X and np.array_equal(X, before)
+    assert_same_bits(got, ref)
+    # in place: the conjugate is a copy taken before the write
+    assert project_antihermitian(X, out=X) is X
+    assert_same_bits(X, ref)
 
 
 @pytest.mark.parametrize("n,traceless", [(2, False), (2, True), (3, False), (3, True)])
