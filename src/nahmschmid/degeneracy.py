@@ -154,7 +154,8 @@ def shooting_matrix(traj):
     Y = np.stack([np.zeros((d, d)), np.eye(d)])
     # second-order layout: the stage derivative (xi', M xi) holds xi' already
     rhs = lambda C, Y, k: np.matmul(C, Y[0], out=k[1])
-    C_lo = None  # M at node lo, carried from the previous block
+    # M at node lo, carried from the previous block: no row before the first
+    C_lo = np.empty((0, d, d))
     for lo in range(0, m - 1, block):
         hi = min(lo + block, m - 1)
         # the cubic midpoints of steps lo..hi-1 read nodes lo-1..hi+1, or
@@ -162,15 +163,15 @@ def shooting_matrix(traj):
         w = max(min(lo - 1, m - 4), 0)
         with np.errstate(over="raise", invalid="raise"):  # raise, not warn, on overflow
             mids = grids.midpoints(nodes[w : max(hi + 2, w + 4)])[lo - w : hi - w]
-            new = nodes[lo + (C_lo is not None) : hi + 1]
+            new = nodes[lo + len(C_lo) : hi + 1]
             C = double_bracket_matrix(np.concatenate([new, mids]), (-1.0, 1.0, 1.0), basis)
-        C_nodes = C[: len(new)] if C_lo is None else np.concatenate([C_lo[None], C[: len(new)]])
+        C_nodes = np.concatenate([C_lo, C[: len(new)]])
         try:
             Y = grids.rk4_sampled(rhs, C_nodes, C[len(new) :], Y, traj.h, second_order=True)[-1]
         except FloatingPointError as exc:
             step = lo + exc.step  # rk4 numbers the steps of its block
             raise flow.NumericalFailure(f"state became non-finite at step {step}") from exc
-        C_lo = C_nodes[-1]
+        C_lo = C_nodes[-1:]
     return Y[0]
 
 

@@ -93,10 +93,6 @@ class Trajectory:
     def times(self):
         return np.linspace(self.t_start, self.t_end, self.steps + 1)
 
-    def component(self, i):
-        """Path of the i-th component, shape (steps+1, n, n)."""
-        return self.samples[:, i]
-
 
 def rhs_reduced(T1, T2, T3):
     """Right-hand side of the reduced equations: (-[T2,T3], [T3,T1], [T1,T2])."""
@@ -113,11 +109,6 @@ def rhs_full(T):
     return tuple(_rhs_stacked(T[1:], T[0]))
 
 
-def _rhs_views(P, signs):
-    # the products, the views of them _rhs_stacked reads, and its signs
-    return P, P[:3], P[3:6], signs, P[6:9], P[9:]
-
-
 def _rhs_workspace(n, with_t0):
     """Buffers of _rhs_stacked for one flow at size n.
 
@@ -126,28 +117,26 @@ def _rhs_workspace(n, with_t0):
     table.
     """
     P = np.empty((12 if with_t0 else 6, n, n), dtype=complex)
-    return _rhs_views(P, np.broadcast_to(_REDUCED_SIGNS, (3, n, n)).astype(complex))
+    signs = np.broadcast_to(_REDUCED_SIGNS, (3, n, n)).astype(complex)
+    return P, P[:3], P[3:6], signs, P[6:9], P[9:]
 
 
 def _rhs_stacked(Y, T0=None, out=None, work=None):
     # Y = (T1, T2, T3) of shape (3, n, n).  One gather and one stacked matmul
     # form P = (T2T3, T3T1, T1T2 | T3T2, T1T3, T2T1), and with T0 also
     # (T0T1, T0T2, T0T3 | T1T0, T2T0, T3T0), in the order `bracket` forms
-    # them.  The sign is a real multiply, not a negation: -1.0 * z and -z
-    # differ in the sign of zero parts, and the multiply keeps the result
-    # bitwise equal to the two-bracket form.  With `work` (_rhs_workspace)
-    # the products and their differences are written into its buffer, whose
-    # views are made once, and the signs come from its complex table: numpy
-    # casts the real signs to -1+0j and 1+0j before it multiplies anyway, so
-    # the bits are the same and only the per-call broadcast, slicing and
-    # allocations go.  Without it the same operations allocate.  The result
-    # is written to `out` when given (the RK4 stage buffer) and returned.
+    # them.  The sign is a multiply, not a negation: -1.0 * z and -z differ
+    # in the sign of zero parts, and the multiply keeps the result bitwise
+    # equal to the two-bracket form.  The products and their differences go
+    # into `work` (_rhs_workspace, one per flow; a call without it builds
+    # its own), and the signs come from its complex table, which holds the
+    # -1+0j and 1+0j numpy would cast the real signs to.  The result is
+    # written to `out` when given (the RK4 stage buffer) and returned.
     G = Y[_RHS_ROWS] if T0 is None else np.concatenate((Y, T0[None]))[_RHS_ROWS_T0]
     if work is None:
-        work = _rhs_views(G[0] @ G[1], _REDUCED_SIGNS)
-    else:
-        np.matmul(G[0], G[1], out=work[0])
-    _, left, right, signs, left0, right0 = work
+        work = _rhs_workspace(Y.shape[-1], T0 is not None)
+    P, left, right, signs, left0, right0 = work
+    np.matmul(G[0], G[1], out=P)
     D = np.subtract(left, right, out=left)
     if T0 is None:
         return np.multiply(signs, D, out=out)

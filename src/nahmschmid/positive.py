@@ -167,7 +167,8 @@ def rosenblatt_factorize(L0, L1, L2):
     mu = np.linalg.eigvals(Binv @ A.conj().T)  # of N; the right-factor roots are -1/mu
     margin = float(np.min(1.0 / np.abs(mu[np.abs(mu) > 0]))) - 1.0 if np.any(mu != 0) else np.inf
     if margin < _CIRCLE_TOL:
-        raise NotFactorizableError("right-factor root within tolerance of the unit circle")
+        raise NotFactorizableError(
+            f"right-factor root within tolerance of the unit circle (root margin {margin:.3e})")
     pair = FactorPair(A=A, B=B, root_margin=margin)
 
     # consistency of the construction: residual at a spread of sample points

@@ -303,6 +303,27 @@ def test_cli_steps_below_one_exits_2(tmp_path, capfd, argv, steps):
 
 
 @pytest.mark.parametrize(
+    "argv, least",
+    [(["spectral"], 4), (["degeneracy"], 3), (SWEEP, 3)],
+    ids=["spectral", "degeneracy", "sweep"],
+)
+def test_cli_steps_below_the_least_exits_2_naming_it(tmp_path, capfd, argv, least):
+    # the derivative stencil of the Lax residual needs 4 steps, the cubic
+    # midpoints of the shooting 3; fewer is a config error that names
+    # --steps, raised before any numerics run
+    out = tmp_path / "out"
+    for steps in range(1, least):
+        assert run_cli(argv + ["--steps", str(steps), "--output", str(out)]) == 2
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --steps must be at least {least} "
+                                f"for {argv[0]}, got {steps}\n")
+        assert not out.exists()
+    assert run_cli(argv + ["--steps", str(least), "--output", str(out)]) == 0
+    assert out.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["closed-form", "--init", "x.json"],
@@ -513,6 +534,29 @@ def test_cli_factorize_refused_between_samples_prints_no_factors(tmp_path, capsy
     assert data["positivity"]["sampled_positive"] and not data["positivity"]["certified"]
     assert data["factors"] is None and "norm_bound" not in data
     assert capsys.readouterr().err.startswith("factorization refused: ")
+
+
+LOST_PD = "cyclic reduction lost positive definiteness"
+
+
+@pytest.mark.parametrize(
+    "shift, reason",
+    [("0.5", LOST_PD), ("0", LOST_PD), ("-3", LOST_PD),
+     # semidefinite: the least pencil eigenvalue touches 0 and the
+     # right-factor roots reach the unit circle
+     ("1", "right-factor root within tolerance of the unit circle (root margin ")],
+)
+def test_cli_factorize_not_positive_is_refused_by_cyclic_reduction(tmp_path, capsys, shift,
+                                                                   reason):
+    # cyclic reduction is the only gate: a triple that is not positive at
+    # the samples is refused by it too, with the reason on stderr
+    out = tmp_path / "fac.json"
+    assert run_cli(["factorize", f"--shift={shift}", "--output", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert not data["positivity"]["sampled_positive"]
+    assert data["factors"] is None and "norm_bound" not in data
+    err = capsys.readouterr().err
+    assert err.startswith(f"factorization refused: {reason}") and err.count("\n") == 1
 
 
 def test_cli_degeneracy_output_equals_json_of_the_list_form(tmp_path):

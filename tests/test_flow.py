@@ -146,6 +146,8 @@ def test_rhs_stacked_bitwise_equals_bracket_form(n, with_t0):
     k = np.empty_like(Y)
     assert flow._rhs_stacked(Y, T0, out=k, work=flow._rhs_workspace(n, with_t0)) is k
     _assert_same_bits(k, _rhs_reference(Y, T0))
+    # a call without a workspace builds its own: the same bits
+    _assert_same_bits(flow._rhs_stacked(Y, T0), k)
 
 
 def test_rhs_stacked_bitwise_on_su2_closed_form(elliptic_traj_b):
