@@ -50,7 +50,6 @@ from .liealg import (
     norm,
     project_antihermitian,
     su2_basis,
-    su2_from_components,
 )
 from .positive import (
     FactorPair,

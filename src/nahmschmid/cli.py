@@ -190,12 +190,19 @@ def cmd_factorize(args):
     return out
 
 
+# the stability operator holds squares of the coefficients: from about
+# 1e154 its products overflow, so larger entries are refused before any numerics
+_TRIPLE_MAX = 1e150
+
+
 def _triple_coefficients(text):
     c = [float(x) for x in text.split(",")]
     if len(c) != 3:
         raise ValueError("--triple needs three comma-separated coefficients")
     if not all(math.isfinite(x) for x in c):
         raise ValueError(f"--triple entries must be finite, got {text!r}")
+    if max(map(abs, c)) > _TRIPLE_MAX:
+        raise ValueError(f"--triple entries must be at most {_TRIPLE_MAX:g} in magnitude, got {text!r}")
     return c
 
 

@@ -376,13 +376,15 @@ def monodromy(traj):
 def principal_log_unitary(gamma):
     """Principal logarithm of a unitary matrix, as an anti-Hermitian matrix.
 
-    Fails for eigenvalues at -1 where the principal branch is undefined.
+    A unitary matrix is normal, so one QR of its eigenvectors gives an
+    orthonormal eigenbasis Q (only clusters of equal or near-equal
+    eigenvalues are mixed) and the eigenvalues are read back as the
+    Rayleigh quotients diag(Q* gamma Q).  Fails for eigenvalues at -1,
+    where the principal branch is undefined.
     """
-    import scipy.linalg  # imported here so that importing the package loads no scipy
-
     gamma = np.asarray(gamma, dtype=complex)
-    T, Q = scipy.linalg.schur(gamma, output="complex")
-    lam = np.diagonal(T)
+    Q = np.linalg.qr(np.linalg.eig(gamma)[1])[0]
+    lam = np.einsum("ji,jk,ki->i", Q.conj(), gamma, Q)
     if np.min(np.abs(lam + 1.0)) < _LOG_BRANCH_TOL:
         raise ValueError("gamma has an eigenvalue at -1; principal log undefined")
     log_lam = 1j * np.angle(lam)
@@ -509,14 +511,23 @@ class Su2CanonicalForm:
 
 
 def _su2_rotation_from_frame(X):
-    # lift the frame map X -> identity from SO(3) to SU(2); conjugation by
-    # exp(theta * (n . e)) rotates the e-basis by theta about n
-    from scipy.spatial.transform import Rotation  # here, as in principal_log_unitary
-
+    # lift the frame map X -> identity from SO(3) to SU(2): for the unit
+    # quaternion (v, w) of its rotation R, conjugation by w + 2 v.e rotates
+    # the e-basis by R.  K = 4 q q^T is read off R, and q is its row with the
+    # largest diagonal entry, normalised (Shepperd 1978) and signed to w >= 0
     R = grids.unitarize(X.T.astype(complex)).real
-    rotvec = Rotation.from_matrix(R).as_rotvec()
+    tr = np.trace(R)
+    K = np.empty((4, 4))
+    K[:3, :3] = R + R.T
+    K[range(3), range(3)] = 1.0 + 2.0 * np.diagonal(R) - tr
+    K[3, 3] = 1.0 + tr
+    K[3, :3] = K[:3, 3] = R[[2, 0, 1], [1, 2, 0]] - R[[1, 2, 0], [2, 0, 1]]
+    q = K[np.argmax(K.diagonal())]
+    q = q / np.linalg.norm(q)
+    if q[3] < 0:
+        q = -q
     e = su2_basis()
-    return exp_unitary(sum(rotvec[i] * e[i] for i in range(3)))
+    return q[3] * np.eye(2) + 2.0 * sum(q[i] * e[i] for i in range(3))
 
 
 def su2_canonicalize(traj):

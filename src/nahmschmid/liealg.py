@@ -4,8 +4,8 @@ Elements of the algebra are plain complex n x n numpy arrays that are
 anti-Hermitian (X* = -X).  The module provides the commutator, the
 Ad-invariant inner product <X,Y> = -2 Re tr(XY) (a fixed normalisation,
 the constant INNER_SCALE), the exponential map into U(n), the standard
-su(2) basis with [e1,e2] = e3 (cyclically), and random element
-generators.  Everything downstream (flows, shooting, spectral curves) is
+su(2) basis with [e1,e2] = e3 (cyclically), and a random element
+generator.  Everything downstream (flows, shooting, spectral curves) is
 built on these few primitives.  The adjoint layer
 (`ad_matrix`, `double_bracket_matrix`) turns brackets with fixed elements
 into real d x d matrices in an orthonormal basis, batched over leading
@@ -22,7 +22,6 @@ import numpy as np
 INNER_SCALE = 2.0
 
 ANTIHERM_TOL = 1e-12
-UNITARY_TOL = 1e-10
 TRACELESS_TOL = 1e-10  # largest |tr X| of a matrix taken to lie in su(n)
 
 
@@ -48,13 +47,6 @@ def project_antihermitian(X, out=None):
 def is_antihermitian(X, tol=ANTIHERM_TOL):
     X = np.asarray(X, dtype=complex)
     return bool(np.max(np.abs(X + X.conj().swapaxes(-1, -2))) <= tol)
-
-
-def is_unitary(U, tol=UNITARY_TOL):
-    U = np.asarray(U, dtype=complex)
-    n = U.shape[-1]
-    err = U @ U.conj().swapaxes(-1, -2) - np.eye(n)
-    return bool(np.max(np.abs(err)) <= tol)
 
 
 def bracket(X, Y):
@@ -113,12 +105,6 @@ def su2_basis():
     return e1, e2, e3
 
 
-def su2_from_components(f1, f2, f3):
-    """Scale the su(2) basis: returns (f1*e1, f2*e2, f3*e3)."""
-    e1, e2, e3 = su2_basis()
-    return f1 * e1, f2 * e2, f3 * e3
-
-
 def random_antihermitian(n, rng, traceless=False):
     """Random anti-Hermitian matrix with Gaussian entries.
 
@@ -129,14 +115,6 @@ def random_antihermitian(n, rng, traceless=False):
     if traceless:
         X = X - (np.trace(X) / n) * np.eye(n)
     return X
-
-
-def random_unitary(n, rng):
-    """Haar-ish random unitary from the QR decomposition of a Gaussian."""
-    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    Q, R = np.linalg.qr(G)
-    # fix the phase ambiguity of QR so the draw is well conditioned
-    return Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
 
 
 def orthonormal_basis(n, traceless=False):

@@ -15,7 +15,6 @@ import json
 
 import numpy as np
 
-from .flow import Trajectory
 from .liealg import is_antihermitian, project_antihermitian
 
 REPROJECT_TOL = 1e-8  # anti-Hermiticity defect of loaded data that is reported
@@ -84,13 +83,6 @@ def trajectory_to_obj(traj):
         "n": traj.n,
         "samples": [{f"T{i}": q[i] for i in range(4)} for q in pairs],
     }
-
-
-def trajectory_from_obj(obj):
-    samples = np.array(
-        [quadruple_from_obj(s)[0] for s in obj["samples"]]
-    )
-    return Trajectory(float(obj["t_start"]), float(obj["t_end"]), samples)
 
 
 def trajectory_csv_lines(traj):

@@ -116,7 +116,8 @@ def stability_spectrum(tau1, tau2, tau3):
         taus, tol = check_commuting(tau1, tau2, tau3)
         basis = basis_for(taus)
         op = double_bracket_matrix(taus, (-1.0, 1.0, 1.0), basis)
-    spec, vecs = np.linalg.eigh(0.5 * (op + op.T))
+        op = 0.5 * (op + op.T)
+    spec, vecs = np.linalg.eigh(op)
     pos = spec[spec > tol]
     return StabilityReport(
         operator_spectrum=spec,

@@ -22,6 +22,8 @@ from nahmschmid.flow import (
 )
 from nahmschmid.liealg import random_antihermitian, su2_basis
 
+from helpers import trajectory_from_obj
+
 
 # ---------------------------------------------------------------------------
 # serialization round trips
@@ -35,7 +37,7 @@ def test_matrix_round_trip(rng):
 def test_trajectory_round_trip():
     traj = su2_closed_form_trajectory(1.0, 0.1, 0.6, (0.0, 1.0), 20)
     obj = serialize.trajectory_to_obj(traj)
-    back = serialize.trajectory_from_obj(obj)
+    back = trajectory_from_obj(obj)
     assert back.t_start == traj.t_start and back.t_end == traj.t_end
     assert_allclose(back.samples, traj.samples, atol=0)
 
@@ -127,8 +129,8 @@ def test_export_round_trip(kind):
     traj = export_trajectory(kind)
     obj = serialize.trajectory_to_obj(traj)
     for back in (
-        serialize.trajectory_from_obj(obj),
-        serialize.trajectory_from_obj(json.loads(serialize.dumps(obj))),
+        trajectory_from_obj(obj),
+        trajectory_from_obj(json.loads(serialize.dumps(obj))),
     ):
         assert back.t_start == traj.t_start and back.t_end == traj.t_end
         assert_allclose(back.samples, traj.samples, rtol=0, atol=0)
@@ -204,7 +206,7 @@ def test_cli_integrate_json(tmp_path):
     assert data["config"]["scale"] == 2.0
     assert data["conserved"]["scale"] == 2.0
     assert max(data["conserved"]["drift"].values()) < 1e-8
-    traj = serialize.trajectory_from_obj(data["trajectory"])
+    traj = trajectory_from_obj(data["trajectory"])
     assert traj.steps == 500
 
 
@@ -229,7 +231,7 @@ def test_cli_integrate_zero_init(tmp_path):
     )
     assert code == 0
     data = json.loads(out.read_text())
-    traj = serialize.trajectory_from_obj(data["trajectory"])
+    traj = trajectory_from_obj(data["trajectory"])
     assert np.max(np.abs(traj.samples)) == 0.0
 
 
@@ -439,8 +441,20 @@ def test_cli_numerical_failure_exit_3(tmp_path):
     # entries of 1e300 overflow the products that form the double-bracket
     # matrix, which raise (FloatingPointError) before anything is written
     out = tmp_path / "stab.json"
-    assert run_cli(["stability", "--triple", "1e300,0,0", "--output", str(out)]) == 3
+    init = _triple_init(tmp_path, "1e300,0,0")
+    assert run_cli(["stability", "--init", str(init), "--output", str(out)]) == 3
     assert not out.exists()
+
+
+def _triple_init(tmp_path, triple):
+    # tau_i = c_i e1 as an --init file, which --triple's magnitude bound
+    # does not cover, so overflowing triples still reach the numerics
+    e1 = su2_basis()[0]
+    coefficients = map(float, triple.split(","))
+    obj = {f"tau{i}": serialize.matrix_to_pairs(c * e1) for i, c in enumerate(coefficients, 1)}
+    init = tmp_path / "triple.json"
+    init.write_text(json.dumps(obj))
+    return init
 
 
 @pytest.mark.filterwarnings("error")
@@ -449,9 +463,31 @@ def test_cli_stability_overflow_exits_3_without_warnings(tmp_path, capsys, tripl
     # an overflowing product raises at once instead of leaving inf and nan
     # (and numpy's RuntimeWarnings) for the commutation check and eigensolver
     out = tmp_path / "stab.json"
-    assert run_cli(["stability", "--triple", triple, "--output", str(out)]) == 3
+    init = _triple_init(tmp_path, triple)
+    assert run_cli(["stability", "--init", str(init), "--output", str(out)]) == 3
     assert capsys.readouterr().err == "numerical failure: overflow encountered in matmul\n"
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "triple, code",
+    [("1e150,0,0", 0), ("1e150,0,-1e150", 0), ("1e154,0,0", 2), ("0,-1e154,0", 2), ("1e300,0,0", 2)],
+)
+def test_cli_triple_magnitude_is_checked_before_numerics(tmp_path, capsys, triple, code):
+    # past 1e150 the squares in the stability operator overflow, so such a
+    # --triple is a config error naming the option, the only line on stderr
+    out = tmp_path / "stab.json"
+    assert run_cli(["stability", "--triple", triple, "--output", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err == f"error: --triple entries must be at most 1e+150 in magnitude, got {triple!r}\n"
+        assert not out.exists()
+        return
+    assert err == ""
+    e1 = su2_basis()[0]
+    rep = stability.stability_spectrum(*[float(c) * e1 for c in triple.split(",")])
+    assert json.loads(out.read_text())["report"] == json.loads(serialize.dumps(rep.as_dict()))
 
 
 @pytest.mark.filterwarnings("error")
@@ -713,7 +749,7 @@ def test_cli_closed_form(tmp_path):
          "--steps", "40", "--output", str(out)]
     )
     assert code == 0
-    traj = serialize.trajectory_from_obj(json.loads(out.read_text())["trajectory"])
+    traj = trajectory_from_obj(json.loads(out.read_text())["trajectory"])
     ref = su2_closed_form_trajectory(1.0, 0.0, 0.8, (0.0, 1.0), 40)
     assert_allclose(traj.samples, ref.samples, atol=1e-15)
 
@@ -879,11 +915,50 @@ def _python(code):
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is imported only by the flow functions that use it, so a CLI
-    # run that needs none of them does not pay for loading it
-    code = "import sys, nahmschmid.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    assert _python(code).stdout.strip() == "[]"
+def test_package_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: with scipy unimportable every
+    # subcommand exits 0, and the monodromy inverse and the su(2) canonical
+    # form, the two users of a matrix log and a rotation lift, still work
+    out = str(tmp_path / "out")
+    argvs = [
+        ["integrate", "--steps", "20"],
+        ["closed-form", "--steps", "20"],
+        ["spectral", "--steps", "20"],
+        ["degeneracy", "--steps", "20"],
+        ["factorize"],
+        ["stability", "--triple", "1,0,0", "--halfline", "--horizon", "1"],
+        ["sweep", "--steps", "20", "--param", "a", "--from", "1", "--to", "2", "--points", "2"],
+    ]
+    assert [argv[0] for argv in argvs] == [s[0] for s in cli._SUBCOMMANDS]
+    code = f"""
+import importlib.abc, sys
+
+
+class Blocker(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{{name}} is blocked")
+
+
+sys.meta_path.insert(0, Blocker())
+import numpy as np
+import nahmschmid
+from nahmschmid import cli, flow, liealg
+
+for argv in {argvs!r}:
+    assert cli.main(argv + ["--output", {out!r}]) == 0, argv
+traj = flow.su2_closed_form_trajectory(1.0, 0.3, 0.8, (0.0, 1.0), 400)
+X = liealg.random_antihermitian(2, np.random.default_rng(7), traceless=True)
+gamma = liealg.exp_unitary(X)
+back = flow.from_boundary_data(gamma, *traj.samples[0, 1:], flow.SolverConfig(steps=400))
+md = flow.monodromy(back)
+assert np.max(np.abs(md.gamma - gamma)) < 1e-6
+assert np.max(np.abs(np.array([md.xi1, md.xi2, md.xi3]) - traj.samples[0, 1:])) == 0.0
+# the Gram pencil's eigenvectors fix the profiles' signs only up to a rotation by pi
+ref = np.abs(flow.su2_canonicalize(traj).profiles)
+assert np.max(np.abs(np.abs(flow.su2_canonicalize(back).profiles) - ref)) < 1e-8
+"""
+    _python(code)  # raises on a failing assertion or an import of scipy
 
 
 def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path):

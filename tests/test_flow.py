@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import schur
+from scipy.spatial.transform import Rotation
 from scipy.special import ellipj
 
 from nahmschmid import flow, grids
@@ -24,6 +26,7 @@ from nahmschmid.flow import (
     lorentz_rotation,
     monodromy,
     moment_maps,
+    principal_log_unitary,
     product_split,
     quadruple_from_complex,
     residual,
@@ -42,10 +45,10 @@ from nahmschmid.liealg import (
     orthonormal_basis,
     project_antihermitian,
     random_antihermitian,
-    random_unitary,
     su2_basis,
 )
 
+from helpers import random_unitary
 from rk4_reference import rk4_reference
 
 E1, E2, E3 = su2_basis()
@@ -545,6 +548,76 @@ def test_from_boundary_data_rejects_log_branch_point():
     gamma = np.diag([-1.0 + 0j, 1.0])
     with pytest.raises(ValueError):
         from_boundary_data(gamma, Z2, Z2, Z2, SolverConfig(steps=50))
+
+
+def _schur_log(gamma):
+    # the principal log through scipy's complex Schur form, an independent route
+    T, Q = schur(gamma, output="complex")
+    return project_antihermitian((Q * (1j * np.angle(np.diagonal(T)))) @ Q.conj().T)
+
+
+def _phases(kind, n, rng):
+    if kind == "haar":
+        return None
+    if kind == "repeated":  # more than half the phases exactly equal
+        ph = rng.uniform(-3.0, 3.0, n)
+        ph[: n // 2 + 1] = ph[0]
+        return ph
+    if kind == "within_1e-9":
+        return rng.uniform(-3.0, 3.0) + 1e-9 * rng.uniform(-1.0, 1.0, n)
+    return 1e-10 * rng.standard_normal(n)  # near the identity
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+@pytest.mark.parametrize("kind", ["haar", "repeated", "within_1e-9", "near_identity"])
+def test_principal_log_matches_the_schur_form(rng, n, kind):
+    # 50 unitaries per case, 1,000 in all; eig's vectors of equal or nearly
+    # equal eigenvalues are not orthogonal until the QR makes them so
+    for _ in range(50):
+        gamma = random_unitary(n, rng)
+        ph = _phases(kind, n, rng)
+        if ph is not None:
+            gamma = (gamma * np.exp(1j * ph)) @ gamma.conj().T
+        log = principal_log_unitary(gamma)
+        assert np.max(np.abs(log - _schur_log(gamma))) < 1e-14
+        assert np.max(np.abs(exp_unitary(log) - gamma)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("offset", [0.0, 1e-12, 1e-9])
+def test_principal_log_refuses_eigenvalues_near_minus_one(rng, n, offset):
+    V = random_unitary(n, rng)
+    for ph0 in (np.pi - offset, -np.pi + offset):
+        ph = rng.uniform(-3.0, 3.0, n)
+        ph[:2] = ph0  # a double eigenvalue at the branch cut too
+        gamma = (V * np.exp(1j * ph)) @ V.conj().T
+        with pytest.raises(ValueError, match="eigenvalue at -1"):
+            principal_log_unitary(gamma)
+
+
+def _rotvec_lift(X):
+    # the frame's rotation vector from scipy, exponentiated in SU(2)
+    R = grids.unitarize(X.T.astype(complex)).real
+    rotvec = Rotation.from_matrix(R).as_rotvec()
+    return exp_unitary(sum(rotvec[i] * e for i, e in enumerate(su2_basis())))
+
+
+@pytest.mark.parametrize("angle", [0.0, 1e-12, 0.5, 2.0, np.pi - 1e-6, np.pi - 1e-12, np.pi])
+def test_su2_lift_matches_the_rotation_vector_route(rng, angle):
+    # same sign below pi (w >= 0 on both routes), equal up to sign at pi;
+    # conjugation by the lift takes the frame's axes onto the basis
+    e = np.array(su2_basis())
+    axes = [np.eye(3)[i] for i in range(3)] + [rng.standard_normal(3) for _ in range(30)]
+    for axis in axes:
+        X = Rotation.from_rotvec(angle * axis / np.linalg.norm(axis)).as_matrix()
+        u, ref = flow._su2_rotation_from_frame(X), _rotvec_lift(X)
+        err = np.max(np.abs(u - ref))
+        if angle == np.pi:
+            err = min(err, np.max(np.abs(u + ref)))
+        assert err < 1e-14
+        assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-15
+        moved = u @ np.tensordot(X.T, e, axes=1) @ u.conj().T
+        assert np.max(np.abs(moved - e)) < 1e-14
 
 
 def test_boundary_group_action_equivariance(rng, elliptic_traj_b):

@@ -12,15 +12,13 @@ from nahmschmid.liealg import (
     from_coordinates,
     inner,
     is_antihermitian,
-    is_unitary,
     orthonormal_basis,
     project_antihermitian,
     random_antihermitian,
-    random_unitary,
     su2_basis,
-    su2_from_components,
 )
 
+from helpers import is_unitary, random_unitary, su2_from_components
 from rk4_reference import assert_same_bits
 
 

@@ -19,8 +19,9 @@ from nahmschmid.liealg import (  # noqa: E402
     inner,
     norm,
     random_antihermitian,
-    random_unitary,
 )
+
+from helpers import random_unitary  # noqa: E402
 
 # few examples, no per-example time limit and no saved failing examples
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, database=None)

@@ -13,7 +13,6 @@ from nahmschmid.liealg import (
     coordinates,
     norm,
     random_antihermitian,
-    random_unitary,
     su2_basis,
 )
 from nahmschmid.stability import (
@@ -24,6 +23,8 @@ from nahmschmid.stability import (
     stable_directions,
     triple_from_coordinates,
 )
+
+from helpers import random_unitary
 
 E1, E2, E3 = su2_basis()
 Z2 = np.zeros((2, 2), dtype=complex)
@@ -99,6 +100,15 @@ def test_dv_matches_finite_difference_jacobian(dv_reference):
 def test_noncommuting_rejected():
     with pytest.raises(ValueError):
         stability_spectrum(E1, E2, Z2)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e154, 1e155, 1e300])
+def test_overflowing_triple_raises(scale):
+    # at 1e154 only the symmetrisation of the operator overflows, from 1e155
+    # its products too: both raise rather than return a NaN spectrum
+    with pytest.raises(FloatingPointError, match="overflow"):
+        stability_spectrum(scale * E1, Z2, Z2)
 
 
 def test_stable_directions_shape(dv_reference):
