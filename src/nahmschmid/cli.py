@@ -19,7 +19,8 @@ with the config echo added, then any `args.csv_report` to stderr.
 
 Initial-data files are JSON objects with components "T0".."T3" (or
 "tau1".."tau3" for stability) encoded as row-major [re, im] matrices;
-anti-Hermiticity defects above 1e-8 are reported and reprojected.
+anti-Hermiticity defects above 1e-8 are reported and reprojected, and
+an entry above 1e150/n in magnitude is a configuration error.
 """
 
 import argparse
@@ -99,11 +100,18 @@ def _emit(args, text):
                 fh.write(text[i : i + _EMIT_CHUNK])
 
 
+# input entries are at most _ENTRY_MAX/n in magnitude, --triple's at n = 1, so
+# a product of two n x n inputs stays below 1e300/n and the squares in the
+# stability operator (which overflow from about 1e154) stay finite
+_ENTRY_MAX = 1e150
+
+
 def _load_init(args, components=("T0", "T1", "T2", "T3")):
     """Matrices named `components` from the --init file; warnings go to stderr.
 
     The SHA-256 of the bytes read is kept as args.init_sha256, so the config
-    echo records the data the run used.
+    echo records the data the run used.  An entry above _ENTRY_MAX/n in
+    magnitude is refused before any numerics.
     """
     with open(args.init, "rb") as fh:
         data = fh.read()
@@ -112,6 +120,11 @@ def _load_init(args, components=("T0", "T1", "T2", "T3")):
     mats, warnings = serialize.quadruple_from_obj(obj, components)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
+    n = mats.shape[-1]
+    for name, M in zip(components, mats):
+        if np.max(np.abs(M)) > _ENTRY_MAX / n:
+            raise ValueError(f"component {name!r} has an entry above {_ENTRY_MAX:g}/n = "
+                             f"{_ENTRY_MAX / n:g} in magnitude (n = {n})")
     return mats
 
 
@@ -190,19 +203,14 @@ def cmd_factorize(args):
     return out
 
 
-# the stability operator holds squares of the coefficients: from about
-# 1e154 its products overflow, so larger entries are refused before any numerics
-_TRIPLE_MAX = 1e150
-
-
 def _triple_coefficients(text):
     c = [float(x) for x in text.split(",")]
     if len(c) != 3:
         raise ValueError("--triple needs three comma-separated coefficients")
     if not all(math.isfinite(x) for x in c):
         raise ValueError(f"--triple entries must be finite, got {text!r}")
-    if max(map(abs, c)) > _TRIPLE_MAX:
-        raise ValueError(f"--triple entries must be at most {_TRIPLE_MAX:g} in magnitude, got {text!r}")
+    if max(map(abs, c)) > _ENTRY_MAX:
+        raise ValueError(f"--triple entries must be at most {_ENTRY_MAX:g} in magnitude, got {text!r}")
     return c
 
 

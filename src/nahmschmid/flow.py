@@ -397,14 +397,19 @@ def from_boundary_data(gamma, xi1, xi2, xi3, config=None):
     Integrates the reduced equations from (xi1, xi2, xi3) and applies the
     smooth gauge path u(t) = exp(t log gamma); any other choice with the
     same endpoints differs by a gauge transformation that fixes both ends,
-    so this is a canonical representative.
+    so this is a canonical representative.  Since u' = (log gamma) u, the
+    gauged T0 = -u' u* is the constant -log gamma exactly, and T1..T3 are
+    conjugated by u(t).
     """
     cfg = config or SolverConfig()
     xi = np.array([np.zeros_like(np.asarray(xi1)), xi1, xi2, xi3], dtype=complex)
     traj = integrate(xi, (0.0, 1.0), cfg)
     xi_g = principal_log_unitary(gamma)
-    u_path = np.array([exp_unitary(t * xi_g) for t in traj.times])
-    return gauge_apply(u_path, traj)
+    u = np.array([exp_unitary(t * xi_g) for t in traj.times])
+    S = traj.samples
+    S[:, 0] = -xi_g
+    S[:, 1:] = project_antihermitian(u[:, None] @ S[:, 1:] @ u.conj().swapaxes(-1, -2)[:, None])
+    return traj
 
 
 # ---------------------------------------------------------------------------

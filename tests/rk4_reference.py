@@ -4,6 +4,8 @@ Each stage derivative is a new array returned by rhs(c, y), every step
 allocates its temporaries and finiteness is checked after every step.
 grids._rk4_loop keeps this arithmetic (the same stage inputs, sums and
 scalar multiplies) with preallocated buffers, so the two agree bit for bit.
+The A-B right-hand side in its three-temporaries form is kept here too, as
+the bitwise reference for positive._ab_rhs.
 """
 
 import numpy as np
@@ -37,6 +39,14 @@ def rk4_reference(f, y0, t0, h, steps, project=None):
     nodes = t0 + h * np.arange(steps + 1)
     y0 = np.asarray(y0, dtype=complex)
     return rk4_loop_reference(f, nodes, nodes[:-1] + h / 2, y0, h, project)
+
+
+def ab_rhs_reference(A, B):
+    """(A', B') stacked, as 0.5 * (B*B A - AB B*) and 0.5 * (A*A B - BA A*)."""
+    Ah, Bh = A.conj().swapaxes(-1, -2), B.conj().swapaxes(-1, -2)
+    dA = 0.5 * (Bh @ B @ A - A @ B @ Bh)
+    dB = 0.5 * (Ah @ A @ B - B @ A @ Ah)
+    return np.stack([dA, dB])
 
 
 def assert_same_bits(got, ref):

@@ -421,12 +421,13 @@ def test_cli_non_finite_init_entry_exits_2(tmp_path, capsys, argv, components, b
     assert not out.exists()
 
 
-def _huge_init(tmp_path):
-    # entries around 1e200 overflow inside the brackets on the first step
-    big = 1e200j * np.eye(2)
+def _huge_init(tmp_path, scale=1e100):
+    # entries around 1e100, inside the --init bound of 1e150/n, still overflow
+    # inside the brackets on the first step
+    big = scale * np.diag([1j, -1j])
     obj = {f"T{i}": serialize.matrix_to_pairs(np.zeros((2, 2))) for i in range(4)}
     obj["T2"] = serialize.matrix_to_pairs(big)
-    obj["T3"] = serialize.matrix_to_pairs(1e200 * np.array([[0, 1], [-1, 0]]))
+    obj["T3"] = serialize.matrix_to_pairs(scale * np.array([[0, 1], [-1, 0]]))
     init = tmp_path / "huge.json"
     init.write_text(json.dumps(obj))
     return init
@@ -438,17 +439,17 @@ def test_cli_numerical_failure_exit_3(tmp_path):
          "--output", str(tmp_path / "x.json")]
     )
     assert code == 3
-    # entries of 1e300 overflow the products that form the double-bracket
-    # matrix, which raise (FloatingPointError) before anything is written
+    # tau1 = 1e150 e1 is inside the --init bound, and its stability operator
+    # is finite, but the half-line flow overflows before anything is written
     out = tmp_path / "stab.json"
-    init = _triple_init(tmp_path, "1e300,0,0")
-    assert run_cli(["stability", "--init", str(init), "--output", str(out)]) == 3
+    init = _triple_init(tmp_path, "1e150,0,0")
+    assert run_cli(["stability", "--init", str(init), "--halfline", "--output", str(out)]) == 3
     assert not out.exists()
 
 
 def _triple_init(tmp_path, triple):
-    # tau_i = c_i e1 as an --init file, which --triple's magnitude bound
-    # does not cover, so overflowing triples still reach the numerics
+    # tau_i = c_i e1 as an --init file; e1 has entries of modulus 1/2, so
+    # the --init bound 1e150/2 at n = 2 is --triple's 1e150 on c_i
     e1 = su2_basis()[0]
     coefficients = map(float, triple.split(","))
     obj = {f"tau{i}": serialize.matrix_to_pairs(c * e1) for i, c in enumerate(coefficients, 1)}
@@ -459,14 +460,43 @@ def _triple_init(tmp_path, triple):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("triple", ["1e300,0,0", "1e300,1e300,0"])
-def test_cli_stability_overflow_exits_3_without_warnings(tmp_path, capsys, triple):
-    # an overflowing product raises at once instead of leaving inf and nan
-    # (and numpy's RuntimeWarnings) for the commutation check and eigensolver
+def test_cli_stability_oversized_init_exits_2_without_warnings(tmp_path, capsys, triple):
+    # entries whose stability operator would overflow are refused on load,
+    # with one line naming the first oversized component and the bound
     out = tmp_path / "stab.json"
     init = _triple_init(tmp_path, triple)
-    assert run_cli(["stability", "--init", str(init), "--output", str(out)]) == 3
-    assert capsys.readouterr().err == "numerical failure: overflow encountered in matmul\n"
+    assert run_cli(["stability", "--init", str(init), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: component 'tau1' has an entry above 1e+150/n = 5e+149 in magnitude (n = 2)\n")
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale, code", [(5e149, 3), (5.000001e149, 2), (1e200, 2)])
+@pytest.mark.parametrize("command", ["integrate", "degeneracy", "spectral"])
+def test_cli_init_entry_bound(tmp_path, capsys, command, scale, code):
+    # the bound is 1e150/n = 5e149 at n = 2: entries up to it reach the
+    # numerics as before (here the flow overflows at step 1), larger ones
+    # are config errors; either way one line on stderr and no output
+    out = tmp_path / "out.json"
+    init = _huge_init(tmp_path, scale)
+    argv = [command, "--init", str(init), "--steps", "10", "--output", str(out)]
+    assert run_cli(argv) == code
+    assert capsys.readouterr().err == (
+        "numerical failure: state became non-finite at step 1\n" if code == 3 else
+        "error: component 'T2' has an entry above 1e+150/n = 5e+149 in magnitude (n = 2)\n")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_stability_init_at_the_bound_matches_the_triple(tmp_path):
+    # tau1 = 1e150 e1 has entries of 5e149, exactly the bound at n = 2: it
+    # runs, and gives --triple 1e150,0,0's report
+    got, want = tmp_path / "init.json", tmp_path / "triple.json"
+    init = _triple_init(tmp_path, "1e150,0,0")
+    assert run_cli(["stability", "--init", str(init), "--output", str(got)]) == 0
+    assert run_cli(["stability", "--triple", "1e150,0,0", "--output", str(want)]) == 0
+    assert json.loads(got.read_text())["report"] == json.loads(want.read_text())["report"]
 
 
 @pytest.mark.filterwarnings("error")

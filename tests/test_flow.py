@@ -49,7 +49,7 @@ from nahmschmid.liealg import (
 )
 
 from helpers import random_unitary
-from rk4_reference import rk4_reference
+from rk4_reference import assert_same_bits, rk4_reference
 
 E1, E2, E3 = su2_basis()
 Z2 = np.zeros((2, 2), dtype=complex)
@@ -533,6 +533,24 @@ def test_from_boundary_data_round_trip(rng):
     for got, want in zip((md.xi1, md.xi2, md.xi3), xi):
         assert np.max(np.abs(got - want)) < 1e-12
     assert residual(traj) < 1e-5
+
+
+@pytest.mark.parametrize("steps", [50, 100, 400])
+@pytest.mark.parametrize("n", [2, 4])
+def test_from_boundary_data_t0_is_minus_log_gamma_exactly(steps, n):
+    # u(t) = exp(t log gamma) has u' u* = log gamma, so T0 is that constant
+    # at every sample, with no stencil error; T1..T3 are conjugated by u(t)
+    # as gauge_apply conjugates them
+    rng = np.random.default_rng([22, n])
+    gamma = random_unitary(n, rng)
+    xi = [random_antihermitian(n, rng) for _ in range(3)]
+    cfg = SolverConfig(steps=steps)
+    traj = from_boundary_data(gamma, *xi, cfg)
+    log_g = principal_log_unitary(gamma)
+    assert np.array_equal(traj.samples[:, 0], np.broadcast_to(-log_g, (steps + 1, n, n)))
+    reduced = integrate(np.array([np.zeros((n, n)), *xi], dtype=complex), (0.0, 1.0), cfg)
+    u = np.array([exp_unitary(t * log_g) for t in reduced.times])
+    assert_same_bits(traj.samples[:, 1:], gauge_apply(u, reduced).samples[:, 1:])
 
 
 def test_from_boundary_data_commuting_is_constant(rng):

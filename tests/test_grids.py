@@ -5,7 +5,9 @@ from nahmschmid import degeneracy, elliptic, flow, grids, positive, spectral
 from nahmschmid.flow import SolverConfig, integrate
 from nahmschmid.liealg import project_antihermitian, random_antihermitian, su2_basis
 
-from rk4_reference import assert_same_bits, rk4_loop_reference, rk4_reference
+from rk4_reference import (
+    ab_rhs_reference, assert_same_bits, rk4_loop_reference, rk4_reference,
+)
 
 
 def test_rk4_is_exact_for_cubic_quadrature():
@@ -176,7 +178,7 @@ def test_gauge_ode_bitwise_equals_the_functional_loop(quad):
 def test_ab_flow_bitwise_equals_the_functional_loop(quad):
     A0, B0 = quad[1], quad[2] + 1j * quad[3]
     A, B = positive.integrate_ab(A0, B0, (0.0, 1.0), steps=50)
-    ref = rk4_reference(lambda t, Y: np.stack(positive.ab_flow_rhs(Y[0], Y[1])),
+    ref = rk4_reference(lambda t, Y: ab_rhs_reference(Y[0], Y[1]),
                         np.stack([A0, B0]), 0.0, 1.0 / 50, 50)
     assert_same_bits(np.stack([A, B], axis=1), ref)
 

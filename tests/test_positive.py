@@ -6,6 +6,8 @@ from nahmschmid.flow import SolverConfig, integrate, su2_closed_form
 from nahmschmid.liealg import random_antihermitian, su2_basis
 from nahmschmid.positive import (
     NotFactorizableError,
+    _ab_rhs,
+    _ab_workspace,
     ab_flow_rhs,
     ab_trace_invariant,
     circle_pencil,
@@ -16,6 +18,8 @@ from nahmschmid.positive import (
     reconstruct,
     rosenblatt_factorize,
 )
+
+from rk4_reference import ab_rhs_reference, assert_same_bits
 
 E1, E2, E3 = su2_basis()
 SQ3 = np.sqrt(3.0)
@@ -244,6 +248,36 @@ def test_ab_rhs_trace_invariant_derivative(rng):
 def test_ab_rhs_shape_mismatch():
     with pytest.raises(ValueError):
         ab_flow_rhs(np.eye(2), np.eye(3))
+
+
+def _ab_kernel_matches_the_former_form(A, B):
+    ref = ab_rhs_reference(A, B)
+    Y, work = np.stack([A, B]), _ab_workspace(A.shape[-1])
+    assert_same_bits(_ab_rhs(Y), ref)
+    assert_same_bits(_ab_rhs(Y, work=work), ref)
+    out = np.empty_like(Y)
+    assert _ab_rhs(Y, out=out, work=work) is out
+    assert_same_bits(out, ref)
+    assert_same_bits(_ab_rhs(Y, work=work), ref)  # a reused workspace
+    assert_same_bits(np.stack(ab_flow_rhs(A, B)), ref)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_ab_kernel_bitwise_equals_the_former_form(n, scale):
+    rng = np.random.default_rng([22, n])
+    A, B = (scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            for _ in range(2))
+    _ab_kernel_matches_the_former_form(A, B)
+
+
+def test_ab_kernel_bitwise_equals_the_former_form_on_su2_data():
+    # closed-form su(2) data and its factors hold exact zeros, whose signs
+    # the kernel keeps
+    q = su2_closed_form(1.0, 0.0, 0.8, 0.0)
+    pair = factorize_triple(q[1] - 1.5j * np.eye(2), q[2], q[3])
+    for A, B in [(q[1], q[2] + 1j * q[3]), (E1, E2), (E1, 0.0 * E3), (pair.A, pair.B)]:
+        _ab_kernel_matches_the_former_form(*(np.asarray(M, dtype=complex) for M in (A, B)))
 
 
 def test_integrate_ab_stationary():

@@ -1,9 +1,9 @@
 """Smoke tests of the scripts in tools/.
 
 tools/layer_times.py reaches into private names of the package (the flow's
-blocks and RHS workspace, the shooting's forming budget, the second-order
-RK4 layout), so a refactor of those names shows here first.  The script is
-loaded by path and run at its smallest size.
+blocks and RHS workspace, the A-B kernel and its workspace, the shooting's
+forming budget, the second-order RK4 layout), so a refactor of those names
+shows here first.  The script is loaded by path and run at its smallest size.
 """
 
 import importlib.util
@@ -27,8 +27,9 @@ def test_layer_times_runs_and_reports_every_kernel(tmp_path, monkeypatch, capsys
     (run,) = json.loads(out.read_text())
     assert run["label"] == "smoke" and run["repeat"] == 1
     results = run["results"]
-    assert set(results) == {"rhs", "flow_step", "shoot_step", "char_poly", "double_bracket"}
+    assert set(results) == {"rhs", "flow_step", "shoot_step", "char_poly", "double_bracket",
+                            "ab_rhs", "ab_step"}
     for by_n in results.values():
         assert list(by_n) == ["2"]
         assert math.isfinite(by_n["2"]) and by_n["2"] > 0
-    assert len(capsys.readouterr().out.splitlines()) == 5
+    assert len(capsys.readouterr().out.splitlines()) == 7

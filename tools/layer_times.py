@@ -14,6 +14,11 @@ At n = 2, 4, 8, 16 it times, in seconds per call and best of REPEAT runs:
   char_poly       spectral.char_poly of the Lax polynomial of a quadruple
   double_bracket  liealg.double_bracket_matrix per time, over the block of
                   times the shooting forms at once
+  ab_rhs          the A-B factor flow's right-hand side on a (2, n, n)
+                  state: positive._ab_rhs into a stage buffer with one
+                  workspace where the checkout has it, else ab_flow_rhs
+  ab_step         one RK4 step of the A-B flow: positive.integrate_ab over
+                  AB_STEPS steps, divided by the steps
 
 Each run's time is corrected for the speed of a shared host, as the
 benchmark does: it is divided by the duration of a pure-Python reference
@@ -38,6 +43,7 @@ import time
 
 SIZES = (2, 4, 8, 16)
 REPEAT = 20
+AB_STEPS = 64
 
 
 # duration of _reference() at the nominal host speed; it only fixes the
@@ -71,7 +77,7 @@ def _best(fn, calls):
     return best
 
 
-def _kernels(n, np, flow, grids, liealg, spectral, degeneracy):
+def _kernels(n, np, flow, grids, liealg, spectral, degeneracy, positive):
     # (name, callable, calls per run, divisor to a per-unit time)
     rng = np.random.default_rng([41, n])
     scale = 0.5 / np.sqrt(n)
@@ -99,6 +105,12 @@ def _kernels(n, np, flow, grids, liealg, spectral, degeneracy):
     lax = spectral.lax_from_quadruple(quad)
     signs = (-1.0, 1.0, 1.0)
     heavy = n >= 16
+    AB = np.stack([quad[1], quad[2] + 1j * quad[3]])
+    if hasattr(positive, "_ab_rhs"):
+        work, kab = positive._ab_workspace(n), np.empty_like(AB)
+        ab_rhs = lambda: positive._ab_rhs(AB, out=kab, work=work)
+    else:
+        ab_rhs = lambda: positive.ab_flow_rhs(AB[0], AB[1])
     return [
         ("rhs", lambda: flow._rhs_stacked(Y, None, out=k, **extra), 200, 1),
         ("flow_step", flow_block, 1, steps),
@@ -109,6 +121,9 @@ def _kernels(n, np, flow, grids, liealg, spectral, degeneracy):
         ("char_poly", lambda: spectral.char_poly(lax), 2 if heavy else 10, 1),
         ("double_bracket", lambda: liealg.double_bracket_matrix(T, signs, basis),
          1 if heavy else 4, times),
+        ("ab_rhs", ab_rhs, 200, 1),
+        ("ab_step", lambda: positive.integrate_ab(AB[0], AB[1], (0.0, 1.0), steps=AB_STEPS),
+         1, AB_STEPS),
     ]
 
 
@@ -122,18 +137,19 @@ def main(argv=None):
 
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy as np
-    from nahmschmid import degeneracy, flow, grids, liealg, spectral
+    from nahmschmid import degeneracy, flow, grids, liealg, positive, spectral
 
     results = {}
     for n in SIZES:
-        for name, fn, calls, per in _kernels(n, np, flow, grids, liealg, spectral, degeneracy):
+        for name, fn, calls, per in _kernels(n, np, flow, grids, liealg, spectral, degeneracy,
+                                             positive):
             fn()  # warm-up
             results.setdefault(name, {})[str(n)] = _best(fn, calls) / per
     run = {
         "label": args.label,
         "repeat": REPEAT,
-        "unit": "s per call at the nominal host speed (flow_step, shoot_step: per step; "
-                "double_bracket: per time)",
+        "unit": "s per call at the nominal host speed (flow_step, shoot_step, ab_step: "
+                "per step; double_bracket: per time)",
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
