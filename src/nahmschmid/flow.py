@@ -8,11 +8,13 @@ matrices are
     T3' + [T0, T3] =  [T1, T2],
 
 and the reduced equations are the same system with T0 = 0.  This module
-integrates both with fixed-step RK4, audits the conserved quantities,
-implements the gauge action, gauge fixing and the monodromy map, the
-SO(1,2) action, the explicit su(2) solutions in Jacobi elliptic functions,
-the complex coordinates alpha = T0 - i T1, beta = T2 + i T3, and the
-product splitting A_i = T0 +/- T2, B_i = T1 +/- T3.
+integrates the reduced equations with fixed-step RK4, and a constant T0 as
+its exact gauge factor: the reduced solution conjugated by
+exp(-(t - t0) T0).  It audits the conserved quantities, implements the
+gauge action, gauge fixing and the monodromy map, the SO(1,2) action, the
+explicit su(2) solutions in Jacobi elliptic functions, the complex
+coordinates alpha = T0 - i T1, beta = T2 + i T3, and the product splitting
+A_i = T0 +/- T2, B_i = T1 +/- T3.
 
 A trajectory is stored as samples of shape (steps+1, 4, n, n) on a uniform
 grid; quadruples are arrays of shape (4, n, n).
@@ -26,7 +28,6 @@ from . import elliptic, grids
 from .liealg import (
     INNER_SCALE,
     bracket,
-    exp_unitary,
     inner,
     norm,
     project_antihermitian,
@@ -35,9 +36,8 @@ from .liealg import (
 
 _REDUCED_SIGNS = np.array([-1.0, 1.0, 1.0]).reshape(3, 1, 1)
 # left and right factors of the products _rhs_stacked forms, as rows of
-# (T1, T2, T3) and, in the second table, of (T1, T2, T3, T0)
+# (T1, T2, T3)
 _RHS_ROWS = np.array([[1, 2, 0, 2, 0, 1], [2, 0, 1, 1, 2, 0]])
-_RHS_ROWS_T0 = np.concatenate([_RHS_ROWS, [[3, 3, 3, 0, 1, 2], [0, 1, 2, 3, 3, 3]]], axis=1)
 _ETA = np.diag([1.0, -1.0, -1.0])
 _LOG_BRANCH_TOL = 1e-8  # eigenvalues of gamma this close to -1 have no principal log
 _CANONICAL_TOL = 1e-6  # of the Gram-pencil and fixed-axis tests of su2_canonicalize
@@ -45,6 +45,7 @@ _CANONICAL_TOL = 1e-6  # of the Gram-pencil and fixed-axis tests of su2_canonica
 # call: a block's (steps+1, 3, n, n) complex samples take 3.2 MB at n = 16,
 # so a consumer that keeps less than the samples runs in bounded memory
 _STEP_BLOCK = 256
+_GAUGE_ROWS = 32  # rows integrate conjugates at once by the gauge factor of T0
 
 
 class NumericalFailure(RuntimeError):
@@ -106,50 +107,42 @@ def rhs_full(T):
     only the three constrained derivatives are returned.
     """
     T = np.asarray(T, dtype=complex)
-    return tuple(_rhs_stacked(T[1:], T[0]))
+    return tuple(_rhs_stacked(T[1:]) - bracket(T[0][None], T[1:]))
 
 
-def _rhs_workspace(n, with_t0):
-    """Buffers of _rhs_stacked for one flow at size n.
-
-    The products take 6 matrices, 12 with T0, and come with their views;
-    the signs are _REDUCED_SIGNS cast to a contiguous complex (3, n, n)
-    table.
-    """
-    P = np.empty((12 if with_t0 else 6, n, n), dtype=complex)
+def _rhs_workspace(n):
+    """Buffers of _rhs_stacked for one flow at size n: the 6 products, their
+    halves as views, and _REDUCED_SIGNS cast to a complex (3, n, n) table."""
+    P = np.empty((6, n, n), dtype=complex)
     signs = np.broadcast_to(_REDUCED_SIGNS, (3, n, n)).astype(complex)
-    return P, P[:3], P[3:6], signs, P[6:9], P[9:]
+    return P, P[:3], P[3:], signs
 
 
-def _rhs_stacked(Y, T0=None, out=None, work=None):
+def _rhs_stacked(Y, out=None, work=None):
     # Y = (T1, T2, T3) of shape (3, n, n).  One gather and one stacked matmul
-    # form P = (T2T3, T3T1, T1T2 | T3T2, T1T3, T2T1), and with T0 also
-    # (T0T1, T0T2, T0T3 | T1T0, T2T0, T3T0), in the order `bracket` forms
-    # them.  The sign is a multiply, not a negation: -1.0 * z and -z differ
-    # in the sign of zero parts, and the multiply keeps the result bitwise
-    # equal to the two-bracket form.  The products and their differences go
-    # into `work` (_rhs_workspace, one per flow; a call without it builds
-    # its own), and the signs come from its complex table, which holds the
-    # -1+0j and 1+0j numpy would cast the real signs to.  The result is
-    # written to `out` when given (the RK4 stage buffer) and returned.
-    G = Y[_RHS_ROWS] if T0 is None else np.concatenate((Y, T0[None]))[_RHS_ROWS_T0]
+    # form P = (T2T3, T3T1, T1T2 | T3T2, T1T3, T2T1), in the order `bracket`
+    # forms them, in `work` (_rhs_workspace, one per flow; a call without it
+    # builds its own).  The sign is a multiply by the complex table, not a
+    # negation: -1.0 * z and -z differ in the sign of zero parts, and the
+    # multiply keeps the result bitwise equal to the two-bracket form.  The
+    # result is written to `out` when given (the RK4 stage buffer).
+    G = Y[_RHS_ROWS]
     if work is None:
-        work = _rhs_workspace(Y.shape[-1], T0 is not None)
-    P, left, right, signs, left0, right0 = work
+        work = _rhs_workspace(Y.shape[-1])
+    P, left, right, signs = work
     np.matmul(G[0], G[1], out=P)
-    D = np.subtract(left, right, out=left)
-    if T0 is None:
-        return np.multiply(signs, D, out=out)
-    np.multiply(signs, D, out=D)
-    return np.subtract(D, np.subtract(left0, right0, out=left0), out=out)
+    return np.multiply(signs, np.subtract(left, right, out=left), out=out)
 
 
 def integrate(T_init, t_span=(0.0, 1.0), config=None):
     """Integrate the Nahm-Schmid equations from an initial quadruple.
 
-    T0 is held at its initial value; only (T1, T2, T3) are dynamical.
-    Global existence makes a fixed-step scheme safe; accuracy is audited
-    through :func:`conserved_report`.
+    RK4 steps the reduced equations.  T0 is held at its initial value and
+    enters as its exact gauge factor: T_i = u S_i u*, u = exp(-(t - t0) T0),
+    solves the full equations when S solves the reduced ones, so the error
+    is the reduced flow's whatever the size of T0.  Global existence makes a
+    fixed-step scheme safe; accuracy is audited through
+    :func:`conserved_report`.
 
     Parameters
     ----------
@@ -168,27 +161,36 @@ def integrate(T_init, t_span=(0.0, 1.0), config=None):
     if T_init.ndim != 3 or T_init.shape[0] != 4:
         raise ValueError("initial data must be a quadruple of shape (4, n, n)")
     t0, t1 = float(t_span[0]), float(t_span[1])
+    h = (t1 - t0) / cfg.steps
 
     # each block of (T1, T2, T3) is written straight into the sample array
     samples = np.empty((cfg.steps + 1,) + T_init.shape, dtype=complex)
     samples[:, 0] = T_init[0]
-    for _ in _flow_blocks(T_init, t0, (t1 - t0) / cfg.steps, cfg.steps, out=samples[:, 1:]):
+    for _ in _flow_blocks(T_init[1:], t0, h, cfg.steps, out=samples[:, 1:]):
         pass
+    if np.max(np.abs(T_init[0])) != 0.0:
+        # -i T0 = V diag(w) V*, so u(t0 + k h) = V diag(exp(-i w k h)) V*;
+        # row 0 keeps u = 1.  Chunks are conjugated after the stepping,
+        # since consecutive blocks share their boundary row.
+        w, V = np.linalg.eigh(-1j * T_init[0])
+        for lo in range(1, cfg.steps + 1, _GAUGE_ROWS):
+            Y = samples[lo : lo + _GAUGE_ROWS, 1:]
+            kh = h * np.arange(lo, lo + len(Y))
+            u = (V * np.exp(-1j * np.multiply.outer(kh, w))[:, None, :]) @ V.conj().T
+            project_antihermitian(u[:, None] @ Y @ u.conj().swapaxes(-1, -2)[:, None], out=Y)
     return Trajectory(t0, t1, samples)
 
 
-def _flow_blocks(T_init, t0, h, steps, out=None):
-    # Steps (T1, T2, T3) from the quadruple T_init by RK4 with step h and
-    # yields (lo, Y) per block of at most _STEP_BLOCK steps: Y holds the
+def _flow_blocks(y, t0, h, steps, out=None):
+    # Steps the reduced equations from y = (T1, T2, T3) by RK4 with step h
+    # and yields (lo, Y) per block of at most _STEP_BLOCK steps: Y holds the
     # states at steps lo..hi, so consecutive blocks share a row.  Each block
     # starts from the last state of the previous one, so the states are
     # bitwise those of one rk4 call over all steps.  With `out`, a complex
     # (steps+1, 3, n, n) array or view, Y is the slice out[lo:hi+1].  All
     # right-hand sides of the flow share one _rhs_workspace.
-    T0 = None if np.max(np.abs(T_init[0])) == 0.0 else T_init[0]
-    work = _rhs_workspace(T_init.shape[-1], T0 is not None)
-    f = lambda t, Y, k: _rhs_stacked(Y, T0, out=k, work=work)
-    y = T_init[1:]
+    work = _rhs_workspace(y.shape[-1])
+    f = lambda t, Y, k: _rhs_stacked(Y, out=k, work=work)
     for lo in range(0, steps, _STEP_BLOCK):
         hi = min(lo + _STEP_BLOCK, steps)
         try:
@@ -394,22 +396,14 @@ def principal_log_unitary(gamma):
 def from_boundary_data(gamma, xi1, xi2, xi3, config=None):
     """Inverse of the monodromy map.
 
-    Integrates the reduced equations from (xi1, xi2, xi3) and applies the
-    smooth gauge path u(t) = exp(t log gamma); any other choice with the
-    same endpoints differs by a gauge transformation that fixes both ends,
-    so this is a canonical representative.  Since u' = (log gamma) u, the
-    gauged T0 = -u' u* is the constant -log gamma exactly, and T1..T3 are
-    conjugated by u(t).
+    Integrates from (-log gamma, xi1, xi2, xi3), principal log: T0 is
+    -log gamma exactly, and its gauge factor u(t) = exp(t log gamma), with
+    u(1) = gamma, conjugates the reduced solution from (xi1, xi2, xi3).  Any
+    other gauge path with these endpoints differs by a gauge transformation
+    that fixes both ends, so this is a canonical representative.
     """
-    cfg = config or SolverConfig()
-    xi = np.array([np.zeros_like(np.asarray(xi1)), xi1, xi2, xi3], dtype=complex)
-    traj = integrate(xi, (0.0, 1.0), cfg)
-    xi_g = principal_log_unitary(gamma)
-    u = np.array([exp_unitary(t * xi_g) for t in traj.times])
-    S = traj.samples
-    S[:, 0] = -xi_g
-    S[:, 1:] = project_antihermitian(u[:, None] @ S[:, 1:] @ u.conj().swapaxes(-1, -2)[:, None])
-    return traj
+    xi = np.array([-principal_log_unitary(gamma), xi1, xi2, xi3], dtype=complex)
+    return integrate(xi, (0.0, 1.0), config)
 
 
 # ---------------------------------------------------------------------------

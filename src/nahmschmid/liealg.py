@@ -91,10 +91,11 @@ def exp_unitary(X):
 
     iX is Hermitian, so exp(X) = V diag(exp(-i w)) V* with iX = V w V*.
     This keeps the result unitary to rounding, unlike scaling-and-squaring.
+    Works on stacks (..., n, n).
     """
     X = np.asarray(X, dtype=complex)
     w, V = np.linalg.eigh(1j * X)
-    return (V * np.exp(-1j * w)) @ V.conj().T
+    return (V * np.exp(-1j * w)[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
 def su2_basis():

@@ -45,7 +45,8 @@ def quadruple_to_obj(T):
 def quadruple_from_obj(obj, components=("T0", "T1", "T2", "T3")):
     """Read a quadruple (or triple) of algebra elements from decoded JSON.
 
-    Non-finite entries (JSON NaN, Infinity) raise ValueError.
+    Non-finite entries (JSON NaN, Infinity) raise ValueError, as do entries
+    so large that the defect M + M* or the projection overflows.
     Anti-Hermiticity is validated; defects above REPROJECT_TOL trigger a
     warning and reprojection onto the algebra.
     """
@@ -56,12 +57,16 @@ def quadruple_from_obj(obj, components=("T0", "T1", "T2", "T3")):
         M = matrix_from_pairs(obj[name])
         if not np.all(np.isfinite(M)):
             raise ValueError(f"component {name!r} has non-finite entries")
-        if not is_antihermitian(M, tol=REPROJECT_TOL):
-            defect = float(np.max(np.abs(M + M.conj().T)))
-            warnings.append(
-                f"{name} is not anti-Hermitian (defect {defect:.2e}); reprojected"
-            )
-        mats.append(project_antihermitian(M))
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                if not is_antihermitian(M, tol=REPROJECT_TOL):
+                    defect = float(np.max(np.abs(M + M.conj().T)))
+                    warnings.append(f"{name} is not anti-Hermitian (defect {defect:.2e}); "
+                                    "reprojected")
+                mats.append(project_antihermitian(M))
+        except FloatingPointError:
+            raise ValueError(f"component {name!r} has entries so close to the float maximum "
+                             "that its anti-Hermitian check or projection overflows") from None
     sizes = {m.shape for m in mats}
     if len(sizes) != 1:
         raise ValueError("all components must have the same size")

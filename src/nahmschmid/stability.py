@@ -211,9 +211,7 @@ def halfline_convergence(
         raise ValueError(f"the horizon must be positive, got {horizon!r}")
     tau = [np.asarray(t, dtype=complex) for t in tau]
     direction = [np.asarray(v, dtype=complex) for v in direction]
-    init = np.array(
-        [np.zeros_like(tau[0])] + [tau[i] + amplitude * direction[i] for i in range(3)]
-    )
+    init = np.array([tau[i] + amplitude * direction[i] for i in range(3)])
     steps = max(int(round(horizon * steps_per_unit)), 10)
     dev = np.empty(steps + 1)
     for lo, Y in flow._flow_blocks(init, 0.0, horizon / steps, steps):

@@ -5,10 +5,14 @@ allocates its temporaries and finiteness is checked after every step.
 grids._rk4_loop keeps this arithmetic (the same stage inputs, sums and
 scalar multiplies) with preallocated buffers, so the two agree bit for bit.
 The A-B right-hand side in its three-temporaries form is kept here too, as
-the bitwise reference for positive._ab_rhs.
+the bitwise reference for positive._ab_rhs, and the gauge factor of a
+constant T0 over a whole path at once, as the bitwise reference for the
+chunked, in-place conjugation in flow.integrate.
 """
 
 import numpy as np
+
+from nahmschmid.liealg import project_antihermitian
 
 
 def rk4_loop_reference(rhs, coeff_nodes, coeff_mids, y0, h, project=None):
@@ -39,6 +43,19 @@ def rk4_reference(f, y0, t0, h, steps, project=None):
     nodes = t0 + h * np.arange(steps + 1)
     y0 = np.asarray(y0, dtype=complex)
     return rk4_loop_reference(f, nodes, nodes[:-1] + h / 2, y0, h, project)
+
+
+def gauge_factor_reference(T0, Y, h):
+    """Reduced states Y (m, 3, n, n) at t0 + k h conjugated by u = exp(-k h T0).
+
+    u comes from one eigendecomposition -i T0 = V diag(w) V*, as
+    V diag(exp(-i w k h)) V*; row 0 (u = 1) is returned as it is.
+    """
+    w, V = np.linalg.eigh(-1j * T0)
+    k = np.arange(1, len(Y))
+    u = (V * np.exp(-1j * np.multiply.outer(h * k, w))[:, None, :]) @ V.conj().T
+    conj = project_antihermitian(u[:, None] @ Y[1:] @ u.conj().swapaxes(-1, -2)[:, None])
+    return np.concatenate([Y[:1], conj])
 
 
 def ab_rhs_reference(A, B):

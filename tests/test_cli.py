@@ -489,6 +489,26 @@ def test_cli_init_entry_bound(tmp_path, capsys, command, scale, code):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("hermitian", [True, False])
+@pytest.mark.parametrize("command", ["integrate", "degeneracy", "spectral"])
+def test_cli_init_near_the_float_maximum_exits_2_without_warnings(tmp_path, capsys, command,
+                                                                  hermitian):
+    # a finite entry of 1.7e308 overflows the defect M + M* of a Hermitian T1
+    # or the projection M - M* of an anti-Hermitian one on load: one error
+    # line naming the component, no numpy warning and no output
+    obj = {f"T{i}": serialize.matrix_to_pairs(np.zeros((2, 2))) for i in range(4)}
+    obj["T1"] = serialize.matrix_to_pairs(np.diag([1.7e308 if hermitian else 1.7e308j, 0.0]))
+    init, out = tmp_path / "max.json", tmp_path / "out.json"
+    init.write_text(json.dumps(obj))
+    argv = [command, "--init", str(init), "--steps", "10", "--output", str(out)]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: component 'T1' has entries so close to the float maximum that its "
+        "anti-Hermitian check or projection overflows\n")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
 def test_cli_stability_init_at_the_bound_matches_the_triple(tmp_path):
     # tau1 = 1e150 e1 has entries of 5e149, exactly the bound at n = 2: it
     # runs, and gives --triple 1e150,0,0's report

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import schur
+from scipy.linalg import expm, schur
 from scipy.spatial.transform import Rotation
 from scipy.special import ellipj
 
@@ -49,7 +49,7 @@ from nahmschmid.liealg import (
 )
 
 from helpers import random_unitary
-from rk4_reference import assert_same_bits, rk4_reference
+from rk4_reference import assert_same_bits, gauge_factor_reference, rk4_reference
 
 E1, E2, E3 = su2_basis()
 Z2 = np.zeros((2, 2), dtype=complex)
@@ -138,40 +138,41 @@ def _assert_same_bits(got, ref):
 def test_rhs_stacked_bitwise_equals_bracket_form(n, with_t0):
     rng = np.random.default_rng([7, n, with_t0])
     Y = np.array([random_antihermitian(n, rng) for _ in range(3)])
-    T0 = random_antihermitian(n, rng) if with_t0 else None
-    _assert_same_bits(flow._rhs_stacked(Y, T0), _rhs_reference(Y, T0))
+    if with_t0:
+        # the full right-hand side: the kernel, then the T0 bracket
+        T0 = random_antihermitian(n, rng)
+        _assert_same_bits(np.array(rhs_full(np.concatenate([T0[None], Y]))),
+                          _rhs_reference(Y, T0))
+    _assert_same_bits(flow._rhs_stacked(Y), _rhs_reference(Y))
     # written into a buffer, as the RK4 stages call it
     k = np.empty_like(Y)
-    assert flow._rhs_stacked(Y, T0, out=k) is k
-    _assert_same_bits(k, _rhs_reference(Y, T0))
+    assert flow._rhs_stacked(Y, out=k) is k
+    _assert_same_bits(k, _rhs_reference(Y))
     # as the flow calls it: products in the workspace, the complex sign
     # table, the result in the stage buffer
     k = np.empty_like(Y)
-    assert flow._rhs_stacked(Y, T0, out=k, work=flow._rhs_workspace(n, with_t0)) is k
-    _assert_same_bits(k, _rhs_reference(Y, T0))
+    assert flow._rhs_stacked(Y, out=k, work=flow._rhs_workspace(n)) is k
+    _assert_same_bits(k, _rhs_reference(Y))
     # a call without a workspace builds its own: the same bits
-    _assert_same_bits(flow._rhs_stacked(Y, T0), k)
+    _assert_same_bits(flow._rhs_stacked(Y), k)
 
 
 def test_rhs_stacked_bitwise_on_su2_closed_form(elliptic_traj_b):
     # su(2) samples have exact zero entries, where -1.0 * z and -z differ
     for q in elliptic_traj_b.samples[::250]:
-        for T0 in (None, 0.3 * E1, q[1]):
-            _assert_same_bits(flow._rhs_stacked(q[1:], T0), _rhs_reference(q[1:], T0))
-            work = flow._rhs_workspace(2, T0 is not None)
-            _assert_same_bits(flow._rhs_stacked(q[1:], T0, work=work), _rhs_reference(q[1:], T0))
+        _assert_same_bits(flow._rhs_stacked(q[1:]), _rhs_reference(q[1:]))
+        work = flow._rhs_workspace(2)
+        _assert_same_bits(flow._rhs_stacked(q[1:], work=work), _rhs_reference(q[1:]))
 
 
-@pytest.mark.parametrize("with_t0", [False, True])
-def test_rhs_workspace_reused_reads_no_stale_values(with_t0):
+def test_rhs_workspace_reused_reads_no_stale_values():
     # one workspace on two different states, and back: each result has the
     # bits of a fresh call
-    rng = np.random.default_rng([19, with_t0])
+    rng = np.random.default_rng(19)
     A, B = (np.array([random_antihermitian(4, rng) for _ in range(3)]) for _ in range(2))
-    T0 = random_antihermitian(4, rng) if with_t0 else None
-    work = flow._rhs_workspace(4, with_t0)
+    work = flow._rhs_workspace(4)
     for Y in (A, B, A):
-        _assert_same_bits(flow._rhs_stacked(Y, T0, work=work), flow._rhs_stacked(Y, T0))
+        _assert_same_bits(flow._rhs_stacked(Y, work=work), flow._rhs_stacked(Y))
 
 
 def test_rhs_reduced_and_full_bitwise(rng, elliptic_traj_b):
@@ -194,21 +195,26 @@ def test_integrate_bitwise_against_bracket_form(data, with_t0):
         q[0] = 0.0
     steps = 200
     traj = integrate(q, (0.0, 1.5), SolverConfig(steps=steps))
-    T0 = q[0] if with_t0 else None
-    ref = rk4_reference(lambda t, Y: _rhs_reference(Y, T0), q[1:], 0.0, 1.5 / steps, steps,
+    # the reduced flow, then the gauge factor of T0
+    ref = rk4_reference(lambda t, Y: _rhs_reference(Y), q[1:], 0.0, 1.5 / steps, steps,
                         project=project_antihermitian)
+    if with_t0:
+        ref = gauge_factor_reference(q[0], ref, 1.5 / steps)
     _assert_same_bits(traj.samples[:, 1:], ref)
 
 
 def _integrate_reference(T_init, t_span, steps):
     # the former form of integrate: RK4 returns a separate (m, 3, n, n)
-    # body, and a second (m, 4, n, n) copy prepends T0; the bitwise
-    # reference for writing the samples in place
+    # body, conjugated by the gauge factor of T0 as a whole, and a second
+    # (m, 4, n, n) copy prepends T0; the bitwise reference for stepping and
+    # conjugating the samples in place, block by block
     T_init = np.asarray(T_init, dtype=complex)
     t0, t1 = float(t_span[0]), float(t_span[1])
-    T0 = None if np.max(np.abs(T_init[0])) == 0.0 else T_init[0]
-    body = rk4_reference(lambda t, Y: flow._rhs_stacked(Y, T0), T_init[1:], t0,
-                         (t1 - t0) / steps, steps, project=project_antihermitian)
+    h = (t1 - t0) / steps
+    body = rk4_reference(lambda t, Y: flow._rhs_stacked(Y), T_init[1:], t0, h, steps,
+                         project=project_antihermitian)
+    if np.max(np.abs(T_init[0])) != 0.0:
+        body = gauge_factor_reference(T_init[0], body, h)
     T0_path = np.broadcast_to(T_init[0], (steps + 1,) + T_init[0].shape)
     return np.concatenate([T0_path[:, None], body], axis=1)
 
@@ -231,13 +237,15 @@ def test_integrate_bitwise_against_body_and_concatenate(data, with_t0):
 @pytest.mark.parametrize("block", [1, 3, 7])
 def test_integrate_blocks_are_bitwise_one_rk4_run(block, with_t0, monkeypatch):
     # 200 steps end off the block boundary for blocks of 3 and 7; each block
-    # starts from the last state of the one before
+    # starts from the last state of the one before, and the gauge factor is
+    # applied in chunks of the same size
     rng = np.random.default_rng([19, with_t0])
     q = np.array([random_antihermitian(3, rng) for _ in range(4)])
     if not with_t0:
         q[0] = 0.0
     ref = _integrate_reference(q, (0.0, 1.5), 200)
     monkeypatch.setattr(flow, "_STEP_BLOCK", block)
+    monkeypatch.setattr(flow, "_GAUGE_ROWS", block)
     calls = []
     inner = grids.rk4
 
@@ -302,6 +310,36 @@ def test_integrate_matches_the_spin_closed_form(spin_images, n):
     init = np.concatenate([np.zeros((1, n, n)), exact[0]])
     traj = integrate(init, (0.0, 1.0), SolverConfig(steps=steps))
     assert np.max(np.abs(traj.samples[:, 1:] - exact)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_integrate_with_t0_matches_the_conjugated_closed_form(spin_images, n):
+    # with a constant T0, T_j(t) = exp(-t T0) S_j(t) exp(t T0) is exact when
+    # S solves the reduced equations: here S_j = f_j rho(e_j), the su(2)
+    # closed form (n = 2) and its irrep images, f_j from scipy's ellipj and
+    # the exponential from scipy's expm.  The conjugation is unitary, so the
+    # Frobenius error is that of T0 = 0 whatever the size of T0
+    a, b, kappa = 1.0, 0.3, 0.8
+    rho = spin_images(n)
+    t0s = {"0": 0.0 * rho[0], "0.7e1": 0.7 * rho[0], "3e3": 3.0 * rho[2],
+           "u(n)": 0.5 * rho[1] - 0.3 * rho[0] + 0.25j * np.eye(n)}
+
+    def error(T0, steps):
+        t = np.linspace(0.0, 1.0, steps + 1)
+        sn, cn, dn, _ = ellipj(a * t + b, kappa**2)
+        S = np.stack([a * kappa * sn, a * kappa * cn, -a * dn], axis=1)[:, :, None, None] * rho
+        u = np.array([expm(-s * T0) for s in t])
+        exact = u[:, None] @ S @ u.conj().swapaxes(-1, -2)[:, None]
+        traj = integrate(np.concatenate([T0[None], S[0]]), (0.0, 1.0), SolverConfig(steps=steps))
+        assert np.array_equal(traj.samples[:, 0], np.broadcast_to(T0, (steps + 1, n, n)))
+        return np.max(np.sqrt(np.sum(np.abs(traj.samples[:, 1:] - exact) ** 2, axis=(-2, -1))))
+
+    reduced = error(t0s["0"], 100)
+    for T0 in t0s.values():
+        assert error(T0, 2000) < 5e-12
+        coarse, fine = error(T0, 50), error(T0, 100)
+        assert 16.0 * 0.9 < coarse / fine < 16.0 * 1.1
+        assert abs(fine / reduced - 1.0) < 0.01
 
 
 def test_integrate_fourth_order_convergence():
@@ -539,8 +577,9 @@ def test_from_boundary_data_round_trip(rng):
 @pytest.mark.parametrize("n", [2, 4])
 def test_from_boundary_data_t0_is_minus_log_gamma_exactly(steps, n):
     # u(t) = exp(t log gamma) has u' u* = log gamma, so T0 is that constant
-    # at every sample, with no stencil error; T1..T3 are conjugated by u(t)
-    # as gauge_apply conjugates them
+    # at every sample, with no stencil error; the samples are integrate's
+    # from (-log gamma, xi), and T1..T3 stay within 1e-14 of the reduced
+    # solution conjugated by exp_unitary(t log gamma) per sample
     rng = np.random.default_rng([22, n])
     gamma = random_unitary(n, rng)
     xi = [random_antihermitian(n, rng) for _ in range(3)]
@@ -548,9 +587,11 @@ def test_from_boundary_data_t0_is_minus_log_gamma_exactly(steps, n):
     traj = from_boundary_data(gamma, *xi, cfg)
     log_g = principal_log_unitary(gamma)
     assert np.array_equal(traj.samples[:, 0], np.broadcast_to(-log_g, (steps + 1, n, n)))
+    direct = integrate(np.array([-log_g, *xi], dtype=complex), (0.0, 1.0), cfg)
+    assert_same_bits(traj.samples[:, 1:], direct.samples[:, 1:])
     reduced = integrate(np.array([np.zeros((n, n)), *xi], dtype=complex), (0.0, 1.0), cfg)
     u = np.array([exp_unitary(t * log_g) for t in reduced.times])
-    assert_same_bits(traj.samples[:, 1:], gauge_apply(u, reduced).samples[:, 1:])
+    assert np.max(np.abs(traj.samples[:, 1:] - gauge_apply(u, reduced).samples[:, 1:])) < 1e-14
 
 
 def test_from_boundary_data_commuting_is_constant(rng):

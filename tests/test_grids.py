@@ -6,7 +6,8 @@ from nahmschmid.flow import SolverConfig, integrate
 from nahmschmid.liealg import project_antihermitian, random_antihermitian, su2_basis
 
 from rk4_reference import (
-    ab_rhs_reference, assert_same_bits, rk4_loop_reference, rk4_reference,
+    ab_rhs_reference, assert_same_bits, gauge_factor_reference, rk4_loop_reference,
+    rk4_reference,
 )
 
 
@@ -102,30 +103,33 @@ def test_closed_form_sampling_takes_one_jacobi_per_sample(monkeypatch):
 # ---------------------------------------------------------------------------
 # the buffered loop against the functional one, bit for bit
 
+def _flow_reference(q, t0, h, steps):
+    # the functional loop on the reduced equations, then the gauge factor
+    # of a nonzero T0: the steps integrate takes, as one array
+    Y = rk4_reference(lambda t, Y: flow._rhs_stacked(Y), q[1:], t0, h, steps,
+                      project=project_antihermitian)
+    return gauge_factor_reference(q[0], Y, h) if np.any(q[0]) else Y
+
+
 @pytest.mark.parametrize("with_t0", [False, True])
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
 def test_flow_steps_bitwise_equal_the_functional_loop(n, with_t0):
     rng = np.random.default_rng([23, n, with_t0])
-    Y = np.array([random_antihermitian(n, rng) / n for _ in range(3)])
-    T0 = random_antihermitian(n, rng) / n if with_t0 else None
-    h, steps = 1.0 / 40, 40
-    got = grids.rk4(lambda t, Y, k: flow._rhs_stacked(Y, T0, out=k), Y, 0.25, h, steps,
-                    project=project_antihermitian)
-    ref = rk4_reference(lambda t, Y: flow._rhs_stacked(Y, T0), Y, 0.25, h, steps,
-                        project=project_antihermitian)
-    assert_same_bits(got, ref)
+    q = np.array([random_antihermitian(n, rng) / n for _ in range(4)])
+    if not with_t0:
+        q[0] = 0.0
+    traj = integrate(q, (0.25, 1.25), SolverConfig(steps=40))
+    assert_same_bits(traj.samples[:, 1:], _flow_reference(q, 0.25, 1.0 / 40, 40))
 
 
 @pytest.mark.parametrize("with_t0", [False, True])
 def test_su2_flow_steps_bitwise_equal_the_functional_loop(with_t0):
     # su(2) closed-form data has exact zeros, where the sign of zero shows
     q = flow.su2_closed_form(1.2, 0.3, 0.8, 0.0)
-    T0 = 0.4 * su2_basis()[2] if with_t0 else None
-    got = grids.rk4(lambda t, Y, k: flow._rhs_stacked(Y, T0, out=k), q[1:], 0.0, 0.01, 100,
-                    project=project_antihermitian)
-    ref = rk4_reference(lambda t, Y: flow._rhs_stacked(Y, T0), q[1:], 0.0, 0.01, 100,
-                        project=project_antihermitian)
-    assert_same_bits(got, ref)
+    if with_t0:
+        q[0] = 0.4 * su2_basis()[2]
+    traj = integrate(q, (0.0, 1.0), SolverConfig(steps=100))
+    assert_same_bits(traj.samples[:, 1:], _flow_reference(q, 0.0, 0.01, 100))
 
 
 @pytest.mark.parametrize("d", [3, 15, 63])
@@ -193,11 +197,10 @@ def test_zero_dim_state_bitwise_equals_the_functional_loop():
 def test_rk4_into_a_strided_view_bitwise_equals_the_functional_loop(quad):
     # every other row of a larger buffer: the states land in place and the
     # rows between stay untouched
-    T0 = quad[0]
     buf = np.zeros((2 * 21, 3, 3, 3), dtype=complex)
-    got = grids.rk4(lambda t, Y, k: flow._rhs_stacked(Y, T0, out=k), quad[1:], 0.0, 0.05, 20,
+    got = grids.rk4(lambda t, Y, k: flow._rhs_stacked(Y, out=k), quad[1:], 0.0, 0.05, 20,
                     project=project_antihermitian, out=buf[::2])
-    ref = rk4_reference(lambda t, Y: flow._rhs_stacked(Y, T0), quad[1:], 0.0, 0.05, 20,
+    ref = rk4_reference(lambda t, Y: flow._rhs_stacked(Y), quad[1:], 0.0, 0.05, 20,
                         project=project_antihermitian)
     assert got.base is buf
     assert_same_bits(buf[::2], ref)

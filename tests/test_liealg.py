@@ -99,6 +99,21 @@ def test_exp_unitary_is_unitary(rng):
         assert is_unitary(exp_unitary(X), tol=1e-10)
 
 
+@pytest.mark.parametrize("m, n", [(2, 2), (3, 2), (1, 4), (5, 3), (4, 8)])
+def test_exp_unitary_on_stacks_equals_per_matrix_calls(m, n):
+    # a stack of m matrices, m = n included, where the eigenvalues must
+    # scale the columns of each matrix's own V; one matrix keeps the bits of
+    # the single-matrix form V diag(exp(-i w)) V*
+    rng = np.random.default_rng([31, m, n])
+    X = np.array([random_antihermitian(n, rng) for _ in range(m)])
+    got = exp_unitary(X)
+    for k in range(m):
+        assert_same_bits(got[k], exp_unitary(X[k]))
+        w, V = np.linalg.eigh(1j * X[k])
+        assert_same_bits(exp_unitary(X[k]), (V * np.exp(-1j * w)) @ V.conj().T)
+    assert_same_bits(exp_unitary(X.reshape(1, m, n, n))[0], got)
+
+
 def test_su2_from_components():
     e1, e2, e3 = su2_basis()
     z = su2_from_components(0.0, 0.0, 0.0)

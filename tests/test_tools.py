@@ -27,9 +27,9 @@ def test_layer_times_runs_and_reports_every_kernel(tmp_path, monkeypatch, capsys
     (run,) = json.loads(out.read_text())
     assert run["label"] == "smoke" and run["repeat"] == 1
     results = run["results"]
-    assert set(results) == {"rhs", "flow_step", "shoot_step", "char_poly", "double_bracket",
-                            "ab_rhs", "ab_step"}
+    assert set(results) == {"rhs", "flow_step", "flow_t0_step", "shoot_step", "char_poly",
+                            "double_bracket", "ab_rhs", "ab_step"}
     for by_n in results.values():
         assert list(by_n) == ["2"]
         assert math.isfinite(by_n["2"]) and by_n["2"] > 0
-    assert len(capsys.readouterr().out.splitlines()) == 7
+    assert len(capsys.readouterr().out.splitlines()) == 8

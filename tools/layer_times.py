@@ -8,6 +8,10 @@ At n = 2, 4, 8, 16 it times, in seconds per call and best of REPEAT runs:
   flow_step       one RK4 step of the flow: flow._flow_blocks over one
                   block of _STEP_BLOCK steps (rhs, RK4 and projection),
                   divided by the steps
+  flow_t0_step    one step of the flow with a constant T0 != 0:
+                  flow.integrate over _STEP_BLOCK steps (the reduced steps
+                  and the conjugation by the gauge factor of T0, where the
+                  checkout has it), divided by the steps
   shoot_step      one RK4 step of the shooting, x'' = M x on a real
                   (2, d, d) state with d = n^2 - 1, through
                   grids.rk4_sampled in its second-order layout
@@ -84,14 +88,22 @@ def _kernels(n, np, flow, grids, liealg, spectral, degeneracy, positive):
     quad = np.array([np.zeros((n, n), dtype=complex)] + [
         scale * liealg.random_antihermitian(n, rng, traceless=True) for _ in range(3)])
     Y, k = quad[1:].copy(), np.empty((3, n, n), dtype=complex)
+    # a checkout that steps T0 in the right-hand side (it has _RHS_ROWS_T0)
+    # sizes the workspace for it and starts _flow_blocks from the quadruple
+    legacy = hasattr(flow, "_RHS_ROWS_T0")
     extra = {}
     if hasattr(flow, "_rhs_workspace"):
-        extra["work"] = flow._rhs_workspace(n, False)
+        extra["work"] = flow._rhs_workspace(n, False) if legacy else flow._rhs_workspace(n)
     steps = flow._STEP_BLOCK
+    start = quad if legacy else quad[1:]
 
     def flow_block():
-        for _ in flow._flow_blocks(quad, 0.0, 1.0 / steps, steps):
+        for _ in flow._flow_blocks(start, 0.0, 1.0 / steps, steps):
             pass
+
+    quad_t0 = quad.copy()
+    quad_t0[0] = scale * liealg.random_antihermitian(n, np.random.default_rng([43, n]))
+    config = flow.SolverConfig(steps=steps)
 
     basis = liealg.orthonormal_basis(n, traceless=True)
     d = basis.shape[0]
@@ -112,8 +124,9 @@ def _kernels(n, np, flow, grids, liealg, spectral, degeneracy, positive):
     else:
         ab_rhs = lambda: positive.ab_flow_rhs(AB[0], AB[1])
     return [
-        ("rhs", lambda: flow._rhs_stacked(Y, None, out=k, **extra), 200, 1),
+        ("rhs", lambda: flow._rhs_stacked(Y, out=k, **extra), 200, 1),
         ("flow_step", flow_block, 1, steps),
+        ("flow_t0_step", lambda: flow.integrate(quad_t0, (0.0, 1.0), config), 1, steps),
         ("shoot_step", lambda: grids.rk4_sampled(shoot, C[: shoot_steps + 1],
                                                  C[shoot_steps + 1 :], Y0, 1.0 / shoot_steps,
                                                  second_order=True),
@@ -148,8 +161,8 @@ def main(argv=None):
     run = {
         "label": args.label,
         "repeat": REPEAT,
-        "unit": "s per call at the nominal host speed (flow_step, shoot_step, ab_step: "
-                "per step; double_bracket: per time)",
+        "unit": "s per call at the nominal host speed (flow_step, flow_t0_step, shoot_step, "
+                "ab_step: per step; double_bracket: per time)",
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
