@@ -9,8 +9,8 @@ has a nontrivial kernel among paths with xi(0) = xi(1) = 0.  The kernel
 test is realised by shooting: the columns of the shooting matrix are xi(1)
 for the initial values xi(0) = 0, xi'(0) = basis vector, expressed in an
 orthonormal basis of the algebra, and a (near-)singular matrix flags the
-locus.  A sampled sup bound 2 sup_t (|T2|^2 + |T3|^2) < pi^2 certifies
-nondegeneracy without shooting.
+locus.  A sampled sup bound 2 sup_t (|T2|^2 + |T3|^2) < pi^2 / L^2, on a
+span of length L, certifies nondegeneracy without shooting.
 
 Shooting runs in real coordinates of the adjoint representation, in the
 gauge T0 = 0.  The operator is gauge-covariant, so a trajectory with
@@ -20,16 +20,14 @@ d = dim of the algebra, Delta_T xi = 0 then becomes the real d x d system
     xi'' = M(t) xi,    M = -ad(T1)^2 + ad(T2)^2 + ad(T3)^2,
 
 formed once per grid node and midpoint with
-:func:`liealg.double_bracket_matrix` (the same layer `stability` builds its
-operator from).  Propagating the fundamental matrix costs O(d^3) = O(n^6)
-per step, against O(d n^3) = O(n^5) for applying complex double brackets
-to all d directions; at the sizes shot here (n <= 16, no workload goes
-further) the GEMM form is the faster one.  Forming and propagation are
-streamed per block of steps, so memory is O(block d^2), independent of the
-step count.  Forming a block keeps three complex (times, d, n, n)
-intermediates alive (the images of the basis, summed in place, one X b_i
-product and one T_k b_i T_k buffer), each of at most _FORM_BLOCK_ENTRIES
-entries (1 MB) unless a single step needs more.
+:func:`liealg.double_bracket_matrix` against one `liealg.AdjointBasis` per
+shooting (the layer `stability` builds its operator from).  Propagating
+the fundamental matrix costs O(d^3) = O(n^6) per step, against
+O(d n^3) = O(n^5) for applying complex double brackets to all d
+directions; at the sizes shot here (n <= 16, no workload goes further) the
+GEMM form is the faster one.  Forming and propagation are
+streamed per block of steps (see _FORM_BLOCK_ENTRIES), so memory is
+O(block d^2), independent of the step count.
 """
 
 import math
@@ -38,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow, grids
-from .liealg import basis_for, bracket, double_bracket_matrix, inner
+from .liealg import AdjointBasis, basis_for, bracket, double_bracket_matrix, inner
 
 # verdict bands of sigma_min / sigma_max (see DegeneracyReport)
 TOL_LOW = 1e-6
@@ -141,10 +139,10 @@ def shooting_matrix(traj):
     u(n) basis is chosen from the original samples, whose trace T0 may
     carry alone.
     """
-    basis = basis_for(traj.samples)
+    basis = AdjointBasis(basis_for(traj.samples))
     if np.max(np.abs(traj.samples[:, 0])) > 0:
         traj = flow.gauge_fix(traj)[0]
-    d = basis.shape[0]
+    d = basis.elements.shape[0]
     nodes = traj.samples[:, 1:]  # (m, 3, n, n)
     m = nodes.shape[0]
     if m < 4:
@@ -203,13 +201,16 @@ def degeneracy_report(traj):
 
 
 def pi_bound_precheck(traj):
-    """Sufficient-condition bound: 2 sup_t (|T2|^2 + |T3|^2) against pi^2.
+    """Sufficient-condition bound: 2 sup_t (|T2|^2 + |T3|^2) against pi^2 / L^2.
 
-    Returns (bound_value, certified).  A certified solution is guaranteed
-    outside the degeneracy locus; the criterion is one-sided, so an
-    uncertified solution may still be nondegenerate.
+    Returns (bound_value, certified), certified when bound * L^2 < pi^2 for
+    the span L = t_end - t_start: pi^2 / L^2 is the lowest Dirichlet
+    eigenvalue of -d^2/dt^2 on the span (Wirtinger).  A certified solution
+    is guaranteed outside the degeneracy locus; the criterion is one-sided,
+    so an uncertified solution may still be nondegenerate.
     """
     S = traj.samples
     vals = inner(S[:, 2], S[:, 2]) + inner(S[:, 3], S[:, 3])
     bound = 2.0 * float(np.max(vals)) + 0.0  # 0.0, not -0.0, for zero T2 and T3
-    return bound, bool(bound < math.pi**2)
+    span = traj.t_end - traj.t_start  # a product, which overflows to inf where ** raises
+    return bound, bool(bound * span * span < math.pi**2)

@@ -10,11 +10,12 @@ matrices are
 and the reduced equations are the same system with T0 = 0.  This module
 integrates the reduced equations with fixed-step RK4, and a constant T0 as
 its exact gauge factor: the reduced solution conjugated by
-exp(-(t - t0) T0).  It audits the conserved quantities, implements the
-gauge action, gauge fixing and the monodromy map, the SO(1,2) action, the
-explicit su(2) solutions in Jacobi elliptic functions, the complex
-coordinates alpha = T0 - i T1, beta = T2 + i T3, and the product splitting
-A_i = T0 +/- T2, B_i = T1 +/- T3.
+exp(-(t - t0) T0).  Its right-hand side is anti-Hermitian by construction,
+so only the initial triple is projected.  It audits the conserved
+quantities, implements the gauge action, gauge fixing and the monodromy
+map, the SO(1,2) action, the explicit su(2) solutions in Jacobi elliptic
+functions, the complex coordinates alpha = T0 - i T1, beta = T2 + i T3,
+and the product splitting A_i = T0 +/- T2, B_i = T1 +/- T3.
 
 A trajectory is stored as samples of shape (steps+1, 4, n, n) on a uniform
 grid; quadruples are arrays of shape (4, n, n).
@@ -34,10 +35,8 @@ from .liealg import (
     su2_basis,
 )
 
-_REDUCED_SIGNS = np.array([-1.0, 1.0, 1.0]).reshape(3, 1, 1)
-# left and right factors of the products _rhs_stacked forms, as rows of
-# (T1, T2, T3)
-_RHS_ROWS = np.array([[1, 2, 0, 2, 0, 1], [2, 0, 1, 1, 2, 0]])
+# left and right factors of _rhs_stacked's A = (T3T2, T3T1, T1T2), as rows of (T1, T2, T3)
+_RHS_ROWS = np.array([[2, 2, 0], [1, 0, 1]])
 _ETA = np.diag([1.0, -1.0, -1.0])
 _LOG_BRANCH_TOL = 1e-8  # eigenvalues of gamma this close to -1 have no principal log
 _CANONICAL_TOL = 1e-6  # of the Gram-pencil and fixed-axis tests of su2_canonicalize
@@ -96,42 +95,38 @@ class Trajectory:
 
 
 def rhs_reduced(T1, T2, T3):
-    """Right-hand side of the reduced equations: (-[T2,T3], [T3,T1], [T1,T2])."""
-    return tuple(_rhs_stacked(np.stack([T1, T2, T3], dtype=complex)))
+    """Reduced right-hand side (-[T2,T3], [T3,T1], [T1,T2]) at the anti-Hermitian part."""
+    return tuple(_rhs_stacked(project_antihermitian(np.stack([T1, T2, T3]))))
 
 
 def rhs_full(T):
     """Right-hand side (T1', T2', T3') of the full equations at a quadruple.
 
     T0' is not determined by the equations (it is the gauge freedom), so
-    only the three constrained derivatives are returned.
+    only the three constrained derivatives are returned, at T's anti-Hermitian part.
     """
-    T = np.asarray(T, dtype=complex)
+    T = project_antihermitian(T)
     return tuple(_rhs_stacked(T[1:]) - bracket(T[0][None], T[1:]))
 
 
 def _rhs_workspace(n):
-    """Buffers of _rhs_stacked for one flow at size n: the 6 products, their
-    halves as views, and _REDUCED_SIGNS cast to a complex (3, n, n) table."""
-    P = np.empty((6, n, n), dtype=complex)
-    signs = np.broadcast_to(_REDUCED_SIGNS, (3, n, n)).astype(complex)
-    return P, P[:3], P[3:], signs
+    """Workspace of _rhs_stacked for one flow at size n: A and its transpose view."""
+    A = np.empty((3, n, n), dtype=complex)
+    return A, A.swapaxes(-1, -2)
 
 
 def _rhs_stacked(Y, out=None, work=None):
-    # Y = (T1, T2, T3) of shape (3, n, n).  One gather and one stacked matmul
-    # form P = (T2T3, T3T1, T1T2 | T3T2, T1T3, T2T1), in the order `bracket`
-    # forms them, in `work` (_rhs_workspace, one per flow; a call without it
-    # builds its own).  The sign is a multiply by the complex table, not a
-    # negation: -1.0 * z and -z differ in the sign of zero parts, and the
-    # multiply keeps the result bitwise equal to the two-bracket form.  The
-    # result is written to `out` when given (the RK4 stage buffer).
+    # Y = (T1, T2, T3) anti-Hermitian, (3, n, n).  One gather and one stacked
+    # matmul form A = (T3T2, T3T1, T1T2) in `work` (_rhs_workspace, one per
+    # flow, else built here); A - A^H = (-[T2,T3], [T3,T1], [T1,T2]) since
+    # (XY)^H = YX, and its (j, i) entry is -conj of its (i, j) entry however
+    # the products round.  A^H goes to `out` (the RK4 stage buffer, else a
+    # new array), and A - A^H is written over it.
     G = Y[_RHS_ROWS]
-    if work is None:
-        work = _rhs_workspace(Y.shape[-1])
-    P, left, right, signs = work
-    np.matmul(G[0], G[1], out=P)
-    return np.multiply(signs, np.subtract(left, right, out=left), out=out)
+    A, At = _rhs_workspace(Y.shape[-1]) if work is None else work
+    np.matmul(G[0], G[1], out=A)
+    out = np.conjugate(At, out=out, order="C")
+    return np.subtract(A, out, out=out)
 
 
 def integrate(T_init, t_span=(0.0, 1.0), config=None):
@@ -188,13 +183,15 @@ def _flow_blocks(y, t0, h, steps, out=None):
     # starts from the last state of the previous one, so the states are
     # bitwise those of one rk4 call over all steps.  With `out`, a complex
     # (steps+1, 3, n, n) array or view, Y is the slice out[lo:hi+1].  All
-    # right-hand sides of the flow share one _rhs_workspace.
+    # right-hand sides of the flow share one _rhs_workspace.  y is projected
+    # once; RK4 sums of anti-Hermitian terms stay exactly anti-Hermitian.
     work = _rhs_workspace(y.shape[-1])
     f = lambda t, Y, k: _rhs_stacked(Y, out=k, work=work)
+    y = project_antihermitian(y)
     for lo in range(0, steps, _STEP_BLOCK):
         hi = min(lo + _STEP_BLOCK, steps)
         try:
-            Y = grids.rk4(f, y, t0 + lo * h, h, hi - lo, project=project_antihermitian,
+            Y = grids.rk4(f, y, t0 + lo * h, h, hi - lo,
                           out=None if out is None else out[lo : hi + 1])
         except FloatingPointError as exc:
             # rk4 numbers the steps of its block; report the step of the run
@@ -257,7 +254,9 @@ def conserved_report(traj):
     paths = conserved_paths(traj)
     initial = paths[0]
     drift = np.max(np.abs(paths - initial), axis=0)
-    rel = np.where(np.abs(initial) > 0, drift / np.maximum(np.abs(initial), 1e-300), drift)
+    # the quotient only where it is kept: an unused one may overflow
+    rel = np.divide(drift, np.maximum(np.abs(initial), 1e-300), out=drift.copy(),
+                    where=np.abs(initial) > 0)
     return ConservedReport(
         initial=dict(zip(CONSERVED_NAMES, initial.tolist())),
         drift=dict(zip(CONSERVED_NAMES, drift.tolist())),

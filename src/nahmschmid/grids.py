@@ -9,11 +9,12 @@ of a linear matrix ODE (:func:`rk4_sampled`).
 Right-hand sides write in place: rhs(c, y, k) writes the derivative of the
 state y into the buffer k, which has y's shape and dtype.  The loop
 allocates its stage buffers once per call and writes each new state
-straight into its row of the output, where the projection, when given,
-maps it in place: project(y, out=y).  So a step allocates nothing beyond
-what the right-hand side and the projection do.  For the flow that is the
-gather of the right-hand side (its products go to a workspace of the
-flow) and the conjugate copy of the anti-Hermitian projection.
+straight into its row of the output, where the projection of
+:func:`rk4_sampled`, when given, maps it in place: project(y, out=y).  So a
+step allocates nothing beyond what the right-hand side and the projection
+do.  For the flow that is the gather of the right-hand side (its products
+go to a workspace of the flow); :func:`rk4` takes no projection, since the
+flow's right-hand side keeps its states anti-Hermitian by construction.
 
 A second-order system y'' = f, stepped as the state (x, v), has the layout
 `second_order=True` of :func:`rk4_sampled`.  Each stage is one buffer
@@ -23,8 +24,7 @@ not a copy.  The loop fills v_i; the right-hand side writes only k[1] = f_i.
 
 Finiteness is checked once per call, on the last state.  A non-finite entry
 stays non-finite in every later state: each new entry is the old one plus
-an increment, the anti-Hermitian projection maps a non-finite (i, j) entry
-to a non-finite (i, j) entry, and the unitary projection raises on it.  So
+an increment, and the unitary projection raises on it.  So
 a finite last state means every state is finite, and only a failing call
 scans its rows for the first non-finite step.  The scan takes one row at a
 time, so the check builds no temporary of the size of the output.
@@ -102,20 +102,18 @@ def midpoints(samples):
     return _stencil(samples, (_MID_EDGE,), _MID_CENTER, 1.0)
 
 
-def rk4(f, y0, t0, h, steps, project=None, out=None):
+def rk4(f, y0, t0, h, steps, out=None):
     """Classical fixed-step RK4 for dy/dt = f(t, y); returns all samples.
 
     f(t, y, k) writes the derivative into k.  y may be an ndarray of any
-    shape.  An optional `project` map (anti-Hermitian or unitary
-    reprojection) is applied in place after every step, project(y, out=y).
-    The samples are written to `out` when given, a complex (steps+1, ...)
-    array or view, and that array is returned.  Raises FloatingPointError
-    when the state stops being finite; its `step` attribute is the first
-    failing step (1-based).
+    shape.  The samples are written to `out` when given, a complex
+    (steps+1, ...) array or view, and that array is returned.  Raises
+    FloatingPointError when the state stops being finite; its `step`
+    attribute is the first failing step (1-based).
     """
     nodes = t0 + h * np.arange(steps + 1)
     y0 = np.asarray(y0, dtype=complex)
-    return _rk4_loop(f, nodes, nodes[:-1] + h / 2, y0, h, project, out)
+    return _rk4_loop(f, nodes, nodes[:-1] + h / 2, y0, h, None, out)
 
 
 def rk4_sampled(rhs, coeff_nodes, coeff_mids, y0, h, project=None, second_order=False):

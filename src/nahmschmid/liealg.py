@@ -9,7 +9,8 @@ generator.  Everything downstream (flows, shooting, spectral curves) is
 built on these few primitives.  The adjoint layer
 (`ad_matrix`, `double_bracket_matrix`) turns brackets with fixed elements
 into real d x d matrices in an orthonormal basis, batched over leading
-axes; degeneracy shooting and the stability operator both use it.
+axes; degeneracy shooting and the stability operator both use it, each
+with one `AdjointBasis` that holds the basis's GEMM operands.
 """
 
 import numpy as np
@@ -152,9 +153,11 @@ def orthonormal_basis(n, traceless=False):
 
 
 def basis_for(X):
-    """Orthonormal basis of su(n) if the stack X (..., n, n) is traceless, else of u(n)."""
+    """Orthonormal basis of su(n) if the stack X (..., n, n) is traceless, else of
+    u(n); of u(1) for n = 1, since su(1) = {0} has no basis."""
     X = np.asarray(X, dtype=complex)
-    traceless = bool(np.max(np.abs(np.trace(X, axis1=-2, axis2=-1))) <= TRACELESS_TOL)
+    traceless = X.shape[-1] > 1 and bool(
+        np.max(np.abs(np.trace(X, axis1=-2, axis2=-1))) <= TRACELESS_TOL)
     return orthonormal_basis(X.shape[-1], traceless=traceless)
 
 
@@ -168,43 +171,50 @@ def from_coordinates(c, basis):
     return np.tensordot(np.asarray(c), basis, axes=(0, 0))
 
 
-# Images of the basis under a linear map are held as (..., d, n, n) arrays
-# whose [..., i, :, :] entry is the image of b_i.  X b_i for all i is one
-# GEMM against the concatenated basis, which leaves it in the (..., n, d, n)
-# layout; callers add it to an image array through a swapaxes view.
+class AdjointBasis:
+    """An orthonormal basis (d, n, n) with the two operands the adjoint layer
+    multiplies by, built once: `right`, the (n, d n) concatenation of the
+    b_i, and `coords`, the (d, 2n^2) matrix of the coordinate map.  Images of
+    the basis under a linear map are (..., d, n, n) arrays, image i at
+    [..., i, :, :]; X b_i for all i is one GEMM against `right`, in the
+    (..., n, d, n) layout, which callers add through a swapaxes view."""
+
+    def __init__(self, elements):
+        d, n = elements.shape[0], elements.shape[-1]
+        bt = elements.swapaxes(-1, -2)
+        self.elements, self.right = elements, elements.transpose(1, 0, 2).reshape(n, d * n)
+        self.coords = -INNER_SCALE * np.stack([bt.real, -bt.imag], axis=-1).reshape(d, -1)
 
 
 def _times_basis(X, basis):
     """X b_i for every basis element, as (..., n, d, n)."""
-    d, n = basis.shape[0], basis.shape[-1]
-    flat = X.reshape(-1, n) @ basis.transpose(1, 0, 2).reshape(n, d * n)
+    d, n = basis.elements.shape[0], basis.elements.shape[-1]
+    flat = X.reshape(-1, n) @ basis.right
     return flat.reshape(X.shape[:-1] + (d, n))
 
 
 def _basis_times(X, basis):
     """b_i X for every basis element, as (..., d, n, n)."""
-    d, n = basis.shape[0], basis.shape[-1]
-    return (basis.reshape(d * n, n) @ X).reshape(X.shape[:-2] + (d, n, n))
+    d, n = basis.elements.shape[0], basis.elements.shape[-1]
+    return (basis.elements.reshape(d * n, n) @ X).reshape(X.shape[:-2] + (d, n, n))
 
 
 def _coordinates_of_images(Y, basis):
     """Real (..., d, d) matrix whose column i holds the coordinates of Y's image i.
 
     The coordinate map Y -> <b_j, Y> = -INNER_SCALE * Re tr(b_j Y) is one
-    real GEMM between the interleaved (re, im) entries of Y and a (d, 2n^2)
-    matrix built from the basis.  A C-contiguous Y is read in place.
+    real GEMM between the interleaved (re, im) entries of Y and the
+    (d, 2n^2) matrix basis.coords.  A C-contiguous Y is read in place.
     """
-    d = basis.shape[0]
-    bt = basis.swapaxes(-1, -2)
-    P = -INNER_SCALE * np.stack([bt.real, -bt.imag], axis=-1).reshape(d, -1)
+    P = basis.coords
     Yc = np.ascontiguousarray(Y)
     flat = Yc.view(np.float64).reshape(-1, P.shape[1])
-    A = (flat @ P.T).reshape(Yc.shape[:-2] + (d,))
+    A = (flat @ P.T).reshape(Yc.shape[:-2] + (P.shape[0],))
     return np.ascontiguousarray(A.swapaxes(-1, -2))
 
 
 def ad_matrix(X, basis):
-    """Matrix of ad(X) = [X, .] in an orthonormal basis.
+    """Matrix of ad(X) = [X, .] in the orthonormal AdjointBasis `basis`.
 
     The result is real and skew-symmetric, which is exactly the invariance
     of the inner product in infinitesimal form.  Leading axes of X are
@@ -216,7 +226,7 @@ def ad_matrix(X, basis):
 
 
 def double_bracket_matrix(T, signs, basis):
-    """Matrix of x -> sum_k signs[k] [T_k, [T_k, x]] in an orthonormal basis.
+    """Matrix of x -> sum_k signs[k] [T_k, [T_k, x]] in the AdjointBasis `basis`.
 
     T has shape (..., K, n, n) and signs length K; leading axes are batch
     axes of the (..., d, d) result.  Each double bracket is expanded as
@@ -231,7 +241,7 @@ def double_bracket_matrix(T, signs, basis):
     """
     T = np.asarray(T, dtype=complex)
     signs = np.asarray(signs, dtype=float)
-    n, d = T.shape[-1], basis.shape[0]
+    n, d = T.shape[-1], basis.elements.shape[0]
     Q = np.sum(signs[:, None, None] * (T @ T), axis=-3)
     images = _basis_times(Q, basis)
     images += _times_basis(Q, basis).swapaxes(-3, -2)

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import flow
 from .liealg import (
+    AdjointBasis,
     ad_matrix,
     basis_for,
     bracket,
@@ -114,7 +115,7 @@ def stability_spectrum(tau1, tau2, tau3):
     """
     with np.errstate(over="raise", invalid="raise"):
         taus, tol = check_commuting(tau1, tau2, tau3)
-        basis = basis_for(taus)
+        basis = AdjointBasis(basis_for(taus))
         op = double_bracket_matrix(taus, (-1.0, 1.0, 1.0), basis)
         op = 0.5 * (op + op.T)
     spec, vecs = np.linalg.eigh(op)
@@ -123,7 +124,7 @@ def stability_spectrum(tau1, tau2, tau3):
         operator_spectrum=spec,
         eigenvectors=vecs,
         ads=ad_matrix(taus, basis),
-        basis=basis,
+        basis=basis.elements,
         stable=bool(spec[0] >= -tol),
         eta=float(np.sqrt(pos[0])) if pos.size else 0.0,
         tol=tol,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nahmschmid import flow
-from nahmschmid.liealg import ad_matrix
+from nahmschmid.liealg import AdjointBasis, ad_matrix
 
 
 @pytest.fixture
@@ -51,7 +51,7 @@ def _dv_reference(taus, basis):
         [ ad(t3)     0     -ad(t1) ]
         [ -ad(t2)  ad(t1)     0    ]
     """
-    ads = ad_matrix(np.array([np.asarray(t, dtype=complex) for t in taus]), basis)
+    ads = ad_matrix(np.array([np.asarray(t, dtype=complex) for t in taus]), AdjointBasis(basis))
     d = basis.shape[0]
     Z = np.zeros((d, d))
     return np.block(

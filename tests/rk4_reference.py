@@ -4,15 +4,18 @@ Each stage derivative is a new array returned by rhs(c, y), every step
 allocates its temporaries and finiteness is checked after every step.
 grids._rk4_loop keeps this arithmetic (the same stage inputs, sums and
 scalar multiplies) with preallocated buffers, so the two agree bit for bit.
-The A-B right-hand side in its three-temporaries form is kept here too, as
-the bitwise reference for positive._ab_rhs, and the gauge factor of a
-constant T0 over a whole path at once, as the bitwise reference for the
-chunked, in-place conjugation in flow.integrate.
+The flow's right-hand side in its three-product form A - A^H, out of place,
+is the bitwise reference for flow._rhs_stacked, and the reduced flow
+stepped with it from the once-projected triple is the reference for the
+flow's steps.  The A-B right-hand side in its three-temporaries form is
+kept here too, as the bitwise reference for positive._ab_rhs, and the
+gauge factor of a constant T0 over a whole path at once, as the bitwise
+reference for the chunked, in-place conjugation in flow.integrate.
 """
 
 import numpy as np
 
-from nahmschmid.liealg import project_antihermitian
+from nahmschmid.liealg import bracket, project_antihermitian
 
 
 def rk4_loop_reference(rhs, coeff_nodes, coeff_mids, y0, h, project=None):
@@ -38,11 +41,25 @@ def rk4_loop_reference(rhs, coeff_nodes, coeff_mids, y0, h, project=None):
     return out
 
 
-def rk4_reference(f, y0, t0, h, steps, project=None):
+def rk4_reference(f, y0, t0, h, steps):
     """The functional counterpart of grids.rk4: f(t, y) returns the derivative."""
     nodes = t0 + h * np.arange(steps + 1)
     y0 = np.asarray(y0, dtype=complex)
-    return rk4_loop_reference(f, nodes, nodes[:-1] + h / 2, y0, h, project)
+    return rk4_loop_reference(f, nodes, nodes[:-1] + h / 2, y0, h)
+
+
+def rhs_reference(Y, T0=None):
+    """(-[T2,T3], [T3,T1], [T1,T2]) of Y = (T1, T2, T3) as A - A^H for
+    A = (T3T2, T3T1, T1T2), each a new array; minus [T0, Y] when T0 is given."""
+    A = Y[[2, 2, 0]] @ Y[[1, 0, 1]]
+    out = A - A.conj().swapaxes(-1, -2)
+    return out if T0 is None else out - bracket(T0[None], Y)
+
+
+def flow_reference(Y0, t0, h, steps):
+    """The reduced flow from Y0 = (T1, T2, T3): projected once, then RK4 steps
+    of rhs_reference with no projection."""
+    return rk4_reference(lambda t, Y: rhs_reference(Y), project_antihermitian(Y0), t0, h, steps)
 
 
 def gauge_factor_reference(T0, Y, h):

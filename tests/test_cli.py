@@ -777,6 +777,76 @@ def test_cli_pi_bound_of_zero_T2_T3_is_positive_zero(tmp_path):
     assert '"pi_bound": 0.0,' in text and "-0.0" not in text.split('"report"')[0]
 
 
+def _constant_T2_init(tmp_path, c):
+    # T2 = c (pi/2) e1 held constant, T0 = T1 = T3 = 0: a solution whose
+    # degeneracy operator on a span of length L is xi'' + (c pi/2)^2 xi on
+    # the (e2, e3) plane, with a Dirichlet kernel where c pi/2 = pi/L.  Its
+    # pi-bound is 2 |T2|^2 = c^2 pi^2 / 2
+    obj = {f"T{i}": serialize.matrix_to_pairs(np.zeros((2, 2))) for i in range(4)}
+    obj["T2"] = serialize.matrix_to_pairs(c * 0.5 * np.pi * su2_basis()[0])
+    init = tmp_path / f"t2_{c}.json"
+    init.write_text(json.dumps(obj))
+    return init
+
+
+@pytest.mark.parametrize("c, t_end, certified, verdict", [
+    (1.0, 2.0, False, "degenerate"),     # bound * 4 = 2 pi^2: on the locus
+    (0.9, 2.0, False, "nondegenerate"),  # bound * 4 = 1.62 pi^2: one-sided
+    (0.6, 2.0, True, "nondegenerate"),   # bound * 4 = 0.72 pi^2
+    (1.0, 1.0, True, "nondegenerate"),   # bound = pi^2 / 2 on [0, 1]
+])
+def test_cli_pi_certificate_is_on_the_trajectory_span(tmp_path, c, t_end, certified, verdict):
+    # certified when bound * L^2 < pi^2, L = t_end - t_start: pi^2 / L^2 is
+    # the lowest Dirichlet eigenvalue on the span, so a certified run is
+    # never degenerate; pi_bound itself does not depend on the span
+    out = tmp_path / "deg.json"
+    assert run_cli(["degeneracy", "--init", str(_constant_T2_init(tmp_path, c)),
+                    "--t-end", str(t_end), "--steps", "400", "--output", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["pi_bound"] == pytest.approx(c * c * np.pi**2 / 2, rel=1e-15)
+    assert data["pi_certified"] is certified
+    assert data["report"]["verdict"] == verdict
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, components", [
+    (["degeneracy", "--steps", "50"], ("T0", "T1", "T2", "T3")),
+    (["stability", "--halfline"], ("tau1", "tau2", "tau3")),
+])
+def test_cli_zero_1x1_init_runs_in_u1(tmp_path, capsys, argv, components):
+    # su(1) = {0} has no basis, so 1x1 data is taken in u(1) whatever its
+    # trace: zero data has the identity shooting matrix and a zero
+    # stability operator, and the run exits 0 with nothing on stderr
+    init, out = tmp_path / "zero1.json", tmp_path / "out.json"
+    init.write_text(json.dumps({c: serialize.matrix_to_pairs(np.zeros((1, 1)))
+                                for c in components}))
+    assert run_cli(argv + ["--init", str(init), "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text())["report"]
+    if argv[0] == "degeneracy":
+        assert report["verdict"] == "nondegenerate"
+        assert np.allclose(report["shooting_matrix"], [[1.0]], atol=1e-12)
+    else:
+        assert report["operator_spectrum"] == [0.0] and report["stable"]
+
+
+def test_cli_integrate_relative_drift_of_zero_initial_values_warns_nothing(tmp_path, capsys):
+    # kappa = b = 1e-300 give initial conserved values of -0.0 beside drifts
+    # near 1e94: the relative drift divides only where the initial value is
+    # nonzero, so the unused quotients do not overflow (the suite turns a
+    # RuntimeWarning into an error), and elsewhere it is the drift itself
+    out = tmp_path / "run.json"
+    assert run_cli(["integrate", "--kappa", "1e-300", "--a", "1e20", "--b", "1e-300",
+                    "--t-start", "5", "--t-end", "30", "--steps", "4",
+                    "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    conserved = json.loads(out.read_text())["conserved"]
+    for name, initial in conserved["initial"].items():
+        drift, rel = conserved["drift"][name], conserved["relative_drift"][name]
+        assert rel == (drift if initial == 0 else drift / abs(initial))
+    assert conserved["initial"]["n12"] == 0.0 and conserved["drift"]["n12"] > 1e90
+
+
 def test_cli_reproducible_bytes(tmp_path, monkeypatch):
     args = [
         "integrate", "--algebra", "un", "--n", "3", "--seed", "42",

@@ -26,6 +26,7 @@ from nahmschmid.flow import (
     su2_closed_form_trajectory,
 )
 from nahmschmid.liealg import (
+    AdjointBasis,
     basis_for,
     bracket,
     double_bracket_matrix,
@@ -109,10 +110,10 @@ def _shooting_reference(traj):
     # in one (2m - 1, d, d) array, formed in one call (as the streamed form
     # does when the grid fits one block), and the whole (m, 2, d, d) path
     # of the fundamental matrix; the bitwise reference for streaming
-    basis = basis_for(traj.samples)
+    basis = AdjointBasis(basis_for(traj.samples))
     if np.max(np.abs(traj.samples[:, 0])) > 0:
         traj = flow.gauge_fix(traj)[0]
-    d = basis.shape[0]
+    d = basis.elements.shape[0]
     nodes = traj.samples[:, 1:]
     m = nodes.shape[0]
     C = np.concatenate([nodes, grids.midpoints(nodes)])

@@ -3,11 +3,11 @@ import pytest
 
 from nahmschmid import degeneracy, elliptic, flow, grids, positive, spectral
 from nahmschmid.flow import SolverConfig, integrate
-from nahmschmid.liealg import project_antihermitian, random_antihermitian, su2_basis
+from nahmschmid.liealg import random_antihermitian, su2_basis
 
 from rk4_reference import (
-    ab_rhs_reference, assert_same_bits, gauge_factor_reference, rk4_loop_reference,
-    rk4_reference,
+    ab_rhs_reference, assert_same_bits, flow_reference, gauge_factor_reference,
+    rk4_loop_reference, rk4_reference,
 )
 
 
@@ -106,8 +106,7 @@ def test_closed_form_sampling_takes_one_jacobi_per_sample(monkeypatch):
 def _flow_reference(q, t0, h, steps):
     # the functional loop on the reduced equations, then the gauge factor
     # of a nonzero T0: the steps integrate takes, as one array
-    Y = rk4_reference(lambda t, Y: flow._rhs_stacked(Y), q[1:], t0, h, steps,
-                      project=project_antihermitian)
+    Y = flow_reference(q[1:], t0, h, steps)
     return gauge_factor_reference(q[0], Y, h) if np.any(q[0]) else Y
 
 
@@ -199,9 +198,8 @@ def test_rk4_into_a_strided_view_bitwise_equals_the_functional_loop(quad):
     # rows between stay untouched
     buf = np.zeros((2 * 21, 3, 3, 3), dtype=complex)
     got = grids.rk4(lambda t, Y, k: flow._rhs_stacked(Y, out=k), quad[1:], 0.0, 0.05, 20,
-                    project=project_antihermitian, out=buf[::2])
-    ref = rk4_reference(lambda t, Y: flow._rhs_stacked(Y), quad[1:], 0.0, 0.05, 20,
-                        project=project_antihermitian)
+                    out=buf[::2])
+    ref = rk4_reference(lambda t, Y: flow._rhs_stacked(Y), quad[1:], 0.0, 0.05, 20)
     assert got.base is buf
     assert_same_bits(buf[::2], ref)
     assert np.all(buf[1::2] == 0.0)

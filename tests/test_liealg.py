@@ -4,7 +4,9 @@ from numpy.testing import assert_allclose
 
 from nahmschmid import flow, liealg
 from nahmschmid.liealg import (
+    AdjointBasis,
     ad_matrix,
+    basis_for,
     bracket,
     coordinates,
     double_bracket_matrix,
@@ -170,6 +172,13 @@ def test_orthonormal_basis(n, traceless):
             assert abs(np.trace(b)) < 1e-12
 
 
+def test_basis_for_takes_u1_at_n_1():
+    # su(1) = {0} has no basis: 1x1 data, traceless or not, is taken in u(1)
+    for X in (np.zeros((3, 1, 1)), np.full((3, 1, 1), 0.5j)):
+        assert np.array_equal(basis_for(X), orthonormal_basis(1))
+    assert basis_for(np.zeros((3, 2, 2))).shape == (3, 2, 2)
+
+
 def test_coordinates_round_trip(rng):
     basis = orthonormal_basis(3)
     X = random_antihermitian(3, rng)
@@ -180,7 +189,7 @@ def test_coordinates_round_trip(rng):
 def test_ad_matrix_skew(rng):
     basis = orthonormal_basis(3)
     X = random_antihermitian(3, rng)
-    A = ad_matrix(X, basis)
+    A = ad_matrix(X, AdjointBasis(basis))
     assert_allclose(A, -A.T, atol=1e-12)
     # ad acts correctly in coordinates
     Y = random_antihermitian(3, rng)
@@ -192,9 +201,9 @@ def test_double_bracket_matrix(rng, n, traceless):
     basis = orthonormal_basis(n, traceless=traceless)
     T = np.array([random_antihermitian(n, rng) for _ in range(3)])
     signs = (-1.0, 1.0, 2.0)
-    D = double_bracket_matrix(T, signs, basis)
+    D = double_bracket_matrix(T, signs, AdjointBasis(basis))
     assert_allclose(D, D.T, atol=1e-12)
-    ads = ad_matrix(T, basis)
+    ads = ad_matrix(T, AdjointBasis(basis))
     assert_allclose(D, sum(s * A @ A for s, A in zip(signs, ads)), atol=1e-12)
     # the operator it represents, applied in coordinates
     Y = random_antihermitian(n, rng, traceless=traceless)
@@ -203,7 +212,7 @@ def test_double_bracket_matrix(rng, n, traceless):
 
 
 def test_adjoint_layer_batches_over_leading_axes(rng):
-    basis = orthonormal_basis(3)
+    basis = AdjointBasis(orthonormal_basis(3))
     T = np.array([[random_antihermitian(3, rng) for _ in range(2)] for _ in range(4)])
     batched = double_bracket_matrix(T.reshape(2, 2, 2, 3, 3), (1.0, -1.0), basis)
     ads = ad_matrix(T, basis)
@@ -253,7 +262,7 @@ def test_double_bracket_matrix_bitwise_equals_expansion(n, traceless, many):
     T = np.array([[random_antihermitian(n, rng, traceless=traceless) for _ in range(3)]
                   for _ in range(many)])
     for chunk in (T[0], T[:1], T[1:3], T[3:6], T[6:13], T):
-        D = double_bracket_matrix(chunk, (-1.0, 1.0, 1.0), basis)
+        D = double_bracket_matrix(chunk, (-1.0, 1.0, 1.0), AdjointBasis(basis))
         ref = _double_bracket_reference(chunk, (-1.0, 1.0, 1.0), basis)
         assert D.dtype == ref.dtype and D.shape == ref.shape
         assert np.array_equal(D.view(np.uint64), ref.view(np.uint64))

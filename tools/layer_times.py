@@ -6,8 +6,8 @@ At n = 2, 4, 8, 16 it times, in seconds per call and best of REPEAT runs:
                   flow calls it (with the flow's workspace where the
                   checkout has one)
   flow_step       one RK4 step of the flow: flow._flow_blocks over one
-                  block of _STEP_BLOCK steps (rhs, RK4 and projection),
-                  divided by the steps
+                  block of _STEP_BLOCK steps (rhs and RK4), divided by the
+                  steps
   flow_t0_step    one step of the flow with a constant T0 != 0:
                   flow.integrate over _STEP_BLOCK steps (the reduced steps
                   and the conjugation by the gauge factor of T0, where the
@@ -17,7 +17,9 @@ At n = 2, 4, 8, 16 it times, in seconds per call and best of REPEAT runs:
                   grids.rk4_sampled in its second-order layout
   char_poly       spectral.char_poly of the Lax polynomial of a quadruple
   double_bracket  liealg.double_bracket_matrix per time, over the block of
-                  times the shooting forms at once
+                  times the shooting forms at once, with the basis's
+                  operands built once beforehand (liealg.AdjointBasis) as
+                  the shooting builds them, where the checkout has it
   ab_rhs          the A-B factor flow's right-hand side on a (2, n, n)
                   state: positive._ab_rhs into a stage buffer with one
                   workspace where the checkout has it, else ab_flow_rhs
@@ -107,6 +109,7 @@ def _kernels(n, np, flow, grids, liealg, spectral, degeneracy, positive):
 
     basis = liealg.orthonormal_basis(n, traceless=True)
     d = basis.shape[0]
+    adjoint = liealg.AdjointBasis(basis) if hasattr(liealg, "AdjointBasis") else basis
     shoot_steps = 16
     C = rng.standard_normal((2 * shoot_steps + 1, d, d)) / d
     Y0 = np.stack([np.zeros((d, d)), np.eye(d)])
@@ -132,7 +135,7 @@ def _kernels(n, np, flow, grids, liealg, spectral, degeneracy, positive):
                                                  second_order=True),
          1 if heavy else 4, shoot_steps),
         ("char_poly", lambda: spectral.char_poly(lax), 2 if heavy else 10, 1),
-        ("double_bracket", lambda: liealg.double_bracket_matrix(T, signs, basis),
+        ("double_bracket", lambda: liealg.double_bracket_matrix(T, signs, adjoint),
          1 if heavy else 4, times),
         ("ab_rhs", ab_rhs, 200, 1),
         ("ab_step", lambda: positive.integrate_ab(AB[0], AB[1], (0.0, 1.0), steps=AB_STEPS),
