@@ -11,11 +11,15 @@ file's bytes as "init_sha256" instead.  Identical configurations
 (including the seed) give byte-identical output.  The scale is the fixed
 normalisation <X, Y> = -2 Re tr(XY) of `liealg`, not an option: the
 degeneracy bound 2 sup(|T2|^2 + |T3|^2) < pi^2 holds only in it.  Exit
-codes: 0 success, 2 configuration error, 3 numerical failure.  Sweep
-points run serially: the small-matrix numpy calls of one point hold the
-GIL, so a worker pool measured no faster.  Handlers return a dict (JSON)
-or text (CSV); `main` alone writes it, a dict through `serialize.dumps`
-with the config echo added, then any `args.csv_report` to stderr.
+codes: 0 success, 2 configuration error, 3 numerical failure.  `main` runs
+the handler and the rendering under one floating-point policy: an overflow,
+invalid value or division by zero raises, and so does a NaN or infinity in
+the output; either is a numerical failure (exit 3) that writes nothing to
+stdout and creates no output file.  Sweep points run serially: the
+small-matrix numpy calls of one point hold the GIL, so a worker pool
+measured no faster.  Handlers return a dict (JSON) or CSV lines; `main`
+alone writes them, a dict as the pieces of `serialize.iterdumps` with the
+config echo added, then any `args.csv_report` to stderr.
 
 Initial-data files are JSON objects with components "T0".."T3" (or
 "tau1".."tau3" for stability) encoded as row-major [re, im] matrices;
@@ -24,8 +28,10 @@ an entry above 1e150/n in magnitude is a configuration error.
 """
 
 import argparse
+import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -86,18 +92,14 @@ def _config_echo(args):
     return {**echo, "scale": INNER_SCALE}
 
 
-# characters per write: a text file encodes what it is given in one piece,
-# so writing a trajectory export at once would hold a second, encoded copy
-_EMIT_CHUNK = 1 << 20
-
-
-def _emit(args, text):
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            for i in range(0, len(text), _EMIT_CHUNK):
-                fh.write(text[i : i + _EMIT_CHUNK])
+def _emit(args, pieces):
+    # the first piece is made before the file is opened: serialize.iterdumps
+    # checks every value before it yields, so a failed run writes nothing
+    pieces = iter(pieces)
+    head = next(pieces, "")
+    with (open(args.output, "w", encoding="utf-8") if args.output != "-"
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.writelines(itertools.chain([head], pieces))
 
 
 # input entries are at most _ENTRY_MAX/n in magnitude, --triple's at n = 1, so
@@ -150,7 +152,7 @@ def cmd_integrate(args):
     report = flow.conserved_report(traj)
     if args.format == "csv":
         args.csv_report = report.as_dict()  # main writes it to stderr after the CSV
-        return "\n".join(serialize.trajectory_csv_lines(traj)) + "\n"
+        return serialize.trajectory_csv_lines(traj)
     return {"trajectory": serialize.trajectory_to_obj(traj), "conserved": report.as_dict()}
 
 
@@ -159,7 +161,7 @@ def cmd_closed_form(args):
         args.a, args.b, args.kappa, (args.t_start, args.t_end), args.steps
     )
     if args.format == "csv":
-        return "\n".join(serialize.trajectory_csv_lines(traj)) + "\n"
+        return serialize.trajectory_csv_lines(traj)
     return {"trajectory": serialize.trajectory_to_obj(traj)}
 
 
@@ -277,7 +279,7 @@ def cmd_sweep(args):
             str(certified),
         ]
         lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 _ELLIPTIC = ("--kappa", "--a", "--b")
@@ -358,14 +360,20 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         _check_config(args)
-        out = args.func(args)
-        if isinstance(out, dict):
-            out = serialize.dumps({"config": _config_echo(args), **out})
-        _emit(args, out)
-        if getattr(args, "csv_report", None) is not None:
-            sys.stderr.write(serialize.dumps(args.csv_report))
-    # LinAlgError subclasses ValueError, so it is caught before the config clause
-    except (flow.NumericalFailure, FloatingPointError, np.linalg.LinAlgError) as exc:
+        # one floating-point policy: an overflow, invalid value or division
+        # by zero anywhere in the run or its output is a numerical failure
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = args.func(args)
+            if isinstance(out, dict):
+                _emit(args, serialize.iterdumps({"config": _config_echo(args), **out}))
+            else:
+                _emit(args, (line + "\n" for line in out))
+            if getattr(args, "csv_report", None) is not None:
+                sys.stderr.write(serialize.dumps(args.csv_report))
+    # LinAlgError and NonFiniteError subclass ValueError, so they are caught
+    # before the config clause
+    except (flow.NumericalFailure, FloatingPointError, np.linalg.LinAlgError,
+            serialize.NonFiniteError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     # a MemoryError is a size asked for in the options (--steps, --horizon)

@@ -151,11 +151,14 @@ def rosenblatt_factorize(L0, L1, L2):
         try:
             np.linalg.cholesky(Q)  # only tests that Q is positive definite
             QiC, QiCh = np.split(np.linalg.solve(Q, np.concatenate([C, Ch], axis=1)), 2, axis=1)
+            with np.errstate(over="raise", invalid="raise"):
+                P = P - Ch @ QiC
+                Q = Q - C @ QiCh - Ch @ QiC
+                C = C @ QiC
         except np.linalg.LinAlgError:
             raise NotFactorizableError("cyclic reduction lost positive definiteness") from None
-        P = P - Ch @ QiC
-        Q = Q - C @ QiCh - Ch @ QiC
-        C = C @ QiC
+        except FloatingPointError:
+            raise NotFactorizableError("cyclic reduction overflowed") from None
     else:
         raise NotFactorizableError(f"cyclic reduction did not converge in {_CR_MAX_ITER} steps")
 

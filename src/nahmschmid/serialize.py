@@ -4,13 +4,18 @@ Complex matrices are encoded row-major as nested lists of [re, im] pairs.
 JSON output is rendered with sorted keys and Python's shortest
 round-trip float encoding, so identical inputs give byte-identical files.
 
-Objects for :func:`dumps` may hold ndarray leaves rather than nested lists:
-a float array is written as the text `json.dumps` would give its nested-list
-form, a complex array as that of its [re, im] pairs (`matrix_to_pairs`).
-`trajectory_to_obj` keeps its samples as such float (n, n, 2) views, so
-these objects must be rendered with :func:`dumps`, not with `json.dumps`.
+Objects for :func:`iterdumps` and :func:`dumps` may hold ndarray leaves
+rather than nested lists: a float array is written as the text `json.dumps`
+would give its nested-list form, a complex array as that of its [re, im]
+pairs (`matrix_to_pairs`), and a record array of float64 fields as the list
+of its records' objects.  `trajectory_to_obj` keeps its samples as one such
+record view of the trajectory, so these objects must be rendered here, not
+with `json.dumps`.  `iterdumps` yields the text in pieces of bounded size,
+after it has checked every value, so a writer of its pieces never holds the
+whole text; `trajectory_csv_lines` yields one row at a time.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -76,17 +81,19 @@ def quadruple_from_obj(obj, components=("T0", "T1", "T2", "T3")):
 def trajectory_to_obj(traj):
     """Trajectory as a JSON-ready dict for :func:`dumps`.
 
-    Each sample is a dict "T0".."T3" whose values are float (n, n, 2)
-    views of `traj.samples`, not nested lists, so the object must be
-    rendered with :func:`dumps`, not `json.dumps`.
+    "samples" is one record array of `steps + 1` records, a view of
+    `traj.samples` with no copy: fields "T0".."T3", each the float (n, n, 2)
+    [re, im] pairs of a component.  It renders as the list of objects
+    {"T0": ..., "T3": ...}, so the object must be rendered with
+    :func:`dumps` or :func:`iterdumps`, not `json.dumps`.
     """
-    pairs = _pairs(traj.samples)
+    record = np.dtype([(f"T{i}", np.float64, (traj.n, traj.n, 2)) for i in range(4)])
     return {
         "t_start": traj.t_start,
         "t_end": traj.t_end,
         "steps": traj.steps,
         "n": traj.n,
-        "samples": [{f"T{i}": q[i] for i in range(4)} for q in pairs],
+        "samples": _pairs(traj.samples).reshape(traj.steps + 1, -1).view(record)[:, 0],
     }
 
 
@@ -100,68 +107,106 @@ def trajectory_csv_lines(traj):
                 header.append(f"T{i}_{r}{c}_re")
                 header.append(f"T{i}_{r}{c}_im")
     yield ",".join(header)
-    rows = _pairs(traj.samples).reshape(traj.steps + 1, -1).tolist()
+    rows = _pairs(traj.samples).reshape(traj.steps + 1, -1)
     for t, row in zip(traj.times.tolist(), rows):
-        yield ",".join(map(repr, [t] + row))
+        yield ",".join(map(repr, [t] + row.tolist()))
 
 
-# json.dumps writes the string _HOLE as _HOLE_TEXT; dumps swaps each
-# occurrence for the array it stands for
+# json.dumps writes the string _HOLE as _HOLE_TEXT; iterdumps writes the
+# array it stands for in its place
 _HOLE = "\x00nahmschmid-array\x00"
 _HOLE_TEXT = json.dumps(_HOLE)
 
+# iterdumps writes an array leaf in pieces of whole axis-0 rows of at most
+# about this many floats (at least one row)
+_PIECE_FLOATS = 1 << 14
 
-def _template(shape, indent):
+
+class NonFiniteError(ValueError):
+    """An output holds a NaN or an infinity, which JSON cannot write."""
+
+
+def _template(shape, indent, fields=(), first=True, last=True):
     """Indent-2 JSON text of a nested list of `shape`, one %r slot per entry.
 
     `indent` is the column of the line the list opens on, as json.dumps
-    lays it out.
+    lays it out.  With `fields` ((name, shape) pairs) an entry is the object
+    of those arrays.  A piece of a longer list opens with a comma unless
+    `first`, and has no closing bracket unless `last`.
     """
     if not shape:
-        return "%r"
+        if not fields:
+            return "%r"
+        pad = " " * (indent + 2)
+        items = [pad + json.dumps(name) + ": " + _template(s, indent + 2) for name, s in fields]
+        return "{\n" + ",\n".join(items) + "\n" + " " * indent + "}"
     if shape[0] == 0:
         return "[]"
-    pad = " " * (indent + 2)
-    item = _template(shape[1:], indent + 2)
-    return "[\n" + pad + (",\n" + pad).join([item] * shape[0]) + "\n" + " " * indent + "]"
+    sep = ",\n" + " " * (indent + 2)
+    item = _template(shape[1:], indent + 2, fields)
+    return ("[" + sep[1:] if first else sep) + sep.join([item] * shape[0]) + (
+        "\n" + " " * indent + "]" if last else "")
 
 
-def dumps(obj):
-    """Deterministic JSON rendering (sorted keys, round-trip floats).
+def _pieces(values, shape, fields, indent):
+    # the text of a leaf of `shape` from its float view, in whole axis-0 rows
+    if not shape or not shape[0]:
+        yield _template(shape, indent, fields) % tuple(values.ravel().tolist())
+        return
+    rows = max(1, _PIECE_FLOATS // max(1, values[0].size))
+    template = functools.cache(_template)  # one per piece size, freed with the leaf
+    for lo in range(0, shape[0], rows):
+        part = values[lo : lo + rows]
+        piece = template((len(part),) + shape[1:], indent, fields, lo == 0, lo + rows >= shape[0])
+        yield piece % tuple(part.ravel().tolist())
+
+
+def iterdumps(obj):
+    """Deterministic JSON rendering (sorted keys, round-trip floats), in pieces.
 
     Float ndarray leaves are written as their nested lists would be: the
     text is byte-identical to `json.dumps` of the `.tolist()` form.  Complex
-    ndarray leaves are written as their [re, im] pairs, the text of
-    `json.dumps` of `matrix_to_pairs`.  %r of a Python float is
-    `float.__repr__`, which is what json writes.
+    ndarray leaves are written as their [re, im] pairs (`matrix_to_pairs`),
+    and a record leaf of float64 fields in sorted order as the list of its
+    records' objects.  %r of a Python float is `float.__repr__`, which is
+    what json writes.  Every value is checked before the first piece: a NaN
+    or an infinity raises NonFiniteError.  A leaf is yielded in pieces of
+    whole axis-0 rows of at most about _PIECE_FLOATS floats.
     """
     held = []
 
     def hold(o):
-        if isinstance(o, np.ndarray) and o.dtype.kind in "fc":
-            o = _pairs(o) if o.dtype.kind == "c" else o
-            if not np.all(np.isfinite(o)):
-                raise ValueError("Out of range float values are not JSON compliant")
-            held.append(o)
-            return _HOLE
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        if not (isinstance(o, np.ndarray) and (o.dtype.kind in "fc" or o.dtype.names)):
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        fields, values = (), _pairs(o) if o.dtype.kind == "c" else o
+        if o.dtype.names:  # a record, flattened to floats in field order
+            fields = tuple((name, o.dtype[name].shape) for name in sorted(o.dtype.names))
+            if np.dtype([(name, np.float64, shape) for name, shape in fields]) != o.dtype:
+                raise TypeError("a record leaf needs float64 fields in sorted order, unpadded")
+            values = np.ascontiguousarray(o).view(np.float64).reshape(o.shape + (-1,))
+        if not np.all(np.isfinite(values)):
+            raise ValueError("Out of range float values are not JSON compliant")
+        held.append((values, o.shape if fields else values.shape, fields))
+        return _HOLE
 
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=hold)
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=hold)
+    except ValueError as exc:  # json's message for a non-finite float, hold's too
+        if "not JSON compliant" not in str(exc):
+            raise
+        raise NonFiniteError(str(exc)) from None
     parts = text.split(_HOLE_TEXT)
     if len(parts) - 1 != len(held):
         raise ValueError("a string in the object equals the array placeholder")
-    # one %-format of the whole text: the json parts with "%" escaped and
-    # a template per array, so the result is built in a single buffer
-    # rather than from one string per array
-    templates = {}
-    fmt = [parts[0].replace("%", "%%")]
+    yield parts[0]
     for before, leaf, after in zip(parts, held, parts[1:]):
-        line = before[before.rfind("\n") + 1:]
-        key = (leaf.shape, len(line) - len(line.lstrip(" ")))
-        if key not in templates:
-            templates[key] = _template(*key)
-        fmt.append(templates[key])
-        fmt.append(after.replace("%", "%%"))
-    fmt.append("\n")
-    values = tuple(np.concatenate([leaf.ravel() for leaf in held]).tolist()) if held else ()
-    return "".join(fmt) % values
+        line = before[before.rfind("\n") + 1 :]
+        yield from _pieces(*leaf, len(line) - len(line.lstrip(" ")))
+        yield after
+    yield "\n"
+
+
+def dumps(obj):
+    """Deterministic JSON rendering in one string: the joined pieces of
+    :func:`iterdumps`, with its checks."""
+    return "".join(iterdumps(obj))

@@ -36,6 +36,10 @@ def su2_from_components(f1, f2, f3):
 
 
 def trajectory_from_obj(obj):
-    """Inverse of `serialize.trajectory_to_obj` on its decoded JSON."""
-    samples = np.array([quadruple_from_obj(s)[0] for s in obj["samples"]])
+    """Inverse of `serialize.trajectory_to_obj`, on its decoded JSON or on
+    the object itself, whose samples are one record array."""
+    samples = obj["samples"]
+    if isinstance(samples, np.ndarray):
+        samples = [{name: s[name] for name in samples.dtype.names} for s in samples]
+    samples = np.array([quadruple_from_obj(s)[0] for s in samples])
     return Trajectory(float(obj["t_start"]), float(obj["t_end"]), samples)

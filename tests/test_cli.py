@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import nahmschmid
-from nahmschmid import cli, degeneracy, positive, serialize, stability
+from nahmschmid import cli, degeneracy, positive, serialize, spectral, stability
 from nahmschmid.cli import main
 from nahmschmid.elliptic import complete_K
 from nahmschmid.flow import (
@@ -183,6 +184,113 @@ def test_dumps_rejects_non_finite_complex_leaf(bad):
     M[1, 0] = bad
     with pytest.raises(ValueError, match="not JSON compliant"):
         serialize.dumps({"M": M})
+
+
+# the values a float's shortest round-trip text is hardest on: signed zero,
+# the least subnormal, values near the float maximum and 17-digit values
+EDGE_FLOATS = [-0.0, 5e-324, 1e308, -1.7976931348623157e308, 0.1 + 0.2, 1 / 3,
+               -2.2250738585072014e-308, 123456789.12345679, 1.0, -2.5e-17]
+
+
+def _edge_values(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.choice(np.array(EDGE_FLOATS), size=shape) * rng.choice([1.0, -1.0], size=shape)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 7])  # 1, P - 1, P, P + 1 and 2P + 1 for P = 3
+def test_iterdumps_pieces_byte_identical(monkeypatch, n, rows):
+    # the pieces are whole axis-0 rows, P = 3 per piece: the joined text is
+    # json.dumps of the list-of-dicts and nested-list forms at every row
+    # count around a piece boundary, for record, float and complex leaves
+    P = 3
+    samples = _edge_values((rows, 4, n, n), 1) + 1j * _edge_values((rows, 4, n, n), 2)
+    record = serialize.trajectory_to_obj(Trajectory(0.0, 1.0, samples))["samples"]
+    plain = _edge_values((rows, n, 2), 3)
+    cplx = samples[:, 1, 0]
+    config = {"name": "run 100% %r %s %%", "%(x)s": "%", "pad": "%" * 7}
+    obj = {"config": config, "samples": record, "plain": plain, "cplx": cplx,
+           "nested": {"a": [plain[:0], 5e-324, {"b": plain}]}}
+    ref = {"config": config,
+           "samples": [{f"T{i}": serialize.matrix_to_pairs(q[i]) for i in range(4)}
+                       for q in samples],
+           "plain": plain.tolist(), "cplx": serialize.matrix_to_pairs(cplx),
+           "nested": {"a": [[], 5e-324, {"b": plain.tolist()}]}}
+    want = json.dumps(ref, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    # a piece size that is not a whole number of rows rounds down to one;
+    # P rows of the record leaf, or of the float and complex leaves
+    for leaf_floats in (8 * n * n, 2 * n):
+        monkeypatch.setattr(serialize, "_PIECE_FLOATS", P * leaf_floats + leaf_floats - 1)
+        pieces = list(serialize.iterdumps(obj))
+        assert "".join(pieces) == want
+        assert serialize.dumps(obj) == want
+    # a record leaf alone renders at column 0, as does a bare float array
+    monkeypatch.setattr(serialize, "_PIECE_FLOATS", P * 4 * n * n * 2)
+    assert serialize.dumps(record) == json.dumps(ref["samples"], indent=2, sort_keys=True) + "\n"
+    assert serialize.dumps(plain) == json.dumps(plain.tolist(), indent=2) + "\n"
+    # the empty text before and after the leaf, its pieces of at most P
+    # rows each, and the closing newline
+    pieces = list(serialize.iterdumps(record))
+    assert len(pieces) == 3 + -(-rows // P)
+    assert [p.count('"T0"') for p in pieces[1:-2]] == [P] * (rows // P) + [rows % P] * (rows % P > 0)
+
+
+def test_trajectory_samples_are_a_record_view_of_the_trajectory():
+    traj = export_trajectory("u3")
+    samples = serialize.trajectory_to_obj(traj)["samples"]
+    assert samples.shape == (traj.steps + 1,) and samples.dtype.names == ("T0", "T1", "T2", "T3")
+    assert np.shares_memory(samples, traj.samples)
+    assert_allclose(serialize.matrix_from_pairs(samples[5]["T2"]), traj.samples[5, 2], rtol=0, atol=0)
+
+
+def test_iterdumps_checks_every_value_before_the_first_piece():
+    # a NaN in the last leaf, or in the skeleton after the leaves, stops the
+    # stream before it yields anything
+    traj = export_trajectory("u3")
+    bad = np.ones(3)
+    bad[-1] = np.nan
+    for obj in ({"a": serialize.trajectory_to_obj(traj), "z": bad},
+                {"a": serialize.trajectory_to_obj(traj), "z": float("inf")}):
+        pieces = serialize.iterdumps(obj)
+        with pytest.raises(serialize.NonFiniteError, match="not JSON compliant"):
+            next(pieces)
+    # a record leaf renders only float64 fields in sorted order
+    unsorted = np.zeros(2, dtype=[("b", float), ("a", float)])
+    with pytest.raises(TypeError, match="record leaf"):
+        serialize.dumps({"x": unsorted})
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_stdout_bytes_equal_the_output_file(tmp_path, capsysbinary, monkeypatch, fmt):
+    # main writes the same pieces to stdout and to a file; small pieces put
+    # many piece boundaries into the trajectory
+    monkeypatch.setattr(serialize, "_PIECE_FLOATS", 100)
+    argv = ["integrate", "--algebra", "un", "--n", "3", "--steps", "60", "--format", fmt]
+    out = tmp_path / f"run.{fmt}"
+    assert run_cli(argv + ["--output", str(out)]) == 0
+    capsysbinary.readouterr()
+    assert run_cli(argv) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
+    assert out.read_bytes().count(b"\n") > 60
+
+
+def test_cli_json_export_memory_is_bounded(tmp_path):
+    # a 20,000-step u(4) export (about 120 MB of JSON) allocates beyond its
+    # sample array at most an eighth of the file: the text is written in
+    # pieces and never held whole
+    out = tmp_path / "big.json"
+    argv = ["integrate", "--algebra", "un", "--n", "4", "--steps", "20000", "--output", str(out)]
+    tracemalloc.start()
+    try:
+        assert run_cli(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    out.unlink()
+    samples = 20001 * 4 * 4 * 4 * 16  # complex (steps + 1, 4, n, n)
+    assert size > 100e6
+    assert peak - samples <= size / 8
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +695,75 @@ def test_cli_overflow_outside_rk4_exits_3_with_one_message(tmp_path, capsys, cas
     assert not out.exists()
 
 
+# scenario options that pass every input check yet overflow in the numerics:
+# under main's floating-point policy each is one numerical failure, with no
+# numpy warning, nothing on stdout and no output file
+OVERFLOWING_SCENARIOS = {
+    "integrate": ["integrate", "--algebra", "un", "--n", "2", "--seed", "13289",
+                  "--t-end", "30", "--steps", "2"],
+    "spectral": ["spectral", "--kappa", "0", "--a", "1e154", "--b", "1e-300", "--steps", "64"],
+    "stability": ["stability", "--triple", "1e8,0,0.999999", "--halfline", "--amplitude", "1",
+                  "--horizon", "1e-300"],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["integrate", "spectral"])
+@pytest.mark.parametrize("to_file", [True, False])
+def test_cli_scenario_overflow_exits_3_and_writes_nothing(tmp_path, capsys, command, to_file):
+    # an overflow in the flow or in the spectral curve raises under main's
+    # errstate before any output exists, on stdout or in a file
+    out = tmp_path / "out.json"
+    argv = OVERFLOWING_SCENARIOS[command] + (["--output", str(out)] if to_file else [])
+    assert run_cli(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), np.array([1.0, -np.inf])])
+def test_cli_non_finite_output_is_a_numerical_failure(tmp_path, capsys, monkeypatch, value):
+    # a NaN or infinity that reaches the output without a floating-point
+    # error, as a plain float or in an array, still exits 3, and the file
+    # is never opened
+    monkeypatch.setattr(spectral, "lax_residual", lambda traj: value)
+    out = tmp_path / "out.json"
+    assert run_cli(["spectral", "--steps", "20", "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: Out of range float values are not JSON compliant")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_factorize_overflow_in_cyclic_reduction_is_a_refusal(tmp_path, capsys):
+    # the reduction's products overflow: a refusal with its reason and no
+    # numpy warning, and the positivity report is still written
+    out = tmp_path / "fac.json"
+    argv = ["factorize", "--kappa", "-0.0", "--a", "1e20", "--b", "-0.0", "--shift", "1e-300",
+            "--t-start", "0.3", "--output", str(out)]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().err == "factorization refused: cyclic reduction overflowed\n"
+    data = json.loads(out.read_text())
+    assert data["factors"] is None and data["positivity"]["certified"] is False
+
+
+def test_cli_stability_overflow_writes_nothing_to_stdout(tmp_path):
+    # the half-line fit divides by zero, which raises before LAPACK can
+    # write its DLASCL complaints to stdout from C: a fresh process sees
+    # C-level writes that an in-process test cannot
+    for to_file in (True, False):
+        out = tmp_path / "stab.json"
+        argv = OVERFLOWING_SCENARIOS["stability"] + (["--output", str(out)] if to_file else [])
+        proc = _python(f"import sys, nahmschmid.cli as c\nsys.exit(c.main({argv!r}))", check=False)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
 def test_cli_factorize_samples_the_pencil_once(tmp_path, monkeypatch):
     # cyclic reduction gates the factorization, so only the printed
     # positivity block samples the circle pencil
@@ -854,9 +1031,10 @@ def test_cli_reproducible_bytes(tmp_path, monkeypatch):
     ]
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert run_cli(args + ["--output", str(out1)]) == 0
-    # files are written in slices of _EMIT_CHUNK characters; the size of
-    # the slices does not change the bytes
-    monkeypatch.setattr(cli, "_EMIT_CHUNK", 7)
+    # files are written in pieces of whole sample rows of at most about
+    # _PIECE_FLOATS floats (one row here); the size of the pieces does not
+    # change the bytes
+    monkeypatch.setattr(serialize, "_PIECE_FLOATS", 7)
     assert run_cli(args + ["--output", str(out2)]) == 0
     assert out1.stat().st_size > 7 * 100
     assert out1.read_bytes() == out2.read_bytes()
@@ -1028,11 +1206,11 @@ def test_cli_sweep_two_parameters(tmp_path):
     assert len(lines) == 5
 
 
-def _python(code):
+def _python(code, check=True):
     # a fresh interpreter that imports this checkout's package
     src = str(Path(nahmschmid.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=check)
 
 
 def test_package_runs_without_scipy(tmp_path):

@@ -2,7 +2,8 @@
 
 tools/layer_times.py reaches into private names of the package (the flow's
 blocks and RHS workspace, the A-B kernel and its workspace, the shooting's
-forming budget and its liealg.AdjointBasis, the second-order RK4 layout), so
+forming budget and its liealg.AdjointBasis, the second-order RK4 layout, the
+CLI's writer cli._emit), so
 a refactor of those names shows here first.  The script is loaded by path and run at its smallest size.
 """
 
@@ -28,8 +29,8 @@ def test_layer_times_runs_and_reports_every_kernel(tmp_path, monkeypatch, capsys
     assert run["label"] == "smoke" and run["repeat"] == 1
     results = run["results"]
     assert set(results) == {"rhs", "flow_step", "flow_t0_step", "shoot_step", "char_poly",
-                            "double_bracket", "ab_rhs", "ab_step"}
+                            "double_bracket", "ab_rhs", "ab_step", "export"}
     for by_n in results.values():
         assert list(by_n) == ["2"]
         assert math.isfinite(by_n["2"]) and by_n["2"] > 0
-    assert len(capsys.readouterr().out.splitlines()) == 8
+    assert len(capsys.readouterr().out.splitlines()) == 9

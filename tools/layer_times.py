@@ -25,6 +25,12 @@ At n = 2, 4, 8, 16 it times, in seconds per call and best of REPEAT runs:
                   workspace where the checkout has it, else ab_flow_rhs
   ab_step         one RK4 step of the A-B flow: positive.integrate_ab over
                   AB_STEPS steps, divided by the steps
+  export          the JSON export of an EXPORT_STEPS-step trajectory as
+                  `integrate` writes it (serialize.trajectory_to_obj, then
+                  cli._emit of serialize.iterdumps' pieces, or of the one
+                  string of serialize.dumps where the checkout has no
+                  iterdumps) into a temporary file, divided by the floats
+                  written
 
 Each run's time is corrected for the speed of a shared host, as the
 benchmark does: it is divided by the duration of a pure-Python reference
@@ -45,11 +51,13 @@ import math
 import os
 import platform
 import sys
+import tempfile
 import time
 
 SIZES = (2, 4, 8, 16)
 REPEAT = 20
 AB_STEPS = 64
+EXPORT_STEPS = 2000
 
 
 # duration of _reference() at the nominal host speed; it only fixes the
@@ -83,7 +91,7 @@ def _best(fn, calls):
     return best
 
 
-def _kernels(n, np, flow, grids, liealg, spectral, degeneracy, positive):
+def _kernels(n, np, flow, grids, liealg, spectral, degeneracy, positive, cli, serialize, tmp):
     # (name, callable, calls per run, divisor to a per-unit time)
     rng = np.random.default_rng([41, n])
     scale = 0.5 / np.sqrt(n)
@@ -126,6 +134,10 @@ def _kernels(n, np, flow, grids, liealg, spectral, degeneracy, positive):
         ab_rhs = lambda: positive._ab_rhs(AB, out=kab, work=work)
     else:
         ab_rhs = lambda: positive.ab_flow_rhs(AB[0], AB[1])
+    traj = flow.integrate(quad, (0.0, 1.0), flow.SolverConfig(steps=EXPORT_STEPS))
+    render = getattr(serialize, "iterdumps", serialize.dumps)
+    target = argparse.Namespace(output=os.path.join(tmp, "export.json"))
+    export = lambda: cli._emit(target, render({"trajectory": serialize.trajectory_to_obj(traj)}))
     return [
         ("rhs", lambda: flow._rhs_stacked(Y, out=k, **extra), 200, 1),
         ("flow_step", flow_block, 1, steps),
@@ -140,6 +152,7 @@ def _kernels(n, np, flow, grids, liealg, spectral, degeneracy, positive):
         ("ab_rhs", ab_rhs, 200, 1),
         ("ab_step", lambda: positive.integrate_ab(AB[0], AB[1], (0.0, 1.0), steps=AB_STEPS),
          1, AB_STEPS),
+        ("export", export, 1, traj.samples.size * 2),
     ]
 
 
@@ -153,19 +166,20 @@ def main(argv=None):
 
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy as np
-    from nahmschmid import degeneracy, flow, grids, liealg, positive, spectral
+    from nahmschmid import cli, degeneracy, flow, grids, liealg, positive, serialize, spectral
 
     results = {}
-    for n in SIZES:
-        for name, fn, calls, per in _kernels(n, np, flow, grids, liealg, spectral, degeneracy,
-                                             positive):
-            fn()  # warm-up
-            results.setdefault(name, {})[str(n)] = _best(fn, calls) / per
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in SIZES:
+            for name, fn, calls, per in _kernels(n, np, flow, grids, liealg, spectral,
+                                                 degeneracy, positive, cli, serialize, tmp):
+                fn()  # warm-up
+                results.setdefault(name, {})[str(n)] = _best(fn, calls) / per
     run = {
         "label": args.label,
         "repeat": REPEAT,
         "unit": "s per call at the nominal host speed (flow_step, flow_t0_step, shoot_step, "
-                "ab_step: per step; double_bracket: per time)",
+                "ab_step: per step; double_bracket: per time; export: per float)",
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
