@@ -151,7 +151,8 @@ def cmd_integrate(args):
     traj = _solution_trajectory(args)
     report = flow.conserved_report(traj)
     if args.format == "csv":
-        args.csv_report = report.as_dict()  # main writes it to stderr after the CSV
+        # rendered, and so checked, before main writes the CSV; then to stderr
+        args.csv_report = serialize.dumps(report.as_dict())
         return serialize.trajectory_csv_lines(traj)
     return {"trajectory": serialize.trajectory_to_obj(traj), "conserved": report.as_dict()}
 
@@ -369,7 +370,7 @@ def main(argv=None):
             else:
                 _emit(args, (line + "\n" for line in out))
             if getattr(args, "csv_report", None) is not None:
-                sys.stderr.write(serialize.dumps(args.csv_report))
+                sys.stderr.write(args.csv_report)
     # LinAlgError and NonFiniteError subclass ValueError, so they are caught
     # before the config clause
     except (flow.NumericalFailure, FloatingPointError, np.linalg.LinAlgError,

@@ -119,17 +119,17 @@ def shooting_matrix(traj):
     xi'' = M(t) xi with the d x d matrix M of the module docstring.  M is
     formed at the grid nodes and at the half-steps, where the trajectory
     comes from cubic interpolation of the samples; RK4 then propagates the
-    real (2, d, d) fundamental matrix (xi, xi') from (0, identity), in the
-    second-order stage layout of :mod:`grids`, where each stage is one
-    matmul into its buffer.  Each step costs O(d^3), against O(n^5) for the
-    bracket form.  The result is xi(1), so the zero trajectory gives the
-    identity matrix.
+    real (2, d, d) fundamental matrix (xi, xi') from (0, identity) through
+    :func:`grids.rk4_sampled` in its second-order layout xi'' = M xi, whose
+    loop forms each stage's M xi with one BLAS product.  Each step costs
+    O(d^3), against O(n^5) for the bracket form.  The result is xi(1), so
+    the zero trajectory gives the identity matrix.
 
     Forming and propagation are streamed over blocks of steps: each block
     forms M at its new nodes and midpoints in one call, steps the state
-    across the block, and keeps only the last state and the M of the last
-    node, which the next block starts from.  Memory is O(block d^2),
-    independent of the step count.
+    across the block in one rk4_sampled call, and keeps only the last
+    state and the M of the last node, which the next block starts from.
+    Memory is O(block d^2), independent of the step count.
 
     A trajectory with T0 != 0 is shot after :func:`flow.gauge_fix`, so the
     matrix is expressed in the gauge T0 = 0: it is Ad(u(1)) times the map
@@ -150,8 +150,6 @@ def shooting_matrix(traj):
     # a block of b steps forms at most b + 1 nodes and b midpoints
     block = max(1, (_FORM_BLOCK_ENTRIES // (d * traj.n**2) - 1) // 2)
     Y = np.stack([np.zeros((d, d)), np.eye(d)])
-    # second-order layout: the stage derivative (xi', M xi) holds xi' already
-    rhs = lambda C, Y, k: np.matmul(C, Y[0], out=k[1])
     # M at node lo, carried from the previous block: no row before the first
     C_lo = np.empty((0, d, d))
     for lo in range(0, m - 1, block):
@@ -165,7 +163,7 @@ def shooting_matrix(traj):
             C = double_bracket_matrix(np.concatenate([new, mids]), (-1.0, 1.0, 1.0), basis)
         C_nodes = np.concatenate([C_lo, C[: len(new)]])
         try:
-            Y = grids.rk4_sampled(rhs, C_nodes, C[len(new) :], Y, traj.h, second_order=True)[-1]
+            Y = grids.rk4_sampled(None, C_nodes, C[len(new) :], Y, traj.h, second_order=True)[-1]
         except FloatingPointError as exc:
             step = lo + exc.step  # rk4 numbers the steps of its block
             raise flow.NumericalFailure(f"state became non-finite at step {step}") from exc

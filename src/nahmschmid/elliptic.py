@@ -11,6 +11,11 @@ first reduced into [0, K] using the quarter-period symmetries
 
 The boundary modulus kappa = 1 degenerates the AGM and is dispatched to the
 hyperbolic closed forms sn = tanh, cn = dn = sech.
+
+The descent needs no clamp for kappa < 1: c_n < a_n rounds to a ratio
+r < 1, so |r sin(phi)| <= r < 1 stays in the domain of arcsin, and the
+radicand 1 - (kappa sn)^2 of dn is at least 1 - kappa^2, which rounds to
+2^-52 > 0 at the largest kappa = 1 - 2^-53.  NaN in gives NaN out.
 """
 
 import functools
@@ -67,18 +72,6 @@ def _modulus_data(kappa):
     return complete_K(kappa), (2.0**N) * ladder[N][0], ratios
 
 
-def _jacobi_core(u, kappa, scale, ratios):
-    # valid for u in [-K, K]; principal arcsin branch throughout
-    phi = scale * u
-    for r in ratios:
-        phi = 0.5 * (phi + math.asin(max(-1.0, min(1.0, r * math.sin(phi)))))
-    sn = math.sin(phi)
-    cn = math.cos(phi)
-    # dn from the Pythagorean identity; dn >= kappa' > 0 on the real line
-    dn = math.sqrt(max(1.0 - (kappa * sn) ** 2, 0.0))
-    return sn, cn, dn
-
-
 def jacobi(u, kappa):
     """Jacobi elliptic functions: returns (sn, cn, dn) at argument u.
 
@@ -104,5 +97,10 @@ def jacobi(u, kappa):
     if v > K:
         v = 2.0 * K - v
         sign_cn = -sign_cn
-    sn, cn, dn = _jacobi_core(v, kappa, scale, ratios)
-    return sign_sn * sn, sign_cn * cn, dn
+    # the descent on [0, K], principal arcsin branch throughout
+    phi = scale * v
+    for r in ratios:
+        phi = 0.5 * (phi + math.asin(r * math.sin(phi)))
+    sn = math.sin(phi)
+    # dn from the Pythagorean identity; dn >= kappa' > 0 on the real line
+    return sign_sn * sn, sign_cn * math.cos(phi), math.sqrt(1.0 - (kappa * sn) ** 2)

@@ -16,11 +16,13 @@ do.  For the flow that is the gather of the right-hand side (its products
 go to a workspace of the flow); :func:`rk4` takes no projection, since the
 flow's right-hand side keeps its states anti-Hermitian by construction.
 
-A second-order system y'' = f, stepped as the state (x, v), has the layout
-`second_order=True` of :func:`rk4_sampled`.  Each stage is one buffer
-(x_i, v_i, f_i) of leading length 3: its first two rows are the stage
-input, its last two the stage derivative (v_i, f_i), which is a view and
-not a copy.  The loop fills v_i; the right-hand side writes only k[1] = f_i.
+A second-order system x'' = C(t) x, stepped as the state (x, v), has the
+layout `second_order=True` of :func:`rk4_sampled`, which takes no
+right-hand side: the loop forms each stage's f_i = C x_i itself, with one
+`np.dot` into a fixed view.  Each stage is one buffer (x_i, v_i, f_i) of
+leading length 3: its first two rows are the stage input, its last two the
+stage derivative (v_i, f_i), which is a view and not a copy.  The first
+stage's input (x_1, v_1) is copied from the state.
 
 Finiteness is checked once per call, on the last state.  A non-finite entry
 stays non-finite in every later state: each new entry is the old one plus
@@ -123,22 +125,23 @@ def rk4_sampled(rhs, coeff_nodes, coeff_mids, y0, h, project=None, second_order=
     shape (m, ...) and coeff_mids (m-1, ...) holds the half-step values
     (from :func:`midpoints` or a closed form).  The state keeps the common
     dtype of y0 and the coefficients, so a real system is stepped in real
-    arithmetic.  With `second_order`, y0 = (x, v) of a system x'' = f and
-    the stages take the layout of the module docstring: k[0] is already v,
-    and rhs writes f into k[1].
+    arithmetic.  With `second_order`, rhs is None: y0 = (x, v) of the system
+    x'' = C x with C the (d, d) coefficient matrices, and the stages take
+    the layout of the module docstring, where the loop forms f = C x.
     """
     return _rk4_loop(rhs, coeff_nodes, coeff_mids, y0, h, project, second_order=second_order)
 
 
 def _rk4_loop(rhs, coeff_nodes, coeff_mids, y0, h, project, out=None, second_order=False):
-    # the one RK4 loop: step k evaluates rhs at node k, twice at midpoint k
-    # and at node k+1.  Both entry points call it directly, so a wrapper
-    # around one of them never sees the other's steps.  Overflow inside a
-    # step is left to the finiteness check, which names the step, instead
-    # of numpy's RuntimeWarnings.  The stage inputs are y + half*k1,
-    # y + half*k2, y + h*k3 and the new state y + sixth*(((k1 + 2*k2) +
-    # 2*k3) + k4), summed into k2, k3 and k4 in that order and never into
-    # k1, whose first half is the state's v in the second-order layout.
+    # the one RK4 loop: step k evaluates the right-hand side (rhs, or C x in
+    # the second-order layout) at node k, twice at midpoint k and at node
+    # k+1.  Both entry points call it directly, so a wrapper around one of
+    # them never sees the other's steps.  Overflow inside a step is left to
+    # the finiteness check, which names the step, instead of numpy's
+    # RuntimeWarnings.  The stage inputs are y + half*k1, y + half*k2,
+    # y + h*k3 and the new state y + sixth*(((k1 + 2*k2) + 2*k3) + k4),
+    # summed into k2, k3 and k4 in that order and never into k1, whose
+    # first half is the state's v in the second-order layout.
     y0 = np.asarray(y0)
     dtype = np.result_type(y0, coeff_nodes, coeff_mids)
     m = coeff_nodes.shape[0]
@@ -149,14 +152,17 @@ def _rk4_loop(rhs, coeff_nodes, coeff_mids, y0, h, project, out=None, second_ord
         # stage i is B[i] = (x_i, v_i, f_i): input B[i, :2], derivative B[i, 1:]
         B = np.empty((4, 3) + y0.shape[1:], dtype=dtype)
         k1, k2, k3, k4 = B[:, 1:]
-        Y2, Y3, Y4 = B[1:, :2]
-        v1 = B[0, 1]
+        Y1, Y2, Y3, Y4 = B[:, :2]
+        (x1, x2, x3, x4), (f1, f2, f3, f4) = B[:, 0], B[:, 2]
+        stage = np.dot
         doubled = (k2, k3)  # B[1:3, 1:] is strided, slower than two calls
     else:
         # indexing with `...` keeps a 0-d state a 0-d array, not a scalar
         K = np.empty((5,) + y0.shape, dtype=dtype)
         k1, k2, k3, k4, Y2 = (K[i, ...] for i in range(5))
-        Y3 = Y4 = Y2
+        Y3 = Y4 = x2 = x3 = x4 = Y2
+        f2, f3, f4 = k2, k3, k4
+        stage = rhs
         doubled = (K[1:3],)  # 2*k2 and 2*k3 in one call
     # 0-d arrays of the state's dtype: the values numpy casts a Python float
     # to, at less cost per call
@@ -165,14 +171,16 @@ def _rk4_loop(rhs, coeff_nodes, coeff_mids, y0, h, project, out=None, second_ord
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (c0, cm, c1) in enumerate(zip(coeff_nodes, coeff_mids, coeff_nodes[1:])):
             if second_order:
-                v1[...] = y[1]
-            rhs(c0, y, k1)
+                Y1[...] = y
+                np.dot(c0, x1, out=f1)
+            else:
+                rhs(c0, y, k1)
             np.add(y, np.multiply(half, k1, out=Y2), out=Y2)
-            rhs(cm, Y2, k2)
+            stage(cm, x2, f2)
             np.add(y, np.multiply(half, k2, out=Y3), out=Y3)
-            rhs(cm, Y3, k3)
+            stage(cm, x3, f3)
             np.add(y, np.multiply(full, k3, out=Y4), out=Y4)
-            rhs(c1, Y4, k4)
+            stage(c1, x4, f4)
             for a in doubled:
                 np.multiply(two, a, out=a)
             np.add(k1, k2, out=k2)

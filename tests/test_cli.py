@@ -701,6 +701,8 @@ def test_cli_overflow_outside_rk4_exits_3_with_one_message(tmp_path, capsys, cas
 OVERFLOWING_SCENARIOS = {
     "integrate": ["integrate", "--algebra", "un", "--n", "2", "--seed", "13289",
                   "--t-end", "30", "--steps", "2"],
+    # finite samples, but a conserved report (stderr) that is not finite
+    "integrate_csv": ["integrate", "--steps", "1", "--t-end", "1e20", "--format", "csv"],
     "spectral": ["spectral", "--kappa", "0", "--a", "1e154", "--b", "1e-300", "--steps", "64"],
     "stability": ["stability", "--triple", "1e8,0,0.999999", "--halfline", "--amplitude", "1",
                   "--horizon", "1e-300"],
@@ -708,11 +710,12 @@ OVERFLOWING_SCENARIOS = {
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("command", ["integrate", "spectral"])
+@pytest.mark.parametrize("command", ["integrate", "integrate_csv", "spectral"])
 @pytest.mark.parametrize("to_file", [True, False])
 def test_cli_scenario_overflow_exits_3_and_writes_nothing(tmp_path, capsys, command, to_file):
     # an overflow in the flow or in the spectral curve raises under main's
-    # errstate before any output exists, on stdout or in a file
+    # errstate before any output exists, on stdout or in a file; so does a
+    # non-finite CSV report, which is rendered before the CSV is written
     out = tmp_path / "out.json"
     argv = OVERFLOWING_SCENARIOS[command] + (["--output", str(out)] if to_file else [])
     assert run_cli(argv) == 3

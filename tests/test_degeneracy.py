@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
-from scipy.special import ellipj, ellipk
+from scipy.special import ellipeinc, ellipj, ellipk
 
 from nahmschmid import degeneracy, flow, grids
 from nahmschmid.degeneracy import (
@@ -469,8 +469,42 @@ def lame_reference(a, b, kappa):
     return sol.y[:3, -1]
 
 
+def lame_closed_form(a, b, kappa):
+    """y_j(1) of lame_reference's problem in closed form, from scipy alone.
+
+    Each y_j solves Lame's equation y'' = a^2 (2 kappa^2 sn^2(at + b) - h) y,
+    which has the exact solution u_j(at + b) for u = (sn, cn, dn).  Reduction
+    of order gives y_j(1) = u_j(b) u_j(a+b) (F_j(a+b) - F_j(b)) / a with F_j
+    an antiderivative of 1/u_j^2 (Byrd & Friedman 310-320, DLMF 22.16):
+    F_1 = u - E - cn dn/sn, F_2 = (kappa'^2 u - E + sn dn/cn)/kappa'^2 and
+    F_3 = (E - kappa^2 sn cn/dn)/kappa'^2, where E(u) = ellipeinc(am(u),
+    kappa^2) is Jacobi's epsilon function.  u_j F_j is analytic through the
+    zeros of u_j, so the formula holds when u_j vanishes inside (b, a + b).
+    Where u_j(b) = 0 (to rounding, as ellipj gives sn(2K) and cn(K)) it
+    reads 0 * inf, and u_j itself is the Dirichlet solution:
+    y_j(1) = u_j(a+b) / (a u_j'(b)).
+    """
+    m = kappa * kappa
+    kp2 = (1.0 - kappa) * (1.0 + kappa)
+
+    def at(s):
+        sn, cn, dn, am = ellipj(s, m)
+        E = ellipeinc(am, m)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            F = np.array([s - E - cn * dn / sn, (kp2 * s - E + sn * dn / cn) / kp2,
+                          (E - m * sn * cn / dn) / kp2])
+        return np.array([sn, cn, dn]), np.array([cn * dn, -sn * dn, -m * sn * cn]), F
+
+    (ub, dub, Fb), (ue, _, Fe) = at(b), at(a + b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.abs(ub) < 1e-15, ue / (a * dub), ub * ue * (Fe - Fb) / a)
+
+
 def _lame_cases():
-    # kappa -> 1 with a >= 2K is left out: 2000 steps under-resolve it
+    # kappa -> 1 with a >= 2K is left out: 2000 steps under-resolve it.  b = 0
+    # and b = K put b at a zero of sn and of cn, and so do the first three
+    # extra cases with a != 2K; in the last three cn, or sn and cn, vanish
+    # inside (b, a + b)
     cases = []
     for kappa in (0.0, 0.5, 0.9, 1.0 - 1e-6):
         K = ellipk(kappa * kappa)
@@ -478,7 +512,9 @@ def _lame_cases():
         if kappa <= 0.9:
             ab += [(2 * K, 0.0), (2 * K, K), (4 * K + 0.05, 0.1)]
         cases += [(kappa, a, b) for a, b in ab]
-    return cases
+    K9, K5 = ellipk(0.81), ellipk(0.25)
+    return cases + [(0.9, 2.0, 2 * K9), (0.9, 1.5, K9), (0.5, 2.0, 3 * K5),
+                    (0.9, 1.0, 2.0), (0.9, 3.0, 2.0), (0.5, 5.0, 0.4)]
 
 
 @pytest.mark.parametrize("kappa,a,b", _lame_cases())
@@ -487,9 +523,27 @@ def test_su2_shooting_matches_lame_oracle(kappa, a, b):
     y = lame_reference(a, b, kappa)
     assert np.all(M - np.diag(np.diag(M)) == 0.0)
     assert np.all(np.abs(np.diag(M) - y) <= 1e-9 * np.maximum(1.0, np.abs(y)))
+    if kappa <= 0.9:
+        exact = lame_closed_form(a, b, kappa)
+        assert np.all(np.abs(np.diag(M) - exact) <= 1e-9 * np.maximum(1.0, np.abs(exact)))
     if b == 0.0:
         # the e1 direction is T1 itself: y1 = sn(a t) / a
         assert M[0, 0] == pytest.approx(ellipj(a, kappa * kappa)[0] / a, abs=1e-9)
+
+
+@pytest.mark.parametrize("kappa,a,b", [case for case in _lame_cases() if case[0] <= 0.9])
+def test_lame_closed_form_matches_the_ode_reference(kappa, a, b):
+    y = lame_closed_form(a, b, kappa)
+    assert np.all(np.abs(y - lame_reference(a, b, kappa)) <= 1e-12 * np.maximum(1.0, np.abs(y)))
+
+
+def test_degenerate_at_an_exact_root_of_the_sn_branch():
+    # a root in a of y_1(1; a, b = 0.3, kappa = 0.9), found by brentq on
+    # the closed form: the su(2) locus is the zero set of the three y_j(1)
+    a = 4.443588367796
+    assert abs(lame_closed_form(a, 0.3, KAPPA)[0]) < 1e-11
+    rep = degeneracy_report(su2_closed_form_trajectory(a, 0.3, KAPPA, (0.0, 1.0), 2000))
+    assert rep.verdict == "degenerate"
 
 
 @pytest.mark.parametrize("a,b", [(2.0, 0.3), (3.0, 0.2)])

@@ -131,15 +131,18 @@ def test_su2_flow_steps_bitwise_equal_the_functional_loop(with_t0):
     assert_same_bits(traj.samples[:, 1:], _flow_reference(q, 0.0, 0.01, 100))
 
 
-@pytest.mark.parametrize("d", [3, 15, 63])
+@pytest.mark.parametrize("d", [1, 3, 15, 63, 255])
 def test_second_order_layout_bitwise_equals_the_functional_loop(d):
-    # the shooting's xi'' = C xi from (0, identity), whose zeros carry signs
+    # the shooting's xi'' = C xi from (0, identity), whose zeros carry signs;
+    # the loop forms C x_i itself (np.dot), the reference by matmul.  d = 1
+    # is u(1), whose 1 x 1 products numpy takes as scalars, and d = 255 is
+    # su(16), the largest algebra shot
     rng = np.random.default_rng([29, d])
     steps = 30
     C = rng.standard_normal((2 * steps + 1, d, d)) / d
     Y0 = np.stack([np.zeros((d, d)), np.eye(d)])
-    got = grids.rk4_sampled(lambda C, Y, k: np.matmul(C, Y[0], out=k[1]), C[: steps + 1],
-                            C[steps + 1 :], Y0, 1.0 / steps, second_order=True)
+    got = grids.rk4_sampled(None, C[: steps + 1], C[steps + 1 :], Y0, 1.0 / steps,
+                            second_order=True)
     ref = rk4_loop_reference(lambda C, Y: np.array([Y[1], C @ Y[0]]), C[: steps + 1],
                              C[steps + 1 :], Y0, 1.0 / steps)
     assert got.dtype == np.float64
@@ -240,8 +243,7 @@ def test_rk4_sampled_names_the_first_non_finite_step(steps, j, second_order):
     mids = nodes[1:].copy()
     mids[j - 1] = np.inf
     if second_order:
-        rhs = lambda C, Y, k: np.matmul(C, Y[0], out=k[1])
-        y0 = np.stack([np.zeros((2, 2)), np.eye(2)])
+        rhs, y0 = None, np.stack([np.zeros((2, 2)), np.eye(2)])
     else:
         rhs = lambda C, y, k: np.matmul(C, y, out=k)
         y0 = np.eye(2)

@@ -14,7 +14,13 @@ At n = 2, 4, 8, 16 it times, in seconds per call and best of REPEAT runs:
                   checkout has it), divided by the steps
   shoot_step      one RK4 step of the shooting, x'' = M x on a real
                   (2, d, d) state with d = n^2 - 1, through
-                  grids.rk4_sampled in its second-order layout
+                  grids.rk4_sampled in its second-order layout (which
+                  forms M x itself, or calls the shooting's matmul callback
+                  on a checkout whose layout takes one)
+  jacobi          elliptic.jacobi per call, at the 501 sample arguments
+                  a t + b of flow.su2_closed_form_trajectory(2.0, 0.3, 0.9,
+                  (0, 1), 500), in the order it calls them (the same at
+                  every n)
   char_poly       spectral.char_poly of the Lax polynomial of a quadruple
   double_bracket  liealg.double_bracket_matrix per time, over the block of
                   times the shooting forms at once, with the basis's
@@ -58,6 +64,7 @@ SIZES = (2, 4, 8, 16)
 REPEAT = 20
 AB_STEPS = 64
 EXPORT_STEPS = 2000
+JACOBI_SAMPLES = 501
 
 
 # duration of _reference() at the nominal host speed; it only fixes the
@@ -91,7 +98,8 @@ def _best(fn, calls):
     return best
 
 
-def _kernels(n, np, flow, grids, liealg, spectral, degeneracy, positive, cli, serialize, tmp):
+def _kernels(n, np, flow, grids, liealg, spectral, degeneracy, positive, cli, serialize, elliptic,
+             tmp):
     # (name, callable, calls per run, divisor to a per-unit time)
     rng = np.random.default_rng([41, n])
     scale = 0.5 / np.sqrt(n)
@@ -121,7 +129,13 @@ def _kernels(n, np, flow, grids, liealg, spectral, degeneracy, positive, cli, se
     shoot_steps = 16
     C = rng.standard_normal((2 * shoot_steps + 1, d, d)) / d
     Y0 = np.stack([np.zeros((d, d)), np.eye(d)])
-    shoot = lambda C, Y, k: np.matmul(C, Y[0], out=k[1])
+    try:  # a second-order layout that forms C x itself takes no callback
+        grids.rk4_sampled(None, C[:2], C[2:3], Y0, 1.0, second_order=True)
+        shoot = None
+    except TypeError:  # the checkout calls the right-hand side
+        shoot = lambda C, Y, k: np.matmul(C, Y[0], out=k[1])
+    ts = np.linspace(0.0, 1.0, JACOBI_SAMPLES).tolist()
+    jacobi = lambda: [elliptic.jacobi(2.0 * t + 0.3, 0.9) for t in ts]
     block = max(1, (degeneracy._FORM_BLOCK_ENTRIES // (d * n * n) - 1) // 2)
     times = 2 * block + 1
     T = quad[None, 1:] * (1.0 + 0.01 * np.arange(times))[:, None, None, None]
@@ -146,6 +160,7 @@ def _kernels(n, np, flow, grids, liealg, spectral, degeneracy, positive, cli, se
                                                  C[shoot_steps + 1 :], Y0, 1.0 / shoot_steps,
                                                  second_order=True),
          1 if heavy else 4, shoot_steps),
+        ("jacobi", jacobi, 1, JACOBI_SAMPLES),
         ("char_poly", lambda: spectral.char_poly(lax), 2 if heavy else 10, 1),
         ("double_bracket", lambda: liealg.double_bracket_matrix(T, signs, adjoint),
          1 if heavy else 4, times),
@@ -166,20 +181,23 @@ def main(argv=None):
 
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy as np
-    from nahmschmid import cli, degeneracy, flow, grids, liealg, positive, serialize, spectral
+    from nahmschmid import (cli, degeneracy, elliptic, flow, grids, liealg, positive, serialize,
+                            spectral)
 
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
         for n in SIZES:
             for name, fn, calls, per in _kernels(n, np, flow, grids, liealg, spectral,
-                                                 degeneracy, positive, cli, serialize, tmp):
+                                                 degeneracy, positive, cli, serialize, elliptic,
+                                                 tmp):
                 fn()  # warm-up
                 results.setdefault(name, {})[str(n)] = _best(fn, calls) / per
     run = {
         "label": args.label,
         "repeat": REPEAT,
         "unit": "s per call at the nominal host speed (flow_step, flow_t0_step, shoot_step, "
-                "ab_step: per step; double_bracket: per time; export: per float)",
+                "ab_step: per step; jacobi: per sample; double_bracket: per time; "
+                "export: per float)",
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
