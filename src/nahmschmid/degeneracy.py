@@ -120,8 +120,8 @@ def shooting_matrix(traj):
     formed at the grid nodes and at the half-steps, where the trajectory
     comes from cubic interpolation of the samples; RK4 then propagates the
     real (2, d, d) fundamental matrix (xi, xi') from (0, identity) through
-    :func:`grids.rk4_sampled` in its second-order layout xi'' = M xi, whose
-    loop forms each stage's M xi with one BLAS product.  Each step costs
+    :func:`grids.rk4_sampled`, the stepper of xi'' = M xi, whose loop
+    forms each stage's M xi with one BLAS product.  Each step costs
     O(d^3), against O(n^5) for the bracket form.  The result is xi(1), so
     the zero trajectory gives the identity matrix.
 
@@ -163,7 +163,7 @@ def shooting_matrix(traj):
             C = double_bracket_matrix(np.concatenate([new, mids]), (-1.0, 1.0, 1.0), basis)
         C_nodes = np.concatenate([C_lo, C[: len(new)]])
         try:
-            Y = grids.rk4_sampled(None, C_nodes, C[len(new) :], Y, traj.h, second_order=True)[-1]
+            Y = grids.rk4_sampled(C_nodes, C[len(new) :], Y, traj.h)[-1]
         except FloatingPointError as exc:
             step = lo + exc.step  # rk4 numbers the steps of its block
             raise flow.NumericalFailure(f"state became non-finite at step {step}") from exc

@@ -15,7 +15,9 @@ hyperbolic closed forms sn = tanh, cn = dn = sech.
 The descent needs no clamp for kappa < 1: c_n < a_n rounds to a ratio
 r < 1, so |r sin(phi)| <= r < 1 stays in the domain of arcsin, and the
 radicand 1 - (kappa sn)^2 of dn is at least 1 - kappa^2, which rounds to
-2^-52 > 0 at the largest kappa = 1 - 2^-53.  NaN in gives NaN out.
+2^-52 > 0 at the largest kappa = 1 - 2^-53.  NaN in gives NaN out; an
+infinite argument (an overflowed a t + b) has no reduction and raises
+FloatingPointError for kappa < 1, and takes the limits at kappa = 1.
 """
 
 import functools
@@ -87,7 +89,10 @@ def jacobi(u, kappa):
         return math.tanh(u), sech, sech
     K, scale, ratios = _modulus_data(kappa)
     # reduce to [0, 4K), then to [0, 2K), then to [0, K]
-    v = math.fmod(u, 4.0 * K)
+    try:
+        v = math.fmod(u, 4.0 * K)
+    except ValueError:  # u is infinite: there is no remainder to take
+        raise FloatingPointError(f"Jacobi elliptic argument u = {u!r} is not finite") from None
     if v < 0.0:
         v += 4.0 * K
     sign_sn, sign_cn = 1.0, 1.0

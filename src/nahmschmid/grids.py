@@ -3,33 +3,29 @@
 Contains 4th-order finite-difference stencils (matching the order of the
 RK4 integrator), cubic interpolation to half-steps, and one RK4 loop fed
 per-stage coefficients at the nodes and midpoints: the times themselves for
-right-hand sides f(t, y) (:func:`rk4`), or grid samples of the coefficients
-of a linear matrix ODE (:func:`rk4_sampled`).
+right-hand sides f(t, y) (:func:`rk4`), or grid samples of the coefficient
+C of a second-order system x'' = C(t) x (:func:`rk4_sampled`).
 
 Right-hand sides write in place: rhs(c, y, k) writes the derivative of the
 state y into the buffer k, which has y's shape and dtype.  The loop
 allocates its stage buffers once per call and writes each new state
-straight into its row of the output, where the projection of
-:func:`rk4_sampled`, when given, maps it in place: project(y, out=y).  So a
-step allocates nothing beyond what the right-hand side and the projection
-do.  For the flow that is the gather of the right-hand side (its products
-go to a workspace of the flow); :func:`rk4` takes no projection, since the
-flow's right-hand side keeps its states anti-Hermitian by construction.
+straight into its row of the output, so a step allocates nothing beyond
+what the right-hand side does: for the flow, the gather of its right-hand
+side, whose products go to a workspace of the flow.
 
-A second-order system x'' = C(t) x, stepped as the state (x, v), has the
-layout `second_order=True` of :func:`rk4_sampled`, which takes no
-right-hand side: the loop forms each stage's f_i = C x_i itself, with one
-`np.dot` into a fixed view.  Each stage is one buffer (x_i, v_i, f_i) of
-leading length 3: its first two rows are the stage input, its last two the
-stage derivative (v_i, f_i), which is a view and not a copy.  The first
-stage's input (x_1, v_1) is copied from the state.
+The second-order system x'' = C(t) x, stepped as the state (x, v), takes
+no right-hand side: the loop forms each stage's f_i = C x_i itself, with
+one `np.dot` into a fixed view.  Each stage is one buffer (x_i, v_i, f_i)
+of leading length 3: its first two rows are the stage input, its last two
+the stage derivative (v_i, f_i), which is a view and not a copy.  The
+first stage's input (x_1, v_1) is copied from the state.
 
 Finiteness is checked once per call, on the last state.  A non-finite entry
 stays non-finite in every later state: each new entry is the old one plus
-an increment, and the unitary projection raises on it.  So
-a finite last state means every state is finite, and only a failing call
-scans its rows for the first non-finite step.  The scan takes one row at a
-time, so the check builds no temporary of the size of the output.
+an increment.  So a finite last state means every state is finite, and
+only a failing call scans its rows for the first non-finite step.  The
+scan takes one row at a time, so the check builds no temporary of the size
+of the output.
 """
 
 import numpy as np
@@ -115,40 +111,38 @@ def rk4(f, y0, t0, h, steps, out=None):
     """
     nodes = t0 + h * np.arange(steps + 1)
     y0 = np.asarray(y0, dtype=complex)
-    return _rk4_loop(f, nodes, nodes[:-1] + h / 2, y0, h, None, out)
+    return _rk4_loop(f, nodes, nodes[:-1] + h / 2, y0, h, out)
 
 
-def rk4_sampled(rhs, coeff_nodes, coeff_mids, y0, h, project=None, second_order=False):
-    """RK4 for a linear ODE whose coefficient path is sampled on the grid.
+def rk4_sampled(coeff_nodes, coeff_mids, y0, h):
+    """RK4 for x'' = C(t) x, with the (d, d) coefficient C sampled on the grid.
 
-    rhs(coeff, y, k) writes the right-hand side into k; coeff_nodes has
-    shape (m, ...) and coeff_mids (m-1, ...) holds the half-step values
-    (from :func:`midpoints` or a closed form).  The state keeps the common
-    dtype of y0 and the coefficients, so a real system is stepped in real
-    arithmetic.  With `second_order`, rhs is None: y0 = (x, v) of the system
-    x'' = C x with C the (d, d) coefficient matrices, and the stages take
-    the layout of the module docstring, where the loop forms f = C x.
+    y0 = (x, v) is the (2, d, ...) initial state; coeff_nodes has shape
+    (m, d, d) and coeff_mids (m-1, d, d) holds the half-step values (from
+    :func:`midpoints` or a closed form).  The state keeps the common dtype
+    of y0 and the coefficients, so a real system is stepped in real
+    arithmetic, in the stage layout of the module docstring.
     """
-    return _rk4_loop(rhs, coeff_nodes, coeff_mids, y0, h, project, second_order=second_order)
+    return _rk4_loop(None, coeff_nodes, coeff_mids, y0, h)
 
 
-def _rk4_loop(rhs, coeff_nodes, coeff_mids, y0, h, project, out=None, second_order=False):
-    # the one RK4 loop: step k evaluates the right-hand side (rhs, or C x in
-    # the second-order layout) at node k, twice at midpoint k and at node
-    # k+1.  Both entry points call it directly, so a wrapper around one of
-    # them never sees the other's steps.  Overflow inside a step is left to
-    # the finiteness check, which names the step, instead of numpy's
-    # RuntimeWarnings.  The stage inputs are y + half*k1, y + half*k2,
-    # y + h*k3 and the new state y + sixth*(((k1 + 2*k2) + 2*k3) + k4),
-    # summed into k2, k3 and k4 in that order and never into k1, whose
-    # first half is the state's v in the second-order layout.
+def _rk4_loop(rhs, coeff_nodes, coeff_mids, y0, h, out=None):
+    # the one RK4 loop: step k evaluates rhs (or C x, when rhs is None) at
+    # node k, twice at midpoint k and at node k+1.  Both entry points call
+    # it directly, so a wrapper around one never sees the other's steps.
+    # Overflow inside a step is left to the finiteness check, which names
+    # the step, instead of numpy's RuntimeWarnings.  The stage inputs are
+    # y + half*k1, y + half*k2, y + h*k3 and the new state
+    # y + sixth*(((k1 + 2*k2) + 2*k3) + k4), summed into k2, k3 and k4 in
+    # that order and never into k1, whose first half is the state's v in
+    # the second-order layout.
     y0 = np.asarray(y0)
     dtype = np.result_type(y0, coeff_nodes, coeff_mids)
     m = coeff_nodes.shape[0]
     if out is None:
         out = np.empty((m,) + y0.shape, dtype=dtype)
     out[0] = y0
-    if second_order:
+    if rhs is None:
         # stage i is B[i] = (x_i, v_i, f_i): input B[i, :2], derivative B[i, 1:]
         B = np.empty((4, 3) + y0.shape[1:], dtype=dtype)
         k1, k2, k3, k4 = B[:, 1:]
@@ -170,7 +164,7 @@ def _rk4_loop(rhs, coeff_nodes, coeff_mids, y0, h, project, out=None, second_ord
     y = out[0, ...]
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (c0, cm, c1) in enumerate(zip(coeff_nodes, coeff_mids, coeff_nodes[1:])):
-            if second_order:
+            if rhs is None:
                 Y1[...] = y
                 np.dot(c0, x1, out=f1)
             else:
@@ -187,8 +181,6 @@ def _rk4_loop(rhs, coeff_nodes, coeff_mids, y0, h, project, out=None, second_ord
             np.add(k2, k3, out=k3)
             np.add(k3, k4, out=k4)
             y = np.add(y, np.multiply(sixth, k4, out=k4), out=out[k + 1, ...])
-            if project is not None:
-                project(y, out=y)
     if m > 1 and not np.isfinite(y).all():  # y is the last state
         step = next(k for k in range(1, m) if not np.isfinite(out[k, ...]).all())
         exc = FloatingPointError(f"state became non-finite at step {step}")
@@ -197,11 +189,7 @@ def _rk4_loop(rhs, coeff_nodes, coeff_mids, y0, h, project, out=None, second_ord
     return out
 
 
-def unitarize(U, out=None):
-    """Nearest unitary matrix (polar factor) via the SVD.
-
-    The result is written to `out` when given, which may be U itself, and
-    returned; without it a new array is returned.
-    """
+def unitarize(U):
+    """Nearest unitary matrix (polar factor) via the SVD."""
     W, _, Vh = np.linalg.svd(U)
-    return np.matmul(W, Vh, out=out)
+    return W @ Vh

@@ -36,9 +36,9 @@ def project_antihermitian(X, out=None):
     Applied after floating-point constructions that should land in the
     algebra, so that accumulated rounding never leaks Hermitian parts.
     Works on stacks (..., n, n).  The result is written to `out` when
-    given, which may be X itself (the RK4 loop projects each new state in
-    its row), and returned; without it a new array is returned.  X* is a
-    conjugate copy taken before anything is written, never a view of X.
+    given, which may be X itself, and returned; without it a new array is
+    returned.  X* is a conjugate copy taken before anything is written,
+    never a view of X.
     """
     X = np.asarray(X, dtype=complex)
     D = np.subtract(X, X.conj().swapaxes(-1, -2), out=out)

@@ -18,7 +18,7 @@ import numpy as np
 from nahmschmid.liealg import bracket, project_antihermitian
 
 
-def rk4_loop_reference(rhs, coeff_nodes, coeff_mids, y0, h, project=None):
+def rk4_loop_reference(rhs, coeff_nodes, coeff_mids, y0, h):
     y = np.array(y0, dtype=np.result_type(y0, coeff_nodes, coeff_mids))
     m = coeff_nodes.shape[0]
     out = np.empty((m,) + y.shape, dtype=y.dtype)
@@ -31,8 +31,6 @@ def rk4_loop_reference(rhs, coeff_nodes, coeff_mids, y0, h, project=None):
             k3 = rhs(coeff_mids[k], y + half * k2)
             k4 = rhs(coeff_nodes[k + 1], y + h * k3)
             y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if project is not None:
-                y = project(y)
             if not np.isfinite(y).all():
                 exc = FloatingPointError(f"state became non-finite at step {k + 1}")
                 exc.step = k + 1

@@ -704,18 +704,21 @@ OVERFLOWING_SCENARIOS = {
     # finite samples, but a conserved report (stderr) that is not finite
     "integrate_csv": ["integrate", "--steps", "1", "--t-end", "1e20", "--format", "csv"],
     "spectral": ["spectral", "--kappa", "0", "--a", "1e154", "--b", "1e-300", "--steps", "64"],
+    # finite options whose elliptic argument a t overflows to infinity
+    "closed_form": ["closed-form", "--a", "1e300", "--t-end", "1e20", "--steps", "2"],
     "stability": ["stability", "--triple", "1e8,0,0.999999", "--halfline", "--amplitude", "1",
                   "--horizon", "1e-300"],
 }
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("command", ["integrate", "integrate_csv", "spectral"])
+@pytest.mark.parametrize("command", ["integrate", "integrate_csv", "spectral", "closed_form"])
 @pytest.mark.parametrize("to_file", [True, False])
 def test_cli_scenario_overflow_exits_3_and_writes_nothing(tmp_path, capsys, command, to_file):
     # an overflow in the flow or in the spectral curve raises under main's
-    # errstate before any output exists, on stdout or in a file; so does a
-    # non-finite CSV report, which is rendered before the CSV is written
+    # errstate before any output exists, on stdout or in a file; so do a
+    # non-finite CSV report, which is rendered before the CSV is written,
+    # and an infinite elliptic argument of the closed form
     out = tmp_path / "out.json"
     argv = OVERFLOWING_SCENARIOS[command] + (["--output", str(out)] if to_file else [])
     assert run_cli(argv) == 3

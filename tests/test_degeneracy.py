@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 from scipy.special import ellipeinc, ellipj, ellipk
@@ -450,6 +449,21 @@ def test_gauge_fixed_shooting_converges_to_the_T0_form(rng):
     assert err_fixed <= 2.0 * err_direct
 
 
+@pytest.mark.parametrize("n", [4, 8])
+def test_constant_t0_shoots_with_the_singular_values_of_the_reduced_flow(n):
+    # integrate applies a constant T0 as its exact gauge factor, and the
+    # singular values are gauge-invariant: gauge fixing must add no error
+    # of its own to the shooting of the reduced flow
+    rng = np.random.default_rng([11, n])
+    q = np.array([1.5 * random_antihermitian(n, rng)]
+                 + [0.5 / np.sqrt(n) * random_antihermitian(n, rng) for _ in range(3)])
+    cfg = SolverConfig(steps=200)
+    sigma = degeneracy_report(integrate(q, (0.0, 1.0), cfg)).singular_values
+    q[0] = 0.0
+    ref = degeneracy_report(integrate(q, (0.0, 1.0), cfg)).singular_values
+    assert np.max(np.abs(sigma - ref)) <= 1e-12 * ref[0]
+
+
 def lame_reference(a, b, kappa):
     """y_j(1) of y_j'' = q_j y_j, y_j(0) = 0, y_j'(0) = 1, from scipy alone.
 
@@ -559,12 +573,11 @@ def test_su2_shooting_is_fourth_order(a, b):
 
 
 def test_rk4_sampled_keeps_real_state_real():
-    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    nodes = np.broadcast_to(A, (101, 2, 2))
-    path = grids.rk4_sampled(lambda C, y, k: np.matmul(C, y, out=k), nodes, nodes[1:], np.eye(2),
-                             0.01)
+    # x'' = -x from (0, I): x = sin(t) I and x' = cos(t) I
+    nodes = np.broadcast_to(-np.eye(2), (101, 2, 2))
+    path = grids.rk4_sampled(nodes, nodes[1:], np.stack([np.zeros((2, 2)), np.eye(2)]), 0.01)
     assert path.dtype == np.float64
-    assert_allclose(path[-1], scipy.linalg.expm(A), atol=1e-10)
+    assert_allclose(path[-1], [np.sin(1.0) * np.eye(2), np.cos(1.0) * np.eye(2)], atol=1e-10)
 
 
 def test_gauge_ode_stays_complex(rng):
@@ -573,3 +586,20 @@ def test_gauge_ode_stays_complex(rng):
     fixed, u = flow.gauge_fix(traj)
     assert u.dtype == np.complex128
     assert np.max(np.abs(u[-1].imag)) > 1e-3
+
+
+@pytest.mark.parametrize("scale, verdict", [(1.0, "degenerate"), (1.0 + 1e-3, "inconclusive")])
+def test_su8_irrep_locus_point(spin_images, scale, verdict):
+    # T_j = f_j rho(e_j) for the irreducible rho: su(2) -> su(8) solves the
+    # equations exactly, and its shooting splits into scalar Lame equations
+    # y'' = a^2 (l(l + 1) kappa^2 sn^2 - h) y per spin l.  a* below is a
+    # root of the l = 7 block at kappa = 0.9, b = 0; the profiles come from
+    # scipy's ellipj, independent of `elliptic`
+    a, steps = 0.4412116837 * scale, 400
+    t = np.linspace(0.0, 1.0, steps + 1)
+    sn, cn, dn, _ = ellipj(a * t, KAPPA**2)
+    f = np.stack([a * KAPPA * sn, a * KAPPA * cn, -a * dn], axis=1)
+    samples = np.zeros((steps + 1, 4, 8, 8), dtype=complex)
+    samples[:, 1:] = f[:, :, None, None] * spin_images(8)
+    rep = degeneracy_report(Trajectory(0.0, 1.0, samples))
+    assert rep.verdict == verdict, rep.sigma_min / rep.singular_values[0]

@@ -195,3 +195,18 @@ def test_jacobi_bitwise_equals_uncached_descent():
             got, ref = jacobi(u, kappa), _jacobi_reference(u, kappa)
             # tuples of floats compare by value; the sign of zero by repr
             assert repr(got) == repr(ref), (u, kappa)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.5, 0.9])
+def test_jacobi_refuses_an_infinite_argument(kappa):
+    # an overflowed a t + b has no reduction into a period: a numerical
+    # failure that names the argument, while NaN still passes through
+    for u in (math.inf, -math.inf):
+        with pytest.raises(FloatingPointError, match=f"argument u = {u!r} is not finite"):
+            jacobi(u, kappa)
+    assert all(math.isnan(x) for x in jacobi(math.nan, kappa))
+
+
+def test_jacobi_takes_the_hyperbolic_limits_at_an_infinite_argument():
+    assert jacobi(math.inf, 1.0) == (1.0, 0.0, 0.0)
+    assert jacobi(-math.inf, 1.0) == (-1.0, 0.0, 0.0)

@@ -62,7 +62,7 @@ def test_flows_do_not_step_through_rk4_sampled(monkeypatch, quad):
 
 @pytest.mark.parametrize("zero_t0", [True, False])
 def test_shooting_does_not_step_through_rk4(monkeypatch, quad, zero_t0):
-    # with T0 != 0 the gauge ODE of gauge_fix adds one sampled run
+    # the gauge ODE that gauge_fix solves for T0 != 0 takes Magnus steps, not RK4
     if zero_t0:
         quad = quad.copy()
         quad[0] = 0.0
@@ -71,7 +71,7 @@ def test_shooting_does_not_step_through_rk4(monkeypatch, quad, zero_t0):
     sampled = _counting(monkeypatch, "rk4_sampled")
     degeneracy.shooting_matrix(traj)
     assert timed == []
-    assert sampled == ["rk4_sampled"] * (1 if zero_t0 else 2)
+    assert sampled == ["rk4_sampled"]
 
 
 # Per-call counts that the traced benchmark run cross-checks against each
@@ -141,8 +141,7 @@ def test_second_order_layout_bitwise_equals_the_functional_loop(d):
     steps = 30
     C = rng.standard_normal((2 * steps + 1, d, d)) / d
     Y0 = np.stack([np.zeros((d, d)), np.eye(d)])
-    got = grids.rk4_sampled(None, C[: steps + 1], C[steps + 1 :], Y0, 1.0 / steps,
-                            second_order=True)
+    got = grids.rk4_sampled(C[: steps + 1], C[steps + 1 :], Y0, 1.0 / steps)
     ref = rk4_loop_reference(lambda C, Y: np.array([Y[1], C @ Y[0]]), C[: steps + 1],
                              C[steps + 1 :], Y0, 1.0 / steps)
     assert got.dtype == np.float64
@@ -152,8 +151,8 @@ def test_second_order_layout_bitwise_equals_the_functional_loop(d):
 def _unitarize_cases():
     rng = np.random.default_rng(37)
     stack = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
-    # one Euler step of the gauge ODE along su(2) closed-form data: exact
-    # zeros off the diagonal of the e1 part
+    # 1 - 0.01 T along su(2) closed-form data: exact zeros off the diagonal
+    # of the e1 part
     T = flow.su2_closed_form_trajectory(1.0, 0.3, 0.8, (0.0, 1.0), 4).samples[:, 1]
     su2 = np.eye(2) - 0.01 * T
     big = rng.standard_normal((8, 3, 6)) + 1j * rng.standard_normal((8, 3, 6))
@@ -169,16 +168,6 @@ def test_unitarize_out_bitwise_equals_the_former_form(case):
     got = grids.unitarize(U)
     assert got is not U and np.array_equal(U, before)
     assert_same_bits(got, ref)
-    assert grids.unitarize(U, out=U) is U
-    assert_same_bits(U, ref)
-
-
-def test_gauge_ode_bitwise_equals_the_functional_loop(quad):
-    traj = integrate(quad, (0.0, 1.0), SolverConfig(steps=60))
-    A = traj.samples[:, 0]
-    ref = rk4_loop_reference(lambda A, u: -(A @ u), A, grids.midpoints(A),
-                             np.eye(3, dtype=complex), traj.h, project=grids.unitarize)
-    assert_same_bits(flow._solve_gauge_ode(A, traj.h), ref)
 
 
 def test_ab_flow_bitwise_equals_the_functional_loop(quad):
@@ -234,21 +223,16 @@ def test_rk4_names_the_first_non_finite_step(steps, j):
     assert ref.value.step == j
 
 
-@pytest.mark.parametrize("second_order", [False, True])
 @pytest.mark.parametrize("steps, j", [(9, 1), (9, 5), (9, 9), (1, 1)])
-def test_rk4_sampled_names_the_first_non_finite_step(steps, j, second_order):
+def test_rk4_sampled_names_the_first_non_finite_step(steps, j):
     # an infinite coefficient at the midpoint of step j, and nowhere before
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
     nodes = np.array(np.broadcast_to(A, (steps + 1, 2, 2)))
     mids = nodes[1:].copy()
     mids[j - 1] = np.inf
-    if second_order:
-        rhs, y0 = None, np.stack([np.zeros((2, 2)), np.eye(2)])
-    else:
-        rhs = lambda C, y, k: np.matmul(C, y, out=k)
-        y0 = np.eye(2)
+    y0 = np.stack([np.zeros((2, 2)), np.eye(2)])
     with pytest.raises(FloatingPointError) as exc:
-        grids.rk4_sampled(rhs, nodes, mids, y0, 0.1, second_order=second_order)
+        grids.rk4_sampled(nodes, mids, y0, 0.1)
     _assert_names_step(exc, j)
 
 

@@ -14,9 +14,10 @@ At n = 2, 4, 8, 16 it times, in seconds per call and best of REPEAT runs:
                   checkout has it), divided by the steps
   shoot_step      one RK4 step of the shooting, x'' = M x on a real
                   (2, d, d) state with d = n^2 - 1, through
-                  grids.rk4_sampled in its second-order layout (which
-                  forms M x itself, or calls the shooting's matmul callback
-                  on a checkout whose layout takes one)
+                  grids.rk4_sampled (which forms M x itself; a checkout
+                  whose rk4_sampled still takes a right-hand side and a
+                  second_order flag gets None, or the shooting's matmul
+                  callback where its layout calls one)
   jacobi          elliptic.jacobi per call, at the 501 sample arguments
                   a t + b of flow.su2_closed_form_trajectory(2.0, 0.3, 0.9,
                   (0, 1), 500), in the order it calls them (the same at
@@ -129,11 +130,17 @@ def _kernels(n, np, flow, grids, liealg, spectral, degeneracy, positive, cli, se
     shoot_steps = 16
     C = rng.standard_normal((2 * shoot_steps + 1, d, d)) / d
     Y0 = np.stack([np.zeros((d, d)), np.eye(d)])
-    try:  # a second-order layout that forms C x itself takes no callback
-        grids.rk4_sampled(None, C[:2], C[2:3], Y0, 1.0, second_order=True)
-        shoot = None
-    except TypeError:  # the checkout calls the right-hand side
-        shoot = lambda C, Y, k: np.matmul(C, Y[0], out=k[1])
+    shoot_args = (C[: shoot_steps + 1], C[shoot_steps + 1 :], Y0, 1.0 / shoot_steps)
+    try:  # rk4_sampled(coeff_nodes, coeff_mids, y0, h) steps x'' = C x
+        grids.rk4_sampled(C[:2], C[2:3], Y0, 1.0)
+        shoot = lambda: grids.rk4_sampled(*shoot_args)
+    except TypeError:  # a checkout with a right-hand side and a second_order flag
+        try:  # whose second-order layout forms C x itself
+            grids.rk4_sampled(None, C[:2], C[2:3], Y0, 1.0, second_order=True)
+            rhs = None
+        except TypeError:  # or calls the right-hand side
+            rhs = lambda C, Y, k: np.matmul(C, Y[0], out=k[1])
+        shoot = lambda: grids.rk4_sampled(rhs, *shoot_args, second_order=True)
     ts = np.linspace(0.0, 1.0, JACOBI_SAMPLES).tolist()
     jacobi = lambda: [elliptic.jacobi(2.0 * t + 0.3, 0.9) for t in ts]
     block = max(1, (degeneracy._FORM_BLOCK_ENTRIES // (d * n * n) - 1) // 2)
@@ -156,10 +163,7 @@ def _kernels(n, np, flow, grids, liealg, spectral, degeneracy, positive, cli, se
         ("rhs", lambda: flow._rhs_stacked(Y, out=k, **extra), 200, 1),
         ("flow_step", flow_block, 1, steps),
         ("flow_t0_step", lambda: flow.integrate(quad_t0, (0.0, 1.0), config), 1, steps),
-        ("shoot_step", lambda: grids.rk4_sampled(shoot, C[: shoot_steps + 1],
-                                                 C[shoot_steps + 1 :], Y0, 1.0 / shoot_steps,
-                                                 second_order=True),
-         1 if heavy else 4, shoot_steps),
+        ("shoot_step", shoot, 1 if heavy else 4, shoot_steps),
         ("jacobi", jacobi, 1, JACOBI_SAMPLES),
         ("char_poly", lambda: spectral.char_poly(lax), 2 if heavy else 10, 1),
         ("double_bracket", lambda: liealg.double_bracket_matrix(T, signs, adjoint),
