@@ -220,6 +220,10 @@ def _triple_coefficients(text):
 def cmd_stability(args):
     if args.init:
         taus = list(_load_init(args, ("tau1", "tau2", "tau3")))
+        try:
+            stability.check_commuting(*taus)
+        except ValueError as exc:
+            raise ValueError(f"the --init {exc}") from exc
     else:
         e1, _, _ = su2_basis()
         taus = [ci * e1 for ci in _triple_coefficients(args.triple)]
@@ -261,6 +265,11 @@ def cmd_sweep(args):
             raise ValueError("--param2 must be a different one of kappa, a, b")
         grid2 = np.linspace(args.start2, args.stop2, args.points2)
         points = [{**p, args.param2: float(v2)} for p in points for v2 in grid2]
+    source = {args.param: "--from and --to", args.param2: "--from2 and --to2"}
+    for p in points:
+        if not 0.0 <= p["kappa"] <= 1.0:
+            raise ValueError(f"the modulus from {source.get('kappa', '--kappa')} must lie in "
+                             f"[0, 1], got {p['kappa']!r}")
 
     header = [args.param]
     if args.param2:
@@ -338,10 +347,13 @@ _LEAST_STEPS = {"spectral": 4, "degeneracy": 3, "sweep": 3}
 
 
 def _check_config(args):
-    """Reject non-finite float options, a bad --triple, --n below 1 and
-    --steps from 1 up to the subcommand's _LEAST_STEPS.
+    """Reject non-finite float options, a bad --triple, --n below 1, --steps
+    below the subcommand's _LEAST_STEPS (1 elsewhere), a --kappa outside
+    [0, 1] where the scenario reads it, a span with --t-end not above
+    --t-start, and a span or half-line horizon whose step rounds to 0 or
+    overflows.
 
-    Raises ValueError naming the option, so such input exits 2 (a
+    Raises ValueError naming the options, so such input exits 2 (a
     configuration error) before any numerics run.
     """
     for flag in _OPTIONS:
@@ -351,10 +363,34 @@ def _check_config(args):
     if getattr(args, "n", 1) < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
     least = _LEAST_STEPS.get(args.command, 1)
-    if 1 <= getattr(args, "steps", 1) < least:
+    if getattr(args, "steps", least) < least:
         raise ValueError(f"--steps must be at least {least} for {args.command}, got {args.steps}")
     if getattr(args, "triple", None) is not None:
         _triple_coefficients(args.triple)
+    # the su(2) scenario reads --kappa unless --init or --algebra un replaces
+    # it; sweep checks the moduli of its grid itself
+    reads_kappa = (hasattr(args, "kappa") and args.command != "sweep"
+                   and not getattr(args, "init", None) and getattr(args, "algebra", "su2") == "su2")
+    if reads_kappa and not 0.0 <= args.kappa <= 1.0:
+        raise ValueError(f"--kappa must lie in [0, 1], got {args.kappa!r}")
+    if hasattr(args, "t_end"):
+        if not args.t_end > args.t_start:
+            raise ValueError(f"--t-end must exceed --t-start, got --t-start {args.t_start!r} "
+                             f"and --t-end {args.t_end!r}")
+        _check_step("(--t-end - --t-start) / --steps", (args.t_end - args.t_start) / args.steps)
+    if getattr(args, "halfline", False):
+        if not args.horizon > 0:
+            raise ValueError(f"--horizon must be positive, got {args.horizon!r}")
+        # the experiment's step count unrounded: inf where it overflows
+        per_unit = stability.HALFLINE_STEPS_PER_UNIT
+        _check_step(f"--horizon / max({per_unit} --horizon, 10)",
+                    args.horizon / max(args.horizon * per_unit, 10.0))
+
+
+def _check_step(what, h):
+    # a grid step: 0 where it underflows, inf where the span overflows
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"the step {what} is {h!r}; it must be positive and finite")
 
 
 def main(argv=None):

@@ -120,10 +120,10 @@ def shooting_matrix(traj):
     formed at the grid nodes and at the half-steps, where the trajectory
     comes from cubic interpolation of the samples; RK4 then propagates the
     real (2, d, d) fundamental matrix (xi, xi') from (0, identity) through
-    :func:`grids.rk4_sampled`, the stepper of xi'' = M xi, whose loop
-    forms each stage's M xi with one BLAS product.  Each step costs
-    O(d^3), against O(n^5) for the bracket form.  The result is xi(1), so
-    the zero trajectory gives the identity matrix.
+    :func:`grids.rk4_sampled`, the stepper of xi'' = M xi, which builds each
+    step's (2d, 2d) RK4 propagator from M and takes one BLAS product per
+    step.  Each step costs O(d^3), against O(n^5) for the bracket form.
+    The result is xi(1), so the zero trajectory gives the identity matrix.
 
     Forming and propagation are streamed over blocks of steps: each block
     forms M at its new nodes and midpoints in one call, steps the state

@@ -1,31 +1,30 @@
 """Uniform time-grid utilities shared by the flow and shooting modules.
 
 Contains 4th-order finite-difference stencils (matching the order of the
-RK4 integrator), cubic interpolation to half-steps, and one RK4 loop fed
-per-stage coefficients at the nodes and midpoints: the times themselves for
-right-hand sides f(t, y) (:func:`rk4`), or grid samples of the coefficient
-C of a second-order system x'' = C(t) x (:func:`rk4_sampled`).
+RK4 integrator), cubic interpolation to half-steps, and two RK4 steppers:
+:func:`rk4` for right-hand sides f(t, y), and :func:`rk4_sampled` for the
+linear second-order system x'' = C(t) x with C sampled at the grid nodes
+and midpoints.
 
-Right-hand sides write in place: rhs(c, y, k) writes the derivative of the
-state y into the buffer k, which has y's shape and dtype.  The loop
-allocates its stage buffers once per call and writes each new state
-straight into its row of the output, so a step allocates nothing beyond
-what the right-hand side does: for the flow, the gather of its right-hand
-side, whose products go to a workspace of the flow.
+Right-hand sides write in place: f(t, y, k) writes the derivative of the
+state y into the buffer k, which has y's shape and dtype.  The loop of
+:func:`rk4` allocates its stage buffers once per call and writes each new
+state straight into its row of the output, so a step allocates nothing
+beyond what the right-hand side does: for the flow, the gather of its
+right-hand side, whose products go to a workspace of the flow.
 
-The second-order system x'' = C(t) x, stepped as the state (x, v), takes
-no right-hand side: the loop forms each stage's f_i = C x_i itself, with
-one `np.dot` into a fixed view.  Each stage is one buffer (x_i, v_i, f_i)
-of leading length 3: its first two rows are the stage input, its last two
-the stage derivative (v_i, f_i), which is a view and not a copy.  The
-first stage's input (x_1, v_1) is copied from the state.
+x'' = C(t) x, stepped as the state y = (x, v), is linear, so each of its
+RK4 steps is one matrix: y_{k+1} = P_k y_k.  :func:`rk4_sampled` builds
+every P_k of its call with stacked operations and then takes one matmul
+per step.
 
 Finiteness is checked once per call, on the last state.  A non-finite entry
-stays non-finite in every later state: each new entry is the old one plus
-an increment.  So a finite last state means every state is finite, and
-only a failing call scans its rows for the first non-finite step.  The
-scan takes one row at a time, so the check builds no temporary of the size
-of the output.
+stays non-finite in every later state: a new state of :func:`rk4` is the
+old one plus an increment, and one of :func:`rk4_sampled` has in each
+column a sum over the whole column of the old one.  So a finite last state
+means every state is finite, and only a failing call scans its rows for the
+first non-finite step.  The scan takes one row at a time, so the check
+builds no temporary of the size of the output.
 """
 
 import numpy as np
@@ -109,9 +108,38 @@ def rk4(f, y0, t0, h, steps, out=None):
     FloatingPointError when the state stops being finite; its `step`
     attribute is the first failing step (1-based).
     """
-    nodes = t0 + h * np.arange(steps + 1)
+    # f is evaluated at node k, twice at midpoint k and at node k+1.
+    # Overflow inside a step is left to the finiteness check, which names
+    # the step, instead of numpy's RuntimeWarnings.  The stage inputs are
+    # y + half*k1, y + half*k2, y + h*k3 and the new state
+    # y + sixth*(((k1 + 2*k2) + 2*k3) + k4), summed into k2, k3 and k4 in
+    # that order
     y0 = np.asarray(y0, dtype=complex)
-    return _rk4_loop(f, nodes, nodes[:-1] + h / 2, y0, h, out)
+    nodes = t0 + h * np.arange(steps + 1)
+    mids = nodes[:-1] + h / 2
+    if out is None:
+        out = np.empty((steps + 1,) + y0.shape, dtype=complex)
+    out[0] = y0
+    # indexing with `...` keeps a 0-d state a 0-d array, not a scalar
+    K = np.empty((5,) + y0.shape, dtype=complex)
+    k1, k2, k3, k4, Y = (K[i, ...] for i in range(5))
+    # 0-d complex arrays: the values numpy casts a Python float to, at less
+    # cost per call
+    half, full, two, sixth = (np.array(c, dtype=complex) for c in (0.5 * h, h, 2.0, h / 6.0))
+    y = out[0, ...]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (t, tm, t1) in enumerate(zip(nodes, mids, nodes[1:])):
+            f(t, y, k1)
+            f(tm, np.add(y, np.multiply(half, k1, out=Y), out=Y), k2)
+            f(tm, np.add(y, np.multiply(half, k2, out=Y), out=Y), k3)
+            f(t1, np.add(y, np.multiply(full, k3, out=Y), out=Y), k4)
+            np.multiply(two, K[1:3], out=K[1:3])  # 2*k2 and 2*k3 in one call
+            np.add(k1, k2, out=k2)
+            np.add(k2, k3, out=k3)
+            np.add(k3, k4, out=k4)
+            y = np.add(y, np.multiply(sixth, k4, out=k4), out=out[k + 1, ...])
+    _check_finite(out)
+    return out
 
 
 def rk4_sampled(coeff_nodes, coeff_mids, y0, h):
@@ -119,74 +147,75 @@ def rk4_sampled(coeff_nodes, coeff_mids, y0, h):
 
     y0 = (x, v) is the (2, d, ...) initial state; coeff_nodes has shape
     (m, d, d) and coeff_mids (m-1, d, d) holds the half-step values (from
-    :func:`midpoints` or a closed form).  The state keeps the common dtype
-    of y0 and the coefficients, so a real system is stepped in real
-    arithmetic, in the stage layout of the module docstring.
+    :func:`midpoints` or a closed form).  Returns all m states.  The state
+    keeps the common dtype of y0 and the coefficients, so a real system is
+    stepped in real arithmetic.
+
+    The system is linear, so step k is one matrix: y_{k+1} = P_k y_k.  With
+    E0, Em and E1 the scaled coefficient h^2 C at node k, midpoint k and
+    node k+1, the four stages of RK4 expand to the blocks
+
+        P = [[I + (E0 + 2 Em)/6 + Em E0/24,   h (I + Em/6)],
+             [((E0 + 4 Em + E1)/6 + (Em E0 + E1 Em)/12) / h,
+              I + (2 Em + E1)/6 + E1 Em/24]].
+
+    Every P_k of the call is built at once, by two stacked products and
+    stacked block sums, and each step is then one matmul.  Raises
+    FloatingPointError when the state stops being finite; its `step`
+    attribute is the first failing step (1-based).
     """
-    return _rk4_loop(None, coeff_nodes, coeff_mids, y0, h)
-
-
-def _rk4_loop(rhs, coeff_nodes, coeff_mids, y0, h, out=None):
-    # the one RK4 loop: step k evaluates rhs (or C x, when rhs is None) at
-    # node k, twice at midpoint k and at node k+1.  Both entry points call
-    # it directly, so a wrapper around one never sees the other's steps.
-    # Overflow inside a step is left to the finiteness check, which names
-    # the step, instead of numpy's RuntimeWarnings.  The stage inputs are
-    # y + half*k1, y + half*k2, y + h*k3 and the new state
-    # y + sixth*(((k1 + 2*k2) + 2*k3) + k4), summed into k2, k3 and k4 in
-    # that order and never into k1, whose first half is the state's v in
-    # the second-order layout.
     y0 = np.asarray(y0)
     dtype = np.result_type(y0, coeff_nodes, coeff_mids)
-    m = coeff_nodes.shape[0]
-    if out is None:
-        out = np.empty((m,) + y0.shape, dtype=dtype)
+    m, d = coeff_nodes.shape[0], coeff_nodes.shape[-1]
+    out = np.empty((m,) + y0.shape, dtype=dtype)
     out[0] = y0
-    if rhs is None:
-        # stage i is B[i] = (x_i, v_i, f_i): input B[i, :2], derivative B[i, 1:]
-        B = np.empty((4, 3) + y0.shape[1:], dtype=dtype)
-        k1, k2, k3, k4 = B[:, 1:]
-        Y1, Y2, Y3, Y4 = B[:, :2]
-        (x1, x2, x3, x4), (f1, f2, f3, f4) = B[:, 0], B[:, 2]
-        stage = np.dot
-        doubled = (k2, k3)  # B[1:3, 1:] is strided, slower than two calls
-    else:
-        # indexing with `...` keeps a 0-d state a 0-d array, not a scalar
-        K = np.empty((5,) + y0.shape, dtype=dtype)
-        k1, k2, k3, k4, Y2 = (K[i, ...] for i in range(5))
-        Y3 = Y4 = x2 = x3 = x4 = Y2
-        f2, f3, f4 = k2, k3, k4
-        stage = rhs
-        doubled = (K[1:3],)  # 2*k2 and 2*k3 in one call
-    # 0-d arrays of the state's dtype: the values numpy casts a Python float
-    # to, at less cost per call
-    half, full, two, sixth = (np.array(c, dtype=dtype) for c in (0.5 * h, h, 2.0, h / 6.0))
-    y = out[0, ...]
+    # P[k] is the (2d, 2d) propagator [[A, B], [G, D]] of step k.  Its four
+    # (d, d) blocks are strided views, which cost one inner loop per row, so
+    # each block is written once, from sums formed contiguously.  With
+    # W = I/6 + Em/24 and V = Em/3 the blocks are A = I + W E0 + V,
+    # D = I + E1 W + V, B = h I + (h/2) V and
+    # G = (W E0 + E1 W + V - (E0 + E1)/12) / (h/2)
+    P = np.empty((m - 1, 2, d, 2, d), dtype=dtype)
+    A, B, G, D = (P[:, i, :, j, :] for i in (0, 1) for j in (0, 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (c0, cm, c1) in enumerate(zip(coeff_nodes, coeff_mids, coeff_nodes[1:])):
-            if rhs is None:
-                Y1[...] = y
-                np.dot(c0, x1, out=f1)
-            else:
-                rhs(c0, y, k1)
-            np.add(y, np.multiply(half, k1, out=Y2), out=Y2)
-            stage(cm, x2, f2)
-            np.add(y, np.multiply(half, k2, out=Y3), out=Y3)
-            stage(cm, x3, f3)
-            np.add(y, np.multiply(full, k3, out=Y4), out=Y4)
-            stage(c1, x4, f4)
-            for a in doubled:
-                np.multiply(two, a, out=a)
-            np.add(k1, k2, out=k2)
-            np.add(k2, k3, out=k3)
-            np.add(k3, k4, out=k4)
-            y = np.add(y, np.multiply(sixth, k4, out=k4), out=out[k + 1, ...])
-    if m > 1 and not np.isfinite(y).all():  # y is the last state
+        # h^2 C as (h C) h: a zero C stays zero where h^2 overflows
+        E = coeff_nodes * h
+        E *= h
+        E0, E1 = E[:-1], E[1:]
+        W = coeff_mids * h
+        W *= h / 24.0
+        W.reshape(m - 1, d * d)[:, :: d + 1] += 1.0 / 6.0
+        X0 = np.matmul(W, E0)
+        X1 = np.matmul(E1, W)
+        V = np.multiply(coeff_mids, h, out=W)
+        V *= h / 3.0
+        np.add(X0, V, out=A)
+        np.add(X1, V, out=D)
+        np.multiply(V, h / 2.0, out=B)
+        X0 += X1
+        X0 += V
+        np.add(E0, E1, out=W)
+        W /= 12.0
+        X0 -= W
+        np.divide(X0, h / 2.0, out=G)
+        flat = P.reshape(m - 1, 4 * d * d)
+        flat[:, :: 2 * d + 1] += 1.0  # the diagonals of A and D
+        flat[:, d : 2 * d * d : 2 * d + 1] += h  # the diagonal of B
+        Y = out.reshape(m, 2 * d, -1)
+        for k, Pk in enumerate(P.reshape(m - 1, 2 * d, 2 * d)):
+            np.matmul(Pk, Y[k], out=Y[k + 1])
+    _check_finite(out)
+    return out
+
+
+def _check_finite(out):
+    # the check of the module docstring, on the samples `out` of one call
+    m = out.shape[0]
+    if m > 1 and not np.isfinite(out[-1, ...]).all():
         step = next(k for k in range(1, m) if not np.isfinite(out[k, ...]).all())
         exc = FloatingPointError(f"state became non-finite at step {step}")
         exc.step = step
         raise exc
-    return out
 
 
 def unitarize(U):

@@ -32,6 +32,8 @@ from .liealg import (
 # of the commutation check and the sign tests on the operator spectrum, for
 # a triple whose entries are at most 1 in size; see check_commuting
 SPECTRUM_TOL = 1e-10
+# RK4 steps per unit time of halfline_convergence, at least 10 in all
+HALFLINE_STEPS_PER_UNIT = 1000
 
 
 @dataclass(frozen=True)
@@ -187,7 +189,7 @@ def halfline_convergence(
     direction,
     amplitude=1e-4,
     horizon=20.0,
-    steps_per_unit=1000,
+    steps_per_unit=HALFLINE_STEPS_PER_UNIT,
 ):
     """Integrate from a perturbed commuting triple and fit the decay rate.
 

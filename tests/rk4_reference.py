@@ -2,8 +2,11 @@
 
 Each stage derivative is a new array returned by rhs(c, y), every step
 allocates its temporaries and finiteness is checked after every step.
-grids._rk4_loop keeps this arithmetic (the same stage inputs, sums and
-scalar multiplies) with preallocated buffers, so the two agree bit for bit.
+grids.rk4 keeps this arithmetic (the same stage inputs, sums and scalar
+multiplies) with preallocated buffers, so the two agree bit for bit.
+grids.rk4_sampled steps x'' = C x by one propagator matrix per step, the
+four stages expanded and summed in another order, so with the right-hand
+side (v, C x) this loop is its reference to rounding.
 The flow's right-hand side in its three-product form A - A^H, out of place,
 is the bitwise reference for flow._rhs_stacked, and the reduced flow
 stepped with it from the once-projected triple is the reference for the

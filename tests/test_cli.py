@@ -402,13 +402,73 @@ SWEEP = ["sweep", "--param", "a", "--from", "1", "--to", "2", "--points", "2"]
 @pytest.mark.parametrize("steps", ["-1", "0"])
 @pytest.mark.parametrize("argv", [["closed-form"], SWEEP], ids=["closed-form", "sweep"])
 def test_cli_steps_below_one_exits_2(tmp_path, capfd, argv, steps):
-    # the closed form is sampled without a SolverConfig; it checks the
-    # step count itself, so no IndexError and no zero-step trajectory
+    # refused before any sampling, in words that name --steps: no
+    # IndexError and no zero-step trajectory
     out = tmp_path / "out"
     assert run_cli(argv + ["--steps", steps, "--output", str(out)]) == 2
     captured = capfd.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: steps must be >= 1\n"
+    least = 3 if argv[0] == "sweep" else 1
+    assert captured.err == f"error: --steps must be at least {least} for {argv[0]}, got {steps}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["closed-form", "--kappa", "1.5"], "--kappa must lie in [0, 1], got 1.5"),
+        (["degeneracy", "--kappa=-0.5"], "--kappa must lie in [0, 1], got -0.5"),
+        (["integrate", "--t-end", "0"],
+         "--t-end must exceed --t-start, got --t-start 0.0 and --t-end 0.0"),
+        (["spectral", "--t-start", "2", "--t-end", "1"],
+         "--t-end must exceed --t-start, got --t-start 2.0 and --t-end 1.0"),
+        (["sweep", "--param", "kappa", "--from", "0", "--to", "2", "--points", "3"],
+         "the modulus from --from and --to must lie in [0, 1], got 2.0"),
+        (SWEEP + ["--param2", "kappa", "--from2=-1", "--to2", "1"],
+         "the modulus from --from2 and --to2 must lie in [0, 1], got -1.0"),
+        (SWEEP + ["--kappa", "1.5"], "the modulus from --kappa must lie in [0, 1], got 1.5"),
+    ],
+)
+def test_cli_modulus_and_span_errors_name_the_options(tmp_path, capfd, argv, message):
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--steps", "8", "--output", str(out)]) == 2
+    captured = capfd.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["integrate", "--algebra", "un"], ["closed-form", "--kappa", "1"]])
+def test_cli_reads_kappa_only_where_the_scenario_does(tmp_path, argv):
+    # --algebra un draws its data from --seed and leaves --kappa unread;
+    # kappa = 1 is the hyperbolic limit, inside [0, 1]
+    assert run_cli(argv + ["--kappa", "1", "--steps", "8", "--output", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectral", "--algebra", "su2", "--steps", "64", "--t-end", "5e-324"],
+         "the step (--t-end - --t-start) / --steps is 0.0"),
+        (["integrate", "--t-start=-1e308", "--t-end", "1e308", "--steps", "4"],
+         "the step (--t-end - --t-start) / --steps is inf"),
+        (["closed-form", "--t-end", "1e-322", "--steps", "1000"],
+         "the step (--t-end - --t-start) / --steps is 0.0"),
+        (["stability", "--triple", "1,0,0", "--halfline", "--horizon", "5e-324"],
+         "the step --horizon / max(1000 --horizon, 10) is 0.0"),
+        (["stability", "--triple", "1,0,0", "--halfline", "--horizon", "1e306"],
+         "the step --horizon / max(1000 --horizon, 10) is 0.0"),
+    ],
+)
+def test_cli_step_that_underflows_or_overflows_exits_2(tmp_path, capfd, argv, message):
+    # a positive span whose step span/steps rounds to 0, or overflows, is a
+    # configuration error naming the options, not a division by zero (exit
+    # 3) or a traceback from an infinite step count
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--output", str(out)]) == 2
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}; it must be positive and finite\n"
     assert not out.exists()
 
 
@@ -932,7 +992,7 @@ def test_cli_halfline_horizon_not_positive_exits_2(tmp_path, capfd, horizon):
     assert run_cli(argv + ["--output", str(out)]) == 2
     captured = capfd.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: the horizon must be positive, got {float(horizon)!r}\n"
+    assert captured.err == f"error: --horizon must be positive, got {float(horizon)!r}\n"
     assert not out.exists()
 
 

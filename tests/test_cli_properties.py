@@ -10,9 +10,12 @@ gauge path of a nonzero T0 is drawn too.  Whatever the input, the run
 exits 0, 2 (configuration error) or 3 (numerical failure) without a Python
 warning or a traceback; a failed run writes one `error:` or `numerical
 failure:` line and nothing to stdout, and a successful one writes output
-whose numbers are all finite.  The draws are derandomized, so every run of
-the suite tries the same inputs.  The file is skipped when hypothesis is
-not installed.
+whose numbers are all finite.  A configuration error names what it
+refuses: an option of the argv, an `--init` component or the size that
+could not be allocated, so a numerical failure reported as a configuration
+error fails the test.  The draws are derandomized, so every run of the
+suite tries the same inputs.  The file is skipped when hypothesis is not
+installed.
 """
 
 import contextlib
@@ -20,6 +23,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 import warnings
 
@@ -129,6 +133,17 @@ def _assert_finite_csv(text):
                 assert math.isfinite(value), line
 
 
+def _assert_names_its_input(line, argv, init):
+    # the option as a whole word ("--to" is not found in "--to2"), or the
+    # quoted component name, or numpy's message for a size it cannot allocate
+    message = line[len("error: "):]
+    flags = {arg.partition("=")[0] for arg in argv[1:] if arg.startswith("--")}
+    names = [re.escape(flag) + r"(?![\w-])" for flag in flags]
+    names += [re.escape(repr(component)) for component in init or ()]
+    assert message.startswith("Unable to allocate") or any(
+        re.search(name, message) for name in names), (line, argv)
+
+
 def _su2_init(t0_scale):
     # T0 = c e3 beside the su(2) triple (0.5 e1, 0.5 e2, 0): the shooting
     # gauge-fixes it first, at a moderate c and at the largest accepted one
@@ -143,6 +158,8 @@ def _su2_init(t0_scale):
 @given(case=_argv())
 @example(case=(["degeneracy", "--steps=64"], _su2_init(3.0)))
 @example(case=(["degeneracy", "--steps=8"], _su2_init(9.8e149)))
+# a shooting step of 3.3e153, at which the step's propagator overflows
+@example(case=(["degeneracy", "--steps=3", "--kappa=0.0", "--t-start=-1e+154"], None))
 def test_cli_keeps_the_exit_code_contract(case):
     argv, init = case
     out, err = io.StringIO(), io.StringIO()
@@ -163,6 +180,8 @@ def test_cli_keeps_the_exit_code_contract(case):
         assert stdout == ""
         lines = [line for line in stderr.splitlines() if not line.startswith("warning: ")]
         assert len(lines) == 1 and lines[0].startswith(("error: ", "numerical failure: ")), stderr
+        if code == cli.EXIT_CONFIG:
+            _assert_names_its_input(lines[0], argv, init)
     elif argv[0] == "sweep" or "--format=csv" in argv:
         _assert_finite_csv(stdout)
     else:

@@ -31,11 +31,11 @@ from nahmschmid.liealg import (
     double_bracket_matrix,
     exp_unitary,
     inner,
+    orthonormal_basis,
     random_antihermitian,
     su2_basis,
 )
 
-from rk4_reference import rk4_loop_reference
 
 E1, E2, E3 = su2_basis()
 KAPPA = 0.9
@@ -108,7 +108,8 @@ def _shooting_reference(traj):
     # the whole-stack form of shooting_matrix: M at every node and midpoint
     # in one (2m - 1, d, d) array, formed in one call (as the streamed form
     # does when the grid fits one block), and the whole (m, 2, d, d) path
-    # of the fundamental matrix; the bitwise reference for streaming
+    # of the fundamental matrix in one rk4_sampled call; the bitwise
+    # reference for streaming
     basis = AdjointBasis(basis_for(traj.samples))
     if np.max(np.abs(traj.samples[:, 0])) > 0:
         traj = flow.gauge_fix(traj)[0]
@@ -118,9 +119,7 @@ def _shooting_reference(traj):
     C = np.concatenate([nodes, grids.midpoints(nodes)])
     coeff = double_bracket_matrix(C, (-1.0, 1.0, 1.0), basis)
     Y0 = np.stack([np.zeros((d, d)), np.eye(d)])
-    rhs = lambda C, Y: np.array([Y[1], C @ Y[0]])
-    path = rk4_loop_reference(rhs, coeff[:m], coeff[m:], Y0, traj.h)
-    return path[-1, 0]
+    return grids.rk4_sampled(coeff[:m], coeff[m:], Y0, traj.h)[-1, 0]
 
 
 def _force_block_steps(monkeypatch, traj, steps):
@@ -176,8 +175,8 @@ def test_shooting_forms_each_node_once(monkeypatch):
 
 def test_streamed_shooting_failure_names_the_grid_step(monkeypatch):
     # T1 = 400 X, T0 = T2 = T3 = 0 is a constant solution whose shooting
-    # overflows at step 423 of a grid with h = 1/2000: in blocks of 7 steps
-    # that is step 3 of the 61st block, and the error names the former
+    # overflows at step 429 of a grid with h = 1/2000: in blocks of 7 steps
+    # that is step 2 of the 62nd block, and the error names the former
     X = random_antihermitian(8, np.random.default_rng(1), traceless=True)
     S = np.zeros((441, 4, 8, 8), dtype=complex)
     S[:, 1] = 400.0 * X
@@ -188,7 +187,7 @@ def test_streamed_shooting_failure_names_the_grid_step(monkeypatch):
         with pytest.raises(flow.NumericalFailure) as exc:
             shooting_matrix(traj)
         messages.append(str(exc.value))
-    assert messages == ["state became non-finite at step 423"] * 2
+    assert messages == ["state became non-finite at step 429"] * 2
 
 
 def _traced_peak(fn):
@@ -593,13 +592,62 @@ def test_su8_irrep_locus_point(spin_images, scale, verdict):
     # T_j = f_j rho(e_j) for the irreducible rho: su(2) -> su(8) solves the
     # equations exactly, and its shooting splits into scalar Lame equations
     # y'' = a^2 (l(l + 1) kappa^2 sn^2 - h) y per spin l.  a* below is a
-    # root of the l = 7 block at kappa = 0.9, b = 0; the profiles come from
-    # scipy's ellipj, independent of `elliptic`
-    a, steps = 0.4412116837 * scale, 400
-    t = np.linspace(0.0, 1.0, steps + 1)
-    sn, cn, dn, _ = ellipj(a * t, KAPPA**2)
-    f = np.stack([a * KAPPA * sn, a * KAPPA * cn, -a * dn], axis=1)
-    samples = np.zeros((steps + 1, 4, 8, 8), dtype=complex)
-    samples[:, 1:] = f[:, :, None, None] * spin_images(8)
-    rep = degeneracy_report(Trajectory(0.0, 1.0, samples))
+    # root of the l = 7 block at kappa = 0.9, b = 0
+    rep = degeneracy_report(_irrep_trajectory(spin_images(8), 0.4412116837 * scale, 0.0, 400))
     assert rep.verdict == verdict, rep.sigma_min / rep.singular_values[0]
+
+
+def _irrep_trajectory(images, a, b, steps):
+    # T_j = f_j rho(e_j) with the su(2) profiles from scipy's ellipj: an
+    # exact solution for the irreducible rho, independent of `elliptic`
+    t = np.linspace(0.0, 1.0, steps + 1)
+    sn, cn, dn, _ = ellipj(a * t + b, KAPPA**2)
+    f = np.stack([a * KAPPA * sn, a * KAPPA * cn, -a * dn], axis=1)
+    n = images.shape[-1]
+    samples = np.zeros((steps + 1, 4, n, n), dtype=complex)
+    samples[:, 1:] = f[:, :, None, None] * images
+    return Trajectory(0.0, 1.0, samples)
+
+
+def irrep_lame_reference(images, a, b, kappa):
+    """Sorted |y(1)| of the scalar Lame equations the irrep shooting splits into.
+
+    With E_j = ad(rho(e_j)) in an orthonormal basis, M(t) = a^2 (kappa^2
+    sn^2(at + b) C - H) for the Casimir C = -(E_1^2 + E_2^2 + E_3^2), which
+    is l(l + 1) on spin l, and the constant H = -(kappa^2 E_2^2 + E_3^2),
+    which commutes with C.  On each joint eigenvector (c, h) the shooting
+    solves y'' = a^2 (c kappa^2 sn^2 - h) y, y(0) = 0, y'(0) = 1; its
+    singular values are the |y(1)|, here from one DOP853 solve of all the
+    scalar equations at once.
+    """
+    n = images.shape[-1]
+    basis = orthonormal_basis(n, traceless=True)
+    E = [inner(basis[:, None], bracket(X, basis)[None, :]) for X in images]
+    casimir = -(E[0] @ E[0] + E[1] @ E[1] + E[2] @ E[2])
+    H = -(kappa**2 * E[1] @ E[1] + E[2] @ E[2])
+    c, Q = np.linalg.eigh(casimir)
+    pairs = []
+    for ell in range(1, n):
+        Q_ell = Q[:, np.abs(c - ell * (ell + 1)) < 1e-9]
+        assert Q_ell.shape[1] == 2 * ell + 1
+        pairs += [(ell * (ell + 1), h) for h in np.linalg.eigvalsh(Q_ell.T @ H @ Q_ell)]
+    c, h = np.array(pairs).T
+
+    def rhs(t, y):
+        sn = ellipj(a * t + b, kappa * kappa)[0]
+        return np.concatenate([y[len(c):], a * a * (c * kappa**2 * sn**2 - h) * y[: len(c)]])
+
+    y0 = np.concatenate([np.zeros(len(c)), np.ones(len(c))])
+    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=1e-13, atol=1e-15)
+    return np.sort(np.abs(sol.y[: len(c), -1]))[::-1]
+
+
+def test_su4_irrep_shooting_matches_scalar_lame_solves(spin_images):
+    # d = 15: spins 1, 2 and 3, so 15 scalar equations.  400 steps resolve
+    # each sigma to 4.0e-9 relative, and 800 steps to 2.5e-10
+    images = spin_images(4)
+    rep = degeneracy_report(_irrep_trajectory(images, 2.0, 0.3, 400))
+    ref = irrep_lame_reference(images, 2.0, 0.3, KAPPA)
+    assert rep.singular_values.shape == ref.shape == (15,)
+    assert np.all(np.abs(rep.singular_values - ref) <= 1e-7 * ref)
+

@@ -13,11 +13,12 @@ At n = 2, 4, 8, 16 it times, in seconds per call and best of REPEAT runs:
                   and the conjugation by the gauge factor of T0, where the
                   checkout has it), divided by the steps
   shoot_step      one RK4 step of the shooting, x'' = M x on a real
-                  (2, d, d) state with d = n^2 - 1, through
-                  grids.rk4_sampled (which forms M x itself; a checkout
-                  whose rk4_sampled still takes a right-hand side and a
-                  second_order flag gets None, or the shooting's matmul
-                  callback where its layout calls one)
+                  (2, d, d) state with d = n^2 - 1, over a call of 16
+                  steps through grids.rk4_sampled (which builds each
+                  step's (2d, 2d) propagator and takes one matmul per step;
+                  a checkout whose rk4_sampled still takes a right-hand
+                  side and a second_order flag gets None, or the
+                  shooting's matmul callback where its layout calls one)
   jacobi          elliptic.jacobi per call, at the 501 sample arguments
                   a t + b of flow.su2_closed_form_trajectory(2.0, 0.3, 0.9,
                   (0, 1), 500), in the order it calls them (the same at
