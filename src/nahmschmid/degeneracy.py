@@ -25,9 +25,11 @@ shooting (the layer `stability` builds its operator from).  Propagating
 the fundamental matrix costs O(d^3) = O(n^6) per step, against
 O(d n^3) = O(n^5) for applying complex double brackets to all d
 directions; at the sizes shot here (n <= 16, no workload goes further) the
-GEMM form is the faster one.  Forming and propagation are
-streamed per block of steps (see _FORM_BLOCK_ENTRIES), so memory is
-O(block d^2), independent of the step count.
+GEMM form is the faster one.  The forming takes its complex products as
+real GEMMs on float views, and a time's M does not depend on which other
+times share its forming call.  Forming and propagation are streamed per
+block of steps (see _FORM_BLOCK_ENTRIES), so memory is O(block d^2),
+independent of the step count, and every block size gives the same bits.
 """
 
 import math
@@ -105,10 +107,11 @@ def delta_apply(traj, xi_path):
 
 # M is formed for blocks of steps whose (times, d, n, n) complex
 # intermediates stay below this many entries (1 MB), or for single steps
-# where one step exceeds it.  double_bracket_matrix keeps three of them
-# alive: at most 3 MB for blocks of 7 steps at n = 8, and 6 MB for the
-# single steps (2 forming times of 2 MB) at n = 16.  Forming a whole
-# n = 16 grid at once would hold several hundred MB
+# where one step exceeds it.  double_bracket_matrix keeps three arrays of
+# that size alive, as real float views: at most 3 MB for blocks of 7
+# steps at n = 8, and 6 MB for the single steps (2 forming times of 2 MB)
+# at n = 16.  Forming a whole n = 16 grid at once would hold several
+# hundred MB
 _FORM_BLOCK_ENTRIES = 1 << 16
 
 

@@ -10,7 +10,11 @@ built on these few primitives.  The adjoint layer
 (`ad_matrix`, `double_bracket_matrix`) turns brackets with fixed elements
 into real d x d matrices in an orthonormal basis, batched over leading
 axes; degeneracy shooting and the stability operator both use it, each
-with one `AdjointBasis` that holds the basis's GEMM operands.
+with one `AdjointBasis` that holds the basis's GEMM operands.  The layer
+takes every complex product as a real GEMM on float views (see
+`_right_real`), which BLAS runs faster than the complex one at these
+sizes, and maps each matrix of a stack to coordinates by its own GEMM, so
+a matrix's bits do not depend on how many share the call.
 """
 
 import numpy as np
@@ -171,46 +175,70 @@ def from_coordinates(c, basis):
     return np.tensordot(np.asarray(c), basis, axes=(0, 0))
 
 
+def _right_real(X):
+    """Real (..., 2r, 2m) matrix R of right multiplication by a complex (..., r, m) X.
+
+    A complex array's float view interleaves (re, im) along its last axis, so
+    the float view of Z X, for Z of shape (..., p, r), is (float view of Z) @ R:
+    entry x of X is the 2 x 2 block [[Re x, Im x], [-Im x, Re x]] of R.  The
+    real product has the flops of the complex one, and BLAS runs it faster.
+    """
+    X = np.asarray(X, dtype=complex)
+    if X.strides[-1] != X.itemsize:  # a float view needs a contiguous last axis
+        X = np.ascontiguousarray(X)
+    r, m = X.shape[-2:]
+    pairs = X.view(np.float64).reshape(X.shape + (2,))  # (re, im) of each entry
+    R = np.empty(X.shape[:-2] + (r, 2, m, 2))
+    R[..., 0, :, :] = pairs
+    np.negative(pairs[..., 1], out=R[..., 1, :, 0])
+    R[..., 1, :, 1] = pairs[..., 0]
+    return R.reshape(X.shape[:-2] + (2 * r, 2 * m))
+
+
 class AdjointBasis:
-    """An orthonormal basis (d, n, n) with the two operands the adjoint layer
-    multiplies by, built once: `right`, the (n, d n) concatenation of the
-    b_i, and `coords`, the (d, 2n^2) matrix of the coordinate map.  Images of
-    the basis under a linear map are (..., d, n, n) arrays, image i at
-    [..., i, :, :]; X b_i for all i is one GEMM against `right`, in the
-    (..., n, d, n) layout, which callers add through a swapaxes view."""
+    """An orthonormal basis (d, n, n) with the three real operands the adjoint
+    layer multiplies by, built once: `left`, the float view (d n, 2n) of the
+    stacked b_i; `right`, the real form (2n, 2 d n) (see _right_real) of the
+    (n, d n) concatenation of the b_i; and `coords`, the (d, 2n^2) matrix of
+    the coordinate map.  Images of the basis under a linear map are
+    (..., d, n, n) arrays, image i at [..., i, :, :]; X b_i for all i is one
+    real GEMM against `right`, in the (..., n, d, n) layout, which callers
+    add through a swapaxes view."""
 
     def __init__(self, elements):
         d, n = elements.shape[0], elements.shape[-1]
         bt = elements.swapaxes(-1, -2)
-        self.elements, self.right = elements, elements.transpose(1, 0, 2).reshape(n, d * n)
+        self.elements = elements
+        self.left = np.ascontiguousarray(elements, dtype=complex).reshape(d * n, n).view(np.float64)
+        self.right = _right_real(elements.transpose(1, 0, 2).reshape(n, d * n))
         self.coords = -INNER_SCALE * np.stack([bt.real, -bt.imag], axis=-1).reshape(d, -1)
 
 
 def _times_basis(X, basis):
-    """X b_i for every basis element, as (..., n, d, n)."""
+    """X b_i for every basis element, as (..., n, d, n): one folded real GEMM."""
     d, n = basis.elements.shape[0], basis.elements.shape[-1]
-    flat = X.reshape(-1, n) @ basis.right
-    return flat.reshape(X.shape[:-1] + (d, n))
+    flat = np.ascontiguousarray(X, dtype=complex).view(np.float64).reshape(-1, 2 * n)
+    return (flat @ basis.right).view(complex).reshape(X.shape[:-1] + (d, n))
 
 
 def _basis_times(X, basis):
-    """b_i X for every basis element, as (..., d, n, n)."""
+    """b_i X for every basis element, as (..., d, n, n): one real GEMM per matrix."""
     d, n = basis.elements.shape[0], basis.elements.shape[-1]
-    return (basis.elements.reshape(d * n, n) @ X).reshape(X.shape[:-2] + (d, n, n))
+    return (basis.left @ _right_real(X)).view(complex).reshape(X.shape[:-2] + (d, n, n))
 
 
 def _coordinates_of_images(Y, basis):
     """Real (..., d, d) matrix whose column i holds the coordinates of Y's image i.
 
-    The coordinate map Y -> <b_j, Y> = -INNER_SCALE * Re tr(b_j Y) is one
-    real GEMM between the interleaved (re, im) entries of Y and the
-    (d, 2n^2) matrix basis.coords.  A C-contiguous Y is read in place.
+    The coordinate map Y -> <b_j, Y> = -INNER_SCALE * Re tr(b_j Y) is a real
+    GEMM of the (d, 2n^2) matrix basis.coords against the interleaved
+    (re, im) entries of Y, one per matrix of the stack, so a matrix's
+    coordinates do not depend on how many share the call.  A C-contiguous Y
+    is read in place.
     """
     P = basis.coords
-    Yc = np.ascontiguousarray(Y)
-    flat = Yc.view(np.float64).reshape(-1, P.shape[1])
-    A = (flat @ P.T).reshape(Yc.shape[:-2] + (P.shape[0],))
-    return np.ascontiguousarray(A.swapaxes(-1, -2))
+    flat = np.ascontiguousarray(Y).view(np.float64).reshape(Y.shape[:-3] + P.shape)
+    return np.matmul(P, flat.swapaxes(-1, -2))
 
 
 def ad_matrix(X, basis):
@@ -221,7 +249,8 @@ def ad_matrix(X, basis):
     batch axes: X of shape (..., n, n) gives (..., d, d).
     """
     X = np.asarray(X, dtype=complex)
-    images = _times_basis(X, basis).swapaxes(-3, -2) - _basis_times(X, basis)
+    images = _basis_times(X, basis)
+    np.subtract(_times_basis(X, basis).swapaxes(-3, -2), images, out=images)
     return _coordinates_of_images(images, basis)
 
 
@@ -230,25 +259,42 @@ def double_bracket_matrix(T, signs, basis):
 
     T has shape (..., K, n, n) and signs length K; leading axes are batch
     axes of the (..., d, d) result.  Each double bracket is expanded as
-    T^2 x + x T^2 - 2 T x T, so the K terms cost O(K d n^3) and a single
-    d x 2n^2 x d GEMM maps the sum to coordinates, where squaring ad
-    matrices would take K GEMMs of d x d x d.  For anti-Hermitian T_k the
+    T^2 x + x T^2 - 2 T x T, so the K terms cost O(K d n^3) and one
+    d x 2n^2 x d GEMM per time maps the sum to coordinates, where squaring
+    ad matrices would take K GEMMs of d x d x d.  For anti-Hermitian T_k the
     result is symmetric (ad T_k is skew).
 
-    Three complex (..., d, n, n) arrays are alive at a time: the images,
-    summed in place, one X b_i product and the buffer that each T_k b_i T_k
-    is written into and scaled in.
+    Every product is real, on float views (see _right_real).  With
+    R_k = signs[k] R(T_k), the loop sums Q = sum_k T_k R_k, one product per
+    time, and the images sum_k (T_k b_i)(-2 R_k) in the (..., n, d, n)
+    layout, from one folded GEMM for the T_k b_i of all times and one
+    product per time.  Three real arrays of the size of a complex
+    (..., d, n, n) array are alive in the loop: the running sum, T_k b_i and
+    its product with -2 R_k.  After it the sum gets Q b_i, and b_i Q, formed
+    in the (..., d, n, n) layout, takes the sum through a swapaxes view
+    before the coordinate map: again three such arrays at most.
     """
-    T = np.asarray(T, dtype=complex)
-    signs = np.asarray(signs, dtype=float)
+    T = np.ascontiguousarray(T, dtype=complex)
     n, d = T.shape[-1], basis.elements.shape[0]
-    Q = np.sum(signs[:, None, None] * (T @ T), axis=-3)
-    images = _basis_times(Q, basis)
-    images += _times_basis(Q, basis).swapaxes(-3, -2)
-    TbT = np.empty(Q.shape[:-2] + (n * d, n), dtype=complex)
+    lead = T.shape[:-3]
+    Q = images = None
     for k, s in enumerate(signs):
         Tk = T[..., k, :, :]
-        np.matmul(_times_basis(Tk, basis).reshape(TbT.shape), Tk, out=TbT)
-        TbT *= 2.0 * s
-        images -= TbT.reshape(Q.shape[:-2] + (n, d, n)).swapaxes(-3, -2)
-    return _coordinates_of_images(images, basis)
+        Tb = _times_basis(Tk, basis).view(np.float64).reshape(lead + (n * d, 2 * n))
+        R = _right_real(Tk)
+        R *= s
+        Q = _accumulate(Q, np.matmul(Tk.view(np.float64), R))
+        R *= -2.0
+        images = _accumulate(images, np.matmul(Tb, R))
+        del Tb, R  # freed before the next T_k b_i is formed
+    Q = Q.view(complex)
+    images = images.view(complex).reshape(lead + (n, d, n))
+    images += _times_basis(Q, basis)
+    bQ = _basis_times(Q, basis)
+    bQ += images.swapaxes(-3, -2)
+    return _coordinates_of_images(bQ, basis)
+
+
+def _accumulate(total, term):
+    """total + term, summed into total; term itself when total is None."""
+    return term if total is None else np.add(total, term, out=total)

@@ -136,18 +136,17 @@ def _random_solution(n, traceless, with_t0, steps, seed=0):
     return integrate(quad, (0.0, 1.0), SolverConfig(steps=steps))
 
 
-@pytest.mark.parametrize("block_steps", [3, 7])
+@pytest.mark.parametrize("block_steps", [1, 2, 3, 7])
 @pytest.mark.parametrize("with_t0", [False, True])
 @pytest.mark.parametrize("traceless", [True, False])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_streamed_shooting_bitwise_equals_whole_stack(monkeypatch, n, traceless, with_t0,
                                                       block_steps):
-    # 100 steps in blocks of 3 or 7 end on a short block of 1 or 2 steps.
-    # Blocks of 1 or 2 steps throughout are left out: at su(4) the
-    # coordinate GEMM of double_bracket_matrix then has so few rows that
-    # OpenBLAS rounds them differently from a long stack, as it did for a
-    # short forming block before streaming.  Default blocks are 3 steps at
-    # n = 16 and longer for smaller n.
+    # 100 steps in blocks of 1, 2, 3 or 7; blocks of 3 or 7 end on a short
+    # block of 1 or 2 steps.  A time's M does not depend on how many times
+    # share its forming call, so every block size gives the bits of the
+    # whole stack.  Default blocks are 3 steps at n = 16 and longer for
+    # smaller n.
     traj = _random_solution(n, traceless, with_t0, 100)
     ref = _shooting_reference(traj)
     _force_block_steps(monkeypatch, traj, block_steps)
@@ -212,7 +211,7 @@ def test_shooting_memory_does_not_grow_with_steps(monkeypatch):
 
 def test_shooting_memory_at_the_default_block_budget():
     # u(8) over 200 steps: three live forming intermediates of 2^16 entries
-    # (blocks of 7 steps) peak near 4.2 MB; six of 2^19 entries would reach
+    # (blocks of 7 steps) peak near 4.4 MB; six of 2^19 entries would reach
     # 44 MB
     traj = _random_solution(8, False, False, 200)
     assert _traced_peak(lambda: shooting_matrix(traj)) < 8e6
@@ -649,5 +648,16 @@ def test_su4_irrep_shooting_matches_scalar_lame_solves(spin_images):
     rep = degeneracy_report(_irrep_trajectory(images, 2.0, 0.3, 400))
     ref = irrep_lame_reference(images, 2.0, 0.3, KAPPA)
     assert rep.singular_values.shape == ref.shape == (15,)
+    assert np.all(np.abs(rep.singular_values - ref) <= 1e-7 * ref)
+
+
+def test_su8_irrep_shooting_matches_scalar_lame_solves(spin_images):
+    # d = 63: spins 1 ... 7, so 63 scalar equations.  The l = 7 block is the
+    # stiffest: sigma is within 1.2e-6 relative at 400 steps, 7.6e-8 at 800
+    # and 4.7e-9 at 1,600
+    images = spin_images(8)
+    rep = degeneracy_report(_irrep_trajectory(images, 2.0, 0.3, 1600))
+    ref = irrep_lame_reference(images, 2.0, 0.3, KAPPA)
+    assert rep.singular_values.shape == ref.shape == (63,)
     assert np.all(np.abs(rep.singular_values - ref) <= 1e-7 * ref)
 

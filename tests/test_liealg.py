@@ -196,19 +196,44 @@ def test_ad_matrix_skew(rng):
     assert_allclose(A @ coordinates(Y, basis), coordinates(bracket(X, Y), basis), atol=1e-12)
 
 
-@pytest.mark.parametrize("n, traceless", [(2, True), (3, False), (4, True)])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("r, m", [(1, 1), (2, 3), (4, 4), (5, 2)])
+def test_right_real_multiplies_float_views(rng, lead, r, m):
+    # the float view of Z X is (float view of Z) @ R(X), for stacked and
+    # non-square X, to a few ulps of numpy's complex product
+    X = rng.standard_normal(lead + (r, m)) + 1j * rng.standard_normal(lead + (r, m))
+    Z = rng.standard_normal(lead + (6, r)) + 1j * rng.standard_normal(lead + (6, r))
+    R = liealg._right_real(X)
+    assert R.shape == lead + (2 * r, 2 * m) and R.dtype == np.float64
+    got = (np.ascontiguousarray(Z).view(np.float64) @ R).view(complex)
+    assert_allclose(got, Z @ X, rtol=0, atol=8 * np.finfo(float).eps * np.max(np.abs(Z @ X)))
+    # a last axis that is not contiguous is read through a copy
+    assert np.array_equal(liealg._right_real(X.swapaxes(-1, -2).copy().swapaxes(-1, -2)), R)
+
+
+@pytest.mark.parametrize("n, traceless", [(2, True), (3, False), (4, True), (8, True), (16, True)])
 def test_double_bracket_matrix(rng, n, traceless):
+    # one triple, and a stack of four times
     basis = orthonormal_basis(n, traceless=traceless)
-    T = np.array([random_antihermitian(n, rng) for _ in range(3)])
     signs = (-1.0, 1.0, 2.0)
-    D = double_bracket_matrix(T, signs, AdjointBasis(basis))
-    assert_allclose(D, D.T, atol=1e-12)
-    ads = ad_matrix(T, AdjointBasis(basis))
-    assert_allclose(D, sum(s * A @ A for s, A in zip(signs, ads)), atol=1e-12)
-    # the operator it represents, applied in coordinates
-    Y = random_antihermitian(n, rng, traceless=traceless)
-    direct = sum(s * bracket(Tk, bracket(Tk, Y)) for s, Tk in zip(signs, T))
-    assert_allclose(D @ coordinates(Y, basis), coordinates(direct, basis), atol=1e-12)
+    for lead in ((), (4,)):
+        T = random_antihermitian_stack(lead + (3,), n, rng)
+        D = double_bracket_matrix(T, signs, AdjointBasis(basis))
+        assert D.shape == lead + (basis.shape[0],) * 2
+        assert_allclose(D, D.swapaxes(-1, -2), atol=1e-12)
+        ads = ad_matrix(T, AdjointBasis(basis))
+        squares = sum(s * ads[..., k, :, :] @ ads[..., k, :, :] for k, s in enumerate(signs))
+        assert_allclose(D, squares, atol=1e-12)
+        # the operator it represents, applied in coordinates
+        for i in np.ndindex(lead):
+            Y = random_antihermitian(n, rng, traceless=traceless)
+            direct = sum(s * bracket(Tk, bracket(Tk, Y)) for s, Tk in zip(signs, T[i]))
+            assert_allclose(D[i] @ coordinates(Y, basis), coordinates(direct, basis), atol=1e-12)
+
+
+def random_antihermitian_stack(shape, n, rng, traceless=False):
+    return np.array([random_antihermitian(n, rng, traceless=traceless)
+                     for _ in range(int(np.prod(shape)))]).reshape(shape + (n, n))
 
 
 def test_adjoint_layer_batches_over_leading_axes(rng):
@@ -223,32 +248,44 @@ def test_adjoint_layer_batches_over_leading_axes(rng):
             assert_allclose(ads[i, k], ad_matrix(T[i, k], basis), atol=1e-13)
 
 
+def _right_real_reference(X):
+    # the 2 x 2 real blocks [[Re x, Im x], [-Im x, Re x]], assembled by stacking
+    top = np.stack([X.real, X.imag], axis=-1)
+    bottom = np.stack([-X.imag, X.real], axis=-1)
+    r, m = X.shape[-2:]
+    return np.stack([top, bottom], axis=-3).reshape(X.shape[:-2] + (2 * r, 2 * m))
+
+
 def _double_bracket_reference(T, signs, basis):
-    # the same expansion out of place: images in the (..., n, d, n) layout,
-    # a new array for every term and for the scaled T b T, and a contiguous
-    # copy for the coordinate GEMM
+    # the same expansion out of place: every complex product a real product
+    # on float views, a new array for every term, the images summed in the
+    # (..., n, d, n) layout, and a contiguous copy for the coordinate map
     d, n = basis.shape[0], basis.shape[-1]
-    cat = basis.transpose(1, 0, 2).reshape(n, d * n)
+    lead = T.shape[:-3]
 
-    def times_basis(X):
-        return (X.reshape(-1, n) @ cat).reshape(X.shape[:-1] + (d, n))
+    def floats(X):
+        return np.ascontiguousarray(X).view(np.float64)
 
-    def basis_times(X):
-        prod = (basis.reshape(d * n, n) @ X).reshape(X.shape[:-2] + (d, n, n))
-        return prod.swapaxes(-3, -2)
+    right = _right_real_reference(basis.transpose(1, 0, 2).reshape(n, d * n))
+    left = floats(basis.reshape(d * n, n))
 
-    signs = np.asarray(signs, dtype=float)
-    Q = np.sum(signs[:, None, None] * (T @ T), axis=-3)
-    images = times_basis(Q) + basis_times(Q)
+    def times_basis(X):  # X b_i in the (..., n d, 2n) float layout
+        return (floats(X).reshape(-1, 2 * n) @ right).reshape(X.shape[:-2] + (n * d, 2 * n))
+
+    Q = images = None
     for k, s in enumerate(signs):
         Tk = T[..., k, :, :]
-        TbT = times_basis(Tk).reshape(Tk.shape[:-2] + (n * d, n)) @ Tk
-        images -= (2.0 * s) * TbT.reshape(images.shape)
+        R = s * _right_real_reference(Tk)
+        TR, TbT = floats(Tk) @ R, times_basis(Tk) @ (-2.0 * R)
+        Q = TR if Q is None else Q + TR
+        images = TbT if images is None else images + TbT
+    Q = Q.view(complex)
+    images = (images + times_basis(Q)).view(complex).reshape(lead + (n, d, n))
+    bQ = (left @ _right_real_reference(Q)).view(complex).reshape(lead + (d, n, n))
+    Y = np.ascontiguousarray(bQ + images.swapaxes(-3, -2))
     bt = basis.swapaxes(-1, -2)
     P = -liealg.INNER_SCALE * np.stack([bt.real, -bt.imag], axis=-1).reshape(d, -1)
-    Yc = np.ascontiguousarray(images.swapaxes(-3, -2))
-    A = (Yc.view(np.float64).reshape(-1, P.shape[1]) @ P.T).reshape(Yc.shape[:-2] + (d,))
-    return np.ascontiguousarray(A.swapaxes(-1, -2))
+    return np.matmul(P, floats(Y).reshape(lead + P.shape).swapaxes(-1, -2))
 
 
 @pytest.mark.parametrize("n, traceless, many", [
@@ -259,10 +296,22 @@ def test_double_bracket_matrix_bitwise_equals_expansion(n, traceless, many):
     # of times gives the bits of the reference on the same chunk
     rng = np.random.default_rng([7, n, traceless])
     basis = orthonormal_basis(n, traceless=traceless)
-    T = np.array([[random_antihermitian(n, rng, traceless=traceless) for _ in range(3)]
-                  for _ in range(many)])
+    T = random_antihermitian_stack((many, 3), n, rng, traceless=traceless)
     for chunk in (T[0], T[:1], T[1:3], T[3:6], T[6:13], T):
         D = double_bracket_matrix(chunk, (-1.0, 1.0, 1.0), AdjointBasis(basis))
-        ref = _double_bracket_reference(chunk, (-1.0, 1.0, 1.0), basis)
-        assert D.dtype == ref.dtype and D.shape == ref.shape
-        assert np.array_equal(D.view(np.uint64), ref.view(np.uint64))
+        assert_same_bits(D, _double_bracket_reference(chunk, (-1.0, 1.0, 1.0), basis))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+def test_double_bracket_matrix_of_a_time_does_not_depend_on_its_chunk(n):
+    # every product is taken per time, or folded over rows with the
+    # reduction unchanged, so cutting a stack of 40 times into chunks of any
+    # size gives each time the bits it has in the whole stack
+    rng = np.random.default_rng([11, n])
+    basis = AdjointBasis(orthonormal_basis(n, traceless=True))
+    T = random_antihermitian_stack((40, 3), n, rng, traceless=True)
+    whole = double_bracket_matrix(T, (-1.0, 1.0, 1.0), basis)
+    for size in range(1, 41):
+        parts = [double_bracket_matrix(T[lo : lo + size], (-1.0, 1.0, 1.0), basis)
+                 for lo in range(0, 40, size)]
+        assert_same_bits(np.concatenate(parts), whole)

@@ -231,3 +231,30 @@ def test_conserved_C_matches_inner_product(rng):
             2 * inner(q[1], q[1]) + inner(q[2], q[2]) + inner(q[3], q[3])
         )
         assert abs(C_trace - C_inner) < 1e-10
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_irrep_spectral_curve_is_the_su2_curve_scaled_by_weights(spin_images, n):
+    # T_j = f_j rho(e_j) for the irreducible rho: su(2) -> su(n), with the
+    # profiles f_j of the su(2) closed form.  T(zeta) is linear in the T_j,
+    # so T(zeta) = rho(X(zeta)) for the su(2) data's X(zeta) in sl(2, C);
+    # where X(zeta) has eigenvalues +-mu, T(zeta) has mu (n - 1 - 2k) for
+    # k = 0 ... n - 1, the weights of spin (n - 1)/2
+    roots = [np.exp(2j * np.pi * k / m) for m in (5, 7, 2 * n + 1) for k in range(m)]
+    zetas = roots + [0.0, 0.5, 2.0, 0.3 + 0.8j, -1.7j]
+    weights = n - 1 - 2 * np.arange(n)
+    for t in (0.0, 0.37, 1.0):
+        su2 = su2_closed_form(2.0, 0.3, 0.9, t)
+        f = inner(np.array(su2_basis()), su2[1:])
+        irrep = np.zeros((4, n, n), dtype=complex)
+        irrep[1:] = f[:, None, None] * spin_images(n)
+        small, large = lax_from_quadruple(su2), lax_from_quadruple(irrep)
+        for zeta in zetas:
+            mu = np.linalg.eigvals(small.at(zeta))[0]
+            expected = mu * weights
+            got = np.linalg.eigvals(large.at(zeta))
+            # the weights are distinct and mu != 0 here, so nearest values pair up
+            gap = np.abs(got[:, None] - expected[None, :])
+            assert abs(mu) > 0.1
+            assert np.max(gap.min(axis=0)) <= 1e-12 * np.max(np.abs(expected))
+            assert np.max(gap.min(axis=1)) <= 1e-12 * np.max(np.abs(expected))
