@@ -156,13 +156,13 @@ def integrate(T_init, t_span=(0.0, 1.0), config=None):
     T_init = np.asarray(T_init, dtype=complex)
     if T_init.ndim != 3 or T_init.shape[0] != 4:
         raise ValueError("initial data must be a quadruple of shape (4, n, n)")
-    t0, t1 = float(t_span[0]), float(t_span[1])
+    t0, t1 = grids.check_grid(t_span, cfg.steps)
     h = (t1 - t0) / cfg.steps
 
     # each block of (T1, T2, T3) is written straight into the sample array
     samples = np.empty((cfg.steps + 1,) + T_init.shape, dtype=complex)
     samples[:, 0] = T_init[0]
-    for _ in _flow_blocks(T_init[1:], t0, h, cfg.steps, out=samples[:, 1:]):
+    for _ in _flow_blocks(T_init[1:], h, cfg.steps, out=samples[:, 1:]):
         pass
     if np.max(np.abs(T_init[0])) != 0.0:
         # -i T0 = V diag(w) V*, so u(t0 + k h) = V diag(exp(-i w k h)) V*;
@@ -177,23 +177,23 @@ def integrate(T_init, t_span=(0.0, 1.0), config=None):
     return Trajectory(t0, t1, samples)
 
 
-def _flow_blocks(y, t0, h, steps, out=None):
-    # Steps the reduced equations from y = (T1, T2, T3) by RK4 with step h
-    # and yields (lo, Y) per block of at most _STEP_BLOCK steps: Y holds the
-    # states at steps lo..hi, so consecutive blocks share a row.  Each block
-    # starts from the last state of the previous one, so the states are
-    # bitwise those of one rk4 call over all steps.  With `out`, a complex
+def _flow_blocks(y, h, steps, out=None):
+    # Steps the reduced equations, which are autonomous, from y = (T1, T2,
+    # T3) by RK4 with step h and yields (lo, Y) per block of at most
+    # _STEP_BLOCK steps: Y holds the states at steps lo..hi, so consecutive
+    # blocks share a row.  Each block starts from the last state of the
+    # previous one, so the states are bitwise those of one rk4 call over
+    # all steps, wherever the blocks start in time.  With `out`, a complex
     # (steps+1, 3, n, n) array or view, Y is the slice out[lo:hi+1].  All
     # right-hand sides of the flow share one _rhs_workspace.  y is projected
     # once; RK4 sums of anti-Hermitian terms stay exactly anti-Hermitian.
     work = _rhs_workspace(y.shape[-1])
-    f = lambda t, Y, k: _rhs_stacked(Y, out=k, work=work)
+    f = lambda Y, k: _rhs_stacked(Y, out=k, work=work)
     y = project_antihermitian(y)
     for lo in range(0, steps, _STEP_BLOCK):
         hi = min(lo + _STEP_BLOCK, steps)
         try:
-            Y = grids.rk4(f, y, t0 + lo * h, h, hi - lo,
-                          out=None if out is None else out[lo : hi + 1])
+            Y = grids.rk4(f, y, h, hi - lo, out=None if out is None else out[lo : hi + 1])
         except FloatingPointError as exc:
             # rk4 numbers the steps of its block; report the step of the run
             raise NumericalFailure(f"state became non-finite at step {lo + exc.step}") from exc
@@ -478,11 +478,9 @@ def su2_closed_form(a, b, kappa, t):
 def su2_closed_form_trajectory(a, b, kappa, t_span=(0.0, 1.0), steps=2000):
     """Trajectory built by sampling the closed form (an exact solution).
 
-    Raises ValueError when steps is below 1, as SolverConfig does.
+    The grid is checked first, by :func:`grids.check_grid`.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    t0, t1 = float(t_span[0]), float(t_span[1])
+    t0, t1 = grids.check_grid(t_span, steps)
     # Python floats give the same arguments as numpy scalars, at less cost per call
     rows = [elliptic.jacobi(a * t + b, kappa) for t in np.linspace(t0, t1, steps + 1).tolist()]
     return Trajectory(t0, t1, _su2_samples(a, kappa, rows))

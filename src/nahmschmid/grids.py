@@ -1,12 +1,12 @@
 """Uniform time-grid utilities shared by the flow and shooting modules.
 
 Contains 4th-order finite-difference stencils (matching the order of the
-RK4 integrator), cubic interpolation to half-steps, and two RK4 steppers:
-:func:`rk4` for right-hand sides f(t, y), and :func:`rk4_sampled` for the
-linear second-order system x'' = C(t) x with C sampled at the grid nodes
-and midpoints.
+RK4 integrator), cubic interpolation to half-steps, the check of a grid's
+span and step count, and two RK4 steppers: :func:`rk4` for autonomous
+right-hand sides f(y), and :func:`rk4_sampled` for the linear second-order
+system x'' = C(t) x with C sampled at the grid nodes and midpoints.
 
-Right-hand sides write in place: f(t, y, k) writes the derivative of the
+Right-hand sides write in place: f(y, k) writes the derivative of the
 state y into the buffer k, which has y's shape and dtype.  The loop of
 :func:`rk4` allocates its stage buffers once per call and writes each new
 state straight into its row of the output, so a step allocates nothing
@@ -99,24 +99,31 @@ def midpoints(samples):
     return _stencil(samples, (_MID_EDGE,), _MID_CENTER, 1.0)
 
 
-def rk4(f, y0, t0, h, steps, out=None):
-    """Classical fixed-step RK4 for dy/dt = f(t, y); returns all samples.
+def check_grid(t_span, steps):
+    """(t_start, t_end) of t_span as floats; ValueError for steps < 1 or t_end <= t_start."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if t1 <= t0:
+        raise ValueError("t_end must exceed t_start")
+    return t0, t1
 
-    f(t, y, k) writes the derivative into k.  y may be an ndarray of any
+
+def rk4(f, y0, h, steps, out=None):
+    """Classical fixed-step RK4 for the autonomous dy/dt = f(y); returns all samples.
+
+    f(y, k) writes the derivative into k.  y may be an ndarray of any
     shape.  The samples are written to `out` when given, a complex
     (steps+1, ...) array or view, and that array is returned.  Raises
     FloatingPointError when the state stops being finite; its `step`
     attribute is the first failing step (1-based).
     """
-    # f is evaluated at node k, twice at midpoint k and at node k+1.
     # Overflow inside a step is left to the finiteness check, which names
     # the step, instead of numpy's RuntimeWarnings.  The stage inputs are
     # y + half*k1, y + half*k2, y + h*k3 and the new state
     # y + sixth*(((k1 + 2*k2) + 2*k3) + k4), summed into k2, k3 and k4 in
     # that order
     y0 = np.asarray(y0, dtype=complex)
-    nodes = t0 + h * np.arange(steps + 1)
-    mids = nodes[:-1] + h / 2
     if out is None:
         out = np.empty((steps + 1,) + y0.shape, dtype=complex)
     out[0] = y0
@@ -128,11 +135,11 @@ def rk4(f, y0, t0, h, steps, out=None):
     half, full, two, sixth = (np.array(c, dtype=complex) for c in (0.5 * h, h, 2.0, h / 6.0))
     y = out[0, ...]
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (t, tm, t1) in enumerate(zip(nodes, mids, nodes[1:])):
-            f(t, y, k1)
-            f(tm, np.add(y, np.multiply(half, k1, out=Y), out=Y), k2)
-            f(tm, np.add(y, np.multiply(half, k2, out=Y), out=Y), k3)
-            f(t1, np.add(y, np.multiply(full, k3, out=Y), out=Y), k4)
+        for k in range(steps):
+            f(y, k1)
+            f(np.add(y, np.multiply(half, k1, out=Y), out=Y), k2)
+            f(np.add(y, np.multiply(half, k2, out=Y), out=Y), k3)
+            f(np.add(y, np.multiply(full, k3, out=Y), out=Y), k4)
             np.multiply(two, K[1:3], out=K[1:3])  # 2*k2 and 2*k3 in one call
             np.add(k1, k2, out=k2)
             np.add(k2, k3, out=k3)

@@ -34,6 +34,7 @@ from . import grids
 from .liealg import project_antihermitian
 
 _CIRCLE_TOL = 1e-9  # a root this close to the unit circle refuses the factorization
+_CIRCLE_SAMPLES = 64  # thetas at which positivity_report samples the circle pencil
 _NORM_BOUND_TOL = 1e-10  # rounding slack of the norm-bound comparison
 _CR_TOL = 1e-15  # cyclic reduction stops once max|C| <= _CR_TOL max|L1|
 _CR_MAX_ITER = 60  # more steps than any root margin above _CIRCLE_TOL needs
@@ -109,17 +110,17 @@ def circle_pencil(T1, T2, T3, theta):
     return 0.5 * (H + H.conj().swapaxes(-1, -2))
 
 
-def positivity_report(T1, T2, T3, samples=64):
+def positivity_report(T1, T2, T3):
     """Sample the circle pencil and report the positivity certificate."""
     beta = np.asarray(T2, dtype=complex) + 1j * np.asarray(T3, dtype=complex)
-    thetas = 2.0 * np.pi * np.arange(samples) / samples
+    thetas = 2.0 * np.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES
     with np.errstate(over="raise", invalid="raise"):
         min_eig = float(np.min(np.linalg.eigvalsh(circle_pencil(T1, T2, T3, thetas))[:, 0]))
     lip = 2.0 * float(np.linalg.norm(beta, 2))
-    margin = min_eig - (np.pi / samples) * lip
+    margin = min_eig - (np.pi / _CIRCLE_SAMPLES) * lip
     return PositivityReport(
         min_eig=min_eig,
-        samples=samples,
+        samples=_CIRCLE_SAMPLES,
         margin=float(margin),
         sampled_positive=bool(min_eig > 0.0),
         certified=bool(margin > 0.0),
@@ -222,13 +223,14 @@ def ab_flow_rhs(A, B):
 def integrate_ab(A0, B0, t_span=(0.0, 1.0), steps=2000):
     """Integrate the factor flow; returns paths of shape (steps+1, n, n).
 
-    _ab_rhs writes each stage derivative into the RK4 stage buffer.
+    The grid is checked first, by :func:`grids.check_grid`, and _ab_rhs
+    writes each stage derivative into the RK4 stage buffer.
     """
+    t0, t1 = grids.check_grid(t_span, steps)
     Y0 = np.stack([np.asarray(A0, dtype=complex), np.asarray(B0, dtype=complex)])
-    t0, t1 = float(t_span[0]), float(t_span[1])
     work = _ab_workspace(Y0.shape[-1])
-    f = lambda t, Y, k: _ab_rhs(Y, out=k, work=work)
-    path = grids.rk4(f, Y0, t0, (t1 - t0) / steps, steps)
+    f = lambda Y, k: _ab_rhs(Y, out=k, work=work)
+    path = grids.rk4(f, Y0, (t1 - t0) / steps, steps)
     return path[:, 0], path[:, 1]
 
 

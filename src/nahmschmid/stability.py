@@ -184,13 +184,7 @@ class ConvergenceResult:
         }
 
 
-def halfline_convergence(
-    tau,
-    direction,
-    amplitude=1e-4,
-    horizon=20.0,
-    steps_per_unit=HALFLINE_STEPS_PER_UNIT,
-):
+def halfline_convergence(tau, direction, amplitude=1e-4, horizon=20.0):
     """Integrate from a perturbed commuting triple and fit the decay rate.
 
     The perturbation is amplitude * direction with `direction` a unit
@@ -205,9 +199,10 @@ def halfline_convergence(
     half stays above that floor.  Growth of the deviation is reported as
     divergence, not raised.
 
-    The flow is stepped in blocks and each block is reduced to its slice
-    of the deviation before the next is stepped, so memory is O(block n^2)
-    for the states plus the deviation path itself, whatever the horizon.
+    The flow takes HALFLINE_STEPS_PER_UNIT steps per unit time, at least
+    10, in blocks, and each block is reduced to its slice of the deviation
+    before the next is stepped, so memory is O(block n^2) for the states
+    plus the deviation path itself, whatever the horizon.
     A horizon that is not positive raises ValueError.
     """
     if not horizon > 0:
@@ -215,9 +210,9 @@ def halfline_convergence(
     tau = [np.asarray(t, dtype=complex) for t in tau]
     direction = [np.asarray(v, dtype=complex) for v in direction]
     init = np.array([tau[i] + amplitude * direction[i] for i in range(3)])
-    steps = max(int(round(horizon * steps_per_unit)), 10)
+    steps = max(int(round(horizon * HALFLINE_STEPS_PER_UNIT)), 10)
     dev = np.empty(steps + 1)
-    for lo, Y in flow._flow_blocks(init, 0.0, horizon / steps, steps):
+    for lo, Y in flow._flow_blocks(init, horizon / steps, steps):
         dev[lo : lo + len(Y)] = np.sqrt(sum(norm(Y[:, i] - tau[i][None]) ** 2 for i in range(3)))
     t = np.linspace(0.0, horizon, steps + 1)
 

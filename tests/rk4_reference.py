@@ -42,11 +42,11 @@ def rk4_loop_reference(rhs, coeff_nodes, coeff_mids, y0, h):
     return out
 
 
-def rk4_reference(f, y0, t0, h, steps):
-    """The functional counterpart of grids.rk4: f(t, y) returns the derivative."""
-    nodes = t0 + h * np.arange(steps + 1)
+def rk4_reference(f, y0, h, steps):
+    """The functional counterpart of grids.rk4: f(y) returns the derivative."""
+    unread = np.zeros(steps + 1)  # an autonomous f reads no coefficient
     y0 = np.asarray(y0, dtype=complex)
-    return rk4_loop_reference(f, nodes, nodes[:-1] + h / 2, y0, h)
+    return rk4_loop_reference(lambda c, y: f(y), unread, unread[:-1], y0, h)
 
 
 def rhs_reference(Y, T0=None):
@@ -57,10 +57,10 @@ def rhs_reference(Y, T0=None):
     return out if T0 is None else out - bracket(T0[None], Y)
 
 
-def flow_reference(Y0, t0, h, steps):
+def flow_reference(Y0, h, steps):
     """The reduced flow from Y0 = (T1, T2, T3): projected once, then RK4 steps
     of rhs_reference with no projection."""
-    return rk4_reference(lambda t, Y: rhs_reference(Y), project_antihermitian(Y0), t0, h, steps)
+    return rk4_reference(rhs_reference, project_antihermitian(Y0), h, steps)
 
 
 def gauge_factor_reference(T0, Y, h):

@@ -325,9 +325,7 @@ def test_criterion_11_stability(dv_reference):
     direction = stability.triple_from_coordinates(
         stability.stable_directions(rep_stable)[:, 0], basis
     )
-    res = stability.halfline_convergence(
-        taus, direction, amplitude=1e-4, horizon=8.0, steps_per_unit=1000
-    )
+    res = stability.halfline_convergence(taus, direction, amplitude=1e-4, horizon=8.0)
     rate_err = abs(res.fitted_rate - rep_stable.eta) / rep_stable.eta
     ok = (
         rep_stable.stable

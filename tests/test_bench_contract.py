@@ -144,9 +144,9 @@ EVERY_KIND = [
 @pytest.mark.parametrize("workload, slot", EVERY_KIND)
 def test_every_job_kind_keeps_its_expected_counts(workload, slot, monkeypatch, tmp_path):
     # the traced run cross-checks these counts per job; counting the same
-    # call sites here fails the suite when a kernel rewrite moves one.  The
-    # sweep shoots on a thread pool, so each wrapper appends (atomic) and
-    # the counts are summed afterwards
+    # call sites here fails the suite when a kernel rewrite moves one.  Each
+    # wrapper appends one entry per call (the sweep runs its points one after
+    # another) and the counts are summed afterwards
     workloads = _load("workloads")
     spec = workloads.job_spec(workload, slot, 0)
     init_path = workloads.write_inputs([spec], str(tmp_path)).get(spec["key"])

@@ -229,7 +229,7 @@ def test_integrate_bitwise_against_bracket_form(data, with_t0):
     steps = 200
     traj = integrate(q, (0.0, 1.5), SolverConfig(steps=steps))
     # the reduced flow, then the gauge factor of T0
-    ref = flow_reference(q[1:], 0.0, 1.5 / steps, steps)
+    ref = flow_reference(q[1:], 1.5 / steps, steps)
     if with_t0:
         ref = gauge_factor_reference(q[0], ref, 1.5 / steps)
     _assert_same_bits(traj.samples[:, 1:], ref)
@@ -243,7 +243,7 @@ def _integrate_reference(T_init, t_span, steps):
     T_init = np.asarray(T_init, dtype=complex)
     t0, t1 = float(t_span[0]), float(t_span[1])
     h = (t1 - t0) / steps
-    body = flow_reference(T_init[1:], t0, h, steps)
+    body = flow_reference(T_init[1:], h, steps)
     if np.max(np.abs(T_init[0])) != 0.0:
         body = gauge_factor_reference(T_init[0], body, h)
     T0_path = np.broadcast_to(T_init[0], (steps + 1,) + T_init[0].shape)
@@ -281,7 +281,7 @@ def test_integrate_blocks_are_bitwise_one_rk4_run(block, with_t0, monkeypatch):
     inner = grids.rk4
 
     def counting(*args, **kwargs):
-        calls.append(args[4])
+        calls.append(args[3])
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(grids, "rk4", counting)

@@ -11,25 +11,36 @@ from rk4_reference import (
 )
 
 
+def _clocked(g):
+    # the non-autonomous y' = g(t, y) as the autonomous (t, y)' = (1, g(t, y)),
+    # the clock t in row 0 of the state: RK4 evaluates g at the stage times
+    # t_k, twice t_k + h/2 and t_k + h
+    def f(y, k):
+        k[0] = 1.0
+        k[1:] = g(y[0].real, y[1:])
+    return f
+
+
 def test_rk4_is_exact_for_cubic_quadrature():
-    # for y' = f(t) RK4 is Simpson's rule on each step, exact for cubics;
-    # wrong midpoint or end-node times would break the identity
+    # for y' = 3 t^2 RK4 is Simpson's rule on each step, exact for cubics;
+    # wrong midpoint or end-node stages would break the identity
     t0, h, steps = 0.5, 0.1, 7
-    path = grids.rk4(lambda t, y, k: np.copyto(k, 3.0 * t * t), 0.0, t0, h, steps)
+    path = grids.rk4(_clocked(lambda t, y: 3.0 * t * t), [t0, 0.0], h, steps)
     t = t0 + h * np.arange(steps + 1)
     assert path.dtype == np.complex128
-    assert np.max(np.abs(path - (t**3 - t0**3))) < 1e-13
+    assert np.max(np.abs(path[:, 0] - t)) < 1e-13
+    assert np.max(np.abs(path[:, 1] - (t**3 - t0**3))) < 1e-13
 
 
 def test_rk4_writes_into_out():
     # the samples land in the given view, which is returned whole: the
     # traced step count reads len(result) - 1
-    f = lambda t, y, k: np.multiply(t, y, out=k)
+    f = lambda y, k: np.multiply(0.5j, y, out=k)
     buf = np.zeros((8, 3), dtype=complex)
-    path = grids.rk4(f, [1.0, 2.0], 0.0, 0.1, 7, out=buf[:, 1:])
+    path = grids.rk4(f, [1.0, 2.0], 0.1, 7, out=buf[:, 1:])
     assert path.base is buf and len(path) - 1 == 7
     assert np.all(buf[:, 0] == 0.0)
-    assert np.array_equal(buf[:, 1:], grids.rk4(f, [1.0, 2.0], 0.0, 0.1, 7))
+    assert np.array_equal(buf[:, 1:], grids.rk4(f, [1.0, 2.0], 0.1, 7))
 
 
 def _counting(monkeypatch, name, module=grids):
@@ -103,10 +114,10 @@ def test_closed_form_sampling_takes_one_jacobi_per_sample(monkeypatch):
 # ---------------------------------------------------------------------------
 # the buffered loop against the functional one, bit for bit
 
-def _flow_reference(q, t0, h, steps):
+def _flow_reference(q, h, steps):
     # the functional loop on the reduced equations, then the gauge factor
     # of a nonzero T0: the steps integrate takes, as one array
-    Y = flow_reference(q[1:], t0, h, steps)
+    Y = flow_reference(q[1:], h, steps)
     return gauge_factor_reference(q[0], Y, h) if np.any(q[0]) else Y
 
 
@@ -118,7 +129,7 @@ def test_flow_steps_bitwise_equal_the_functional_loop(n, with_t0):
     if not with_t0:
         q[0] = 0.0
     traj = integrate(q, (0.25, 1.25), SolverConfig(steps=40))
-    assert_same_bits(traj.samples[:, 1:], _flow_reference(q, 0.25, 1.0 / 40, 40))
+    assert_same_bits(traj.samples[:, 1:], _flow_reference(q, 1.0 / 40, 40))
 
 
 @pytest.mark.parametrize("with_t0", [False, True])
@@ -128,7 +139,7 @@ def test_su2_flow_steps_bitwise_equal_the_functional_loop(with_t0):
     if with_t0:
         q[0] = 0.4 * su2_basis()[2]
     traj = integrate(q, (0.0, 1.0), SolverConfig(steps=100))
-    assert_same_bits(traj.samples[:, 1:], _flow_reference(q, 0.0, 0.01, 100))
+    assert_same_bits(traj.samples[:, 1:], _flow_reference(q, 0.01, 100))
 
 
 @pytest.mark.parametrize("h", [1e100, 1e300])
@@ -142,7 +153,7 @@ def test_rk4_sampled_keeps_a_zero_coefficient_zero_at_a_huge_step(h):
 
 
 @pytest.mark.parametrize("d", [1, 3, 15, 63, 255])
-def test_second_order_layout_bitwise_equals_the_functional_loop(d):
+def test_second_order_layout_agrees_with_the_functional_loop_to_rounding(d):
     # the shooting's xi'' = C xi from (0, identity): rk4_sampled takes one
     # propagator per step, whose blocks sum the four stages in another
     # order than the staged reference, so the two agree to rounding.  d = 1
@@ -184,14 +195,14 @@ def test_unitarize_out_bitwise_equals_the_former_form(case):
 def test_ab_flow_bitwise_equals_the_functional_loop(quad):
     A0, B0 = quad[1], quad[2] + 1j * quad[3]
     A, B = positive.integrate_ab(A0, B0, (0.0, 1.0), steps=50)
-    ref = rk4_reference(lambda t, Y: ab_rhs_reference(Y[0], Y[1]),
-                        np.stack([A0, B0]), 0.0, 1.0 / 50, 50)
+    ref = rk4_reference(lambda Y: ab_rhs_reference(Y[0], Y[1]), np.stack([A0, B0]), 1.0 / 50, 50)
     assert_same_bits(np.stack([A, B], axis=1), ref)
 
 
 def test_zero_dim_state_bitwise_equals_the_functional_loop():
-    got = grids.rk4(lambda t, y, k: np.multiply(1j + t, y, out=k), 1.0 - 0.5j, 0.5, 0.1, 9)
-    ref = rk4_reference(lambda t, y: (1j + t) * y, 1.0 - 0.5j, 0.5, 0.1, 9)
+    # y' = (i - y) y
+    got = grids.rk4(lambda y, k: np.multiply(1j - y, y, out=k), 1.0 - 0.5j, 0.1, 9)
+    ref = rk4_reference(lambda y: (1j - y) * y, 1.0 - 0.5j, 0.1, 9)
     assert got.shape == (10,)
     assert_same_bits(got, ref)
 
@@ -200,9 +211,8 @@ def test_rk4_into_a_strided_view_bitwise_equals_the_functional_loop(quad):
     # every other row of a larger buffer: the states land in place and the
     # rows between stay untouched
     buf = np.zeros((2 * 21, 3, 3, 3), dtype=complex)
-    got = grids.rk4(lambda t, Y, k: flow._rhs_stacked(Y, out=k), quad[1:], 0.0, 0.05, 20,
-                    out=buf[::2])
-    ref = rk4_reference(lambda t, Y: flow._rhs_stacked(Y), quad[1:], 0.0, 0.05, 20)
+    got = grids.rk4(lambda Y, k: flow._rhs_stacked(Y, out=k), quad[1:], 0.05, 20, out=buf[::2])
+    ref = rk4_reference(flow._rhs_stacked, quad[1:], 0.05, 20)
     assert got.base is buf
     assert_same_bits(buf[::2], ref)
     assert np.all(buf[1::2] == 0.0)
@@ -211,9 +221,9 @@ def test_rk4_into_a_strided_view_bitwise_equals_the_functional_loop(quad):
 # ---------------------------------------------------------------------------
 # the first non-finite state names its step, wherever it falls in a call
 
-def _blowup_rhs(t_from):
+def _blowup(t, y, t_from):
     # y' = y, infinite from the first stage evaluated after t_from on
-    return lambda t, y, k: np.multiply(np.inf if t > t_from else 1.0, y, out=k)
+    return (np.inf if t > t_from else 1.0) * y
 
 
 def _assert_names_step(exc, j):
@@ -223,14 +233,17 @@ def _assert_names_step(exc, j):
 
 @pytest.mark.parametrize("steps, j", [(9, 1), (9, 5), (9, 9), (1, 1)])
 def test_rk4_names_the_first_non_finite_step(steps, j):
-    # the first stage past node j - 1 is the midpoint of step j
+    # the first stage past node j - 1 is the midpoint of step j; the clock
+    # rides in the state, whose four other rows blow up
     t0, h = 0.5, 0.1
+    g = lambda t, y: _blowup(t, y, t0 + (j - 0.75) * h)
+    y0 = np.array([t0, 1.0, 1.0, 1.0, 1.0])
     with pytest.raises(FloatingPointError) as exc:
-        grids.rk4(_blowup_rhs(t0 + (j - 0.75) * h), np.ones((2, 2)), t0, h, steps)
+        grids.rk4(_clocked(g), y0, h, steps)
     _assert_names_step(exc, j)
-    functional = lambda t, y: np.inf * y if t > t0 + (j - 0.75) * h else y
+    functional = lambda y: np.concatenate([[1.0], g(y[0].real, y[1:])])
     with pytest.raises(FloatingPointError) as ref:
-        rk4_reference(functional, np.ones((2, 2)), t0, h, steps)
+        rk4_reference(functional, y0, h, steps)
     assert ref.value.step == j
 
 
@@ -258,3 +271,36 @@ def test_integrate_names_the_first_non_finite_step_in_any_block(block, monkeypat
     with pytest.raises(flow.NumericalFailure) as exc:
         integrate(init, (0.0, 1.0), SolverConfig(steps=100))
     assert str(exc.value) == "state became non-finite at step 10"
+
+
+# ---------------------------------------------------------------------------
+# a bad grid is refused before any stepping or sampling
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("ran before the grid was checked")
+
+
+BAD_GRIDS = [
+    ((0.0, 1.0), 0, "steps must be >= 1"),
+    ((0.0, 1.0), -1, "steps must be >= 1"),
+    ((1.0, 1.0), 20, "t_end must exceed t_start"),
+    ((1.0, 0.0), 20, "t_end must exceed t_start"),
+]
+
+
+@pytest.mark.parametrize("t_span, steps, message", BAD_GRIDS)
+@pytest.mark.parametrize("integrator", ["integrate", "closed_form", "integrate_ab"])
+def test_integrators_refuse_a_bad_grid_before_any_work(integrator, t_span, steps, message,
+                                                       monkeypatch, quad):
+    # grids.check_grid raises before any RK4 step or Jacobi sample: the
+    # patched rk4 and jacobi would fail the test with an AssertionError
+    run = {
+        "integrate": lambda: integrate(quad, t_span, SolverConfig(steps=steps)),
+        "closed_form": lambda: flow.su2_closed_form_trajectory(1.1, 0.2, 0.7, t_span, steps),
+        "integrate_ab": lambda: positive.integrate_ab(quad[1], quad[2] + 1j * quad[3], t_span,
+                                                      steps=steps),
+    }[integrator]
+    monkeypatch.setattr(grids, "rk4", _must_not_run)
+    monkeypatch.setattr(elliptic, "jacobi", _must_not_run)
+    with pytest.raises(ValueError, match=message):
+        run()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nahmschmid import positive
 from nahmschmid.flow import SolverConfig, integrate, su2_closed_form
 from nahmschmid.liealg import random_antihermitian, su2_basis
 from nahmschmid.positive import (
@@ -315,12 +316,13 @@ def test_ab_flow_trace_drift(ab_round_trip):
     assert np.max(np.abs(tr - tr[0])) < 1e-10
 
 
-def test_ab_flow_preserves_positivity(ab_round_trip):
+def test_ab_flow_preserves_positivity(ab_round_trip, monkeypatch):
     Apath, Bpath, _ = ab_round_trip
     R1, R2, R3 = reconstruct(Apath, Bpath)
+    monkeypatch.setattr(positive, "_CIRCLE_SAMPLES", 32)
     for k in range(0, len(Apath), 250):
-        rep = positivity_report(R1[k], R2[k], R3[k], samples=32)
-        assert rep.sampled_positive
+        rep = positivity_report(R1[k], R2[k], R3[k])
+        assert rep.samples == 32 and rep.sampled_positive
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import schur
 
-from nahmschmid import flow
+from nahmschmid import flow, stability
 from nahmschmid.cli import main
 from nahmschmid.flow import rhs_reduced
 from nahmschmid.liealg import (
@@ -125,22 +125,20 @@ def test_stable_directions_shape(dv_reference):
 def test_halfline_rate_matches_eigenvalue():
     rep = stability_spectrum(E1, Z2, Z2)
     direction = triple_from_coordinates(stable_directions(rep)[:, 0], rep.basis)
-    res = halfline_convergence(
-        [E1, Z2, Z2], direction, amplitude=1e-4, horizon=8.0, steps_per_unit=1000
-    )
+    assert stability.HALFLINE_STEPS_PER_UNIT == 1000
+    res = halfline_convergence([E1, Z2, Z2], direction, amplitude=1e-4, horizon=8.0)
     assert res.converged and not res.diverged
     assert abs(res.fitted_rate - rep.eta) < 0.1 * rep.eta
 
 
-def test_halfline_unstable_direction_diverges(dv_reference):
+def test_halfline_unstable_direction_diverges(dv_reference, monkeypatch):
     rep = stability_spectrum(E1, Z2, Z2)
     DV = dv_reference([E1, Z2, Z2], rep.basis)
     _, Zm, k = schur(DV, output="real", sort=lambda re, im: re > 1e-10)
     assert k > 0
     direction = triple_from_coordinates(Zm[:, 0], rep.basis)
-    res = halfline_convergence(
-        [E1, Z2, Z2], direction, amplitude=1e-4, horizon=12.0, steps_per_unit=400
-    )
+    monkeypatch.setattr(stability, "HALFLINE_STEPS_PER_UNIT", 400)
+    res = halfline_convergence([E1, Z2, Z2], direction, amplitude=1e-4, horizon=12.0)
     assert res.diverged and not res.converged
 
 
@@ -175,10 +173,11 @@ def test_halfline_blocks_match_whole_trajectory(case, block, monkeypatch):
     tau = [E1, Z2, Z2] if case == "su2" else _diagonal_stable_triple(4)
     rep = stability_spectrum(*tau)
     direction = triple_from_coordinates(stable_directions(rep)[:, 0], rep.basis)
-    args = (tau, direction, 1e-4, 2.0, 100)
-    t_ref, dev_ref, rate_ref = _halfline_reference(*args)
+    args = (tau, direction, 1e-4, 2.0)
+    t_ref, dev_ref, rate_ref = _halfline_reference(*args, 100)
     assert len(t_ref) == 201 and flow._STEP_BLOCK >= 200
     monkeypatch.setattr(flow, "_STEP_BLOCK", block)
+    monkeypatch.setattr(stability, "HALFLINE_STEPS_PER_UNIT", 100)
     res = halfline_convergence(*args)
     assert isinstance(res, ConvergenceResult)
     assert res.times.tobytes() == t_ref.tobytes()
@@ -187,9 +186,10 @@ def test_halfline_blocks_match_whole_trajectory(case, block, monkeypatch):
     assert np.signbit(res.fitted_rate) == np.signbit(rate_ref)
 
 
-def test_halfline_memory_does_not_grow_with_horizon():
+def test_halfline_memory_does_not_grow_with_horizon(monkeypatch):
     # the states are held one block at a time; only the deviation path
     # (one float per step) grows with the horizon
+    monkeypatch.setattr(stability, "HALFLINE_STEPS_PER_UNIT", 250)
     tau = _diagonal_stable_triple(16)
     rep = stability_spectrum(*tau)
     direction = triple_from_coordinates(stable_directions(rep)[:, 0], rep.basis)
@@ -197,7 +197,7 @@ def test_halfline_memory_does_not_grow_with_horizon():
     for horizon in (2.0, 8.0):
         tracemalloc.start()
         try:
-            halfline_convergence(tau, direction, horizon=horizon, steps_per_unit=250)
+            halfline_convergence(tau, direction, horizon=horizon)
             peaks[horizon] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -214,17 +214,18 @@ def test_halfline_failure_names_the_global_step(monkeypatch):
     monkeypatch.setattr(flow, "_STEP_BLOCK", 3)
     with pytest.raises(flow.NumericalFailure) as blocked:
         flow.integrate(init, (0.0, 1.0), flow.SolverConfig(steps=100))
+    monkeypatch.setattr(stability, "HALFLINE_STEPS_PER_UNIT", 100)
     with pytest.raises(flow.NumericalFailure) as half:
-        halfline_convergence(tau, [Z2, Z2, Z2], horizon=1.0, steps_per_unit=100)
+        halfline_convergence(tau, [Z2, Z2, Z2], horizon=1.0)
     assert str(whole.value) == "state became non-finite at step 10"
     assert str(blocked.value) == str(half.value) == str(whole.value)
 
 
-def test_halfline_zero_amplitude():
+def test_halfline_zero_amplitude(monkeypatch):
     rep = stability_spectrum(E1, Z2, Z2)
     direction = triple_from_coordinates(stable_directions(rep)[:, 0], rep.basis)
-    res = halfline_convergence([E1, Z2, Z2], direction, amplitude=0.0, horizon=1.0,
-                               steps_per_unit=100)
+    monkeypatch.setattr(stability, "HALFLINE_STEPS_PER_UNIT", 100)
+    res = halfline_convergence([E1, Z2, Z2], direction, amplitude=0.0, horizon=1.0)
     assert np.isnan(res.fitted_rate)
     assert res.converged and not res.diverged
     # NaN is not JSON; as_dict writes None

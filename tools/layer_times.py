@@ -3,22 +3,18 @@
 At n = 2, 4, 8, 16 it times, in seconds per call and best of REPEAT runs:
 
   rhs             flow._rhs_stacked on a (3, n, n) state, T0 = 0, as the
-                  flow calls it (with the flow's workspace where the
-                  checkout has one)
+                  flow calls it, with the flow's workspace
   flow_step       one RK4 step of the flow: flow._flow_blocks over one
                   block of _STEP_BLOCK steps (rhs and RK4), divided by the
                   steps
   flow_t0_step    one step of the flow with a constant T0 != 0:
                   flow.integrate over _STEP_BLOCK steps (the reduced steps
-                  and the conjugation by the gauge factor of T0, where the
-                  checkout has it), divided by the steps
+                  and the conjugation by the gauge factor of T0), divided
+                  by the steps
   shoot_step      one RK4 step of the shooting, x'' = M x on a real
                   (2, d, d) state with d = n^2 - 1, over a call of 16
                   steps through grids.rk4_sampled (which builds each
-                  step's (2d, 2d) propagator and takes one matmul per step;
-                  a checkout whose rk4_sampled still takes a right-hand
-                  side and a second_order flag gets None, or the
-                  shooting's matmul callback where its layout calls one)
+                  step's (2d, 2d) propagator and takes one matmul per step)
   jacobi          elliptic.jacobi per call, at the 501 sample arguments
                   a t + b of flow.su2_closed_form_trajectory(2.0, 0.3, 0.9,
                   (0, 1), 500), in the order it calls them (the same at
@@ -27,18 +23,16 @@ At n = 2, 4, 8, 16 it times, in seconds per call and best of REPEAT runs:
   double_bracket  liealg.double_bracket_matrix per time, over the block of
                   times the shooting forms at once, with the basis's
                   operands built once beforehand (liealg.AdjointBasis) as
-                  the shooting builds them, where the checkout has it
+                  the shooting builds them
   ab_rhs          the A-B factor flow's right-hand side on a (2, n, n)
                   state: positive._ab_rhs into a stage buffer with one
-                  workspace where the checkout has it, else ab_flow_rhs
+                  workspace
   ab_step         one RK4 step of the A-B flow: positive.integrate_ab over
                   AB_STEPS steps, divided by the steps
   export          the JSON export of an EXPORT_STEPS-step trajectory as
                   `integrate` writes it (serialize.trajectory_to_obj, then
-                  cli._emit of serialize.iterdumps' pieces, or of the one
-                  string of serialize.dumps where the checkout has no
-                  iterdumps) into a temporary file, divided by the floats
-                  written
+                  cli._emit of serialize.iterdumps' pieces) into a
+                  temporary file, divided by the floats written
 
 Each run's time is corrected for the speed of a shared host, as the
 benchmark does: it is divided by the duration of a pure-Python reference
@@ -47,7 +41,10 @@ seconds at the nominal speed.  The data are su(n) elements of scale
 0.5/sqrt(n) from a fixed seed.  A run is appended to the JSON file named by
 --output (a list of runs), with its label and the versions it ran with.
 Compare runs only when they come from one host in one session, ideally
-alternating.
+alternating.  The tool calls the package's current internals, the
+clockless flow._flow_blocks(y, h, steps) among them, so it times only
+source trees from the clockless RK4 on; an older tree stops with a
+TypeError.
 
     python3 tools/layer_times.py --output BENCH.json --label change
     python3 tools/layer_times.py --src ../other/src --output BENCH.json --label parent
@@ -108,17 +105,11 @@ def _kernels(n, np, flow, grids, liealg, spectral, degeneracy, positive, cli, se
     quad = np.array([np.zeros((n, n), dtype=complex)] + [
         scale * liealg.random_antihermitian(n, rng, traceless=True) for _ in range(3)])
     Y, k = quad[1:].copy(), np.empty((3, n, n), dtype=complex)
-    # a checkout that steps T0 in the right-hand side (it has _RHS_ROWS_T0)
-    # sizes the workspace for it and starts _flow_blocks from the quadruple
-    legacy = hasattr(flow, "_RHS_ROWS_T0")
-    extra = {}
-    if hasattr(flow, "_rhs_workspace"):
-        extra["work"] = flow._rhs_workspace(n, False) if legacy else flow._rhs_workspace(n)
+    work = flow._rhs_workspace(n)
     steps = flow._STEP_BLOCK
-    start = quad if legacy else quad[1:]
 
     def flow_block():
-        for _ in flow._flow_blocks(start, 0.0, 1.0 / steps, steps):
+        for _ in flow._flow_blocks(quad[1:], 1.0 / steps, steps):
             pass
 
     quad_t0 = quad.copy()
@@ -127,21 +118,12 @@ def _kernels(n, np, flow, grids, liealg, spectral, degeneracy, positive, cli, se
 
     basis = liealg.orthonormal_basis(n, traceless=True)
     d = basis.shape[0]
-    adjoint = liealg.AdjointBasis(basis) if hasattr(liealg, "AdjointBasis") else basis
+    adjoint = liealg.AdjointBasis(basis)
     shoot_steps = 16
     C = rng.standard_normal((2 * shoot_steps + 1, d, d)) / d
     Y0 = np.stack([np.zeros((d, d)), np.eye(d)])
-    shoot_args = (C[: shoot_steps + 1], C[shoot_steps + 1 :], Y0, 1.0 / shoot_steps)
-    try:  # rk4_sampled(coeff_nodes, coeff_mids, y0, h) steps x'' = C x
-        grids.rk4_sampled(C[:2], C[2:3], Y0, 1.0)
-        shoot = lambda: grids.rk4_sampled(*shoot_args)
-    except TypeError:  # a checkout with a right-hand side and a second_order flag
-        try:  # whose second-order layout forms C x itself
-            grids.rk4_sampled(None, C[:2], C[2:3], Y0, 1.0, second_order=True)
-            rhs = None
-        except TypeError:  # or calls the right-hand side
-            rhs = lambda C, Y, k: np.matmul(C, Y[0], out=k[1])
-        shoot = lambda: grids.rk4_sampled(rhs, *shoot_args, second_order=True)
+    shoot = lambda: grids.rk4_sampled(C[: shoot_steps + 1], C[shoot_steps + 1 :], Y0,
+                                      1.0 / shoot_steps)
     ts = np.linspace(0.0, 1.0, JACOBI_SAMPLES).tolist()
     jacobi = lambda: [elliptic.jacobi(2.0 * t + 0.3, 0.9) for t in ts]
     block = max(1, (degeneracy._FORM_BLOCK_ENTRIES // (d * n * n) - 1) // 2)
@@ -151,17 +133,13 @@ def _kernels(n, np, flow, grids, liealg, spectral, degeneracy, positive, cli, se
     signs = (-1.0, 1.0, 1.0)
     heavy = n >= 16
     AB = np.stack([quad[1], quad[2] + 1j * quad[3]])
-    if hasattr(positive, "_ab_rhs"):
-        work, kab = positive._ab_workspace(n), np.empty_like(AB)
-        ab_rhs = lambda: positive._ab_rhs(AB, out=kab, work=work)
-    else:
-        ab_rhs = lambda: positive.ab_flow_rhs(AB[0], AB[1])
+    ab_work, kab = positive._ab_workspace(n), np.empty_like(AB)
     traj = flow.integrate(quad, (0.0, 1.0), flow.SolverConfig(steps=EXPORT_STEPS))
-    render = getattr(serialize, "iterdumps", serialize.dumps)
     target = argparse.Namespace(output=os.path.join(tmp, "export.json"))
-    export = lambda: cli._emit(target, render({"trajectory": serialize.trajectory_to_obj(traj)}))
+    export = lambda: cli._emit(
+        target, serialize.iterdumps({"trajectory": serialize.trajectory_to_obj(traj)}))
     return [
-        ("rhs", lambda: flow._rhs_stacked(Y, out=k, **extra), 200, 1),
+        ("rhs", lambda: flow._rhs_stacked(Y, out=k, work=work), 200, 1),
         ("flow_step", flow_block, 1, steps),
         ("flow_t0_step", lambda: flow.integrate(quad_t0, (0.0, 1.0), config), 1, steps),
         ("shoot_step", shoot, 1 if heavy else 4, shoot_steps),
@@ -169,7 +147,7 @@ def _kernels(n, np, flow, grids, liealg, spectral, degeneracy, positive, cli, se
         ("char_poly", lambda: spectral.char_poly(lax), 2 if heavy else 10, 1),
         ("double_bracket", lambda: liealg.double_bracket_matrix(T, signs, adjoint),
          1 if heavy else 4, times),
-        ("ab_rhs", ab_rhs, 200, 1),
+        ("ab_rhs", lambda: positive._ab_rhs(AB, out=kab, work=ab_work), 200, 1),
         ("ab_step", lambda: positive.integrate_ab(AB[0], AB[1], (0.0, 1.0), steps=AB_STEPS),
          1, AB_STEPS),
         ("export", export, 1, traj.samples.size * 2),
