@@ -256,7 +256,8 @@ def cmd_sweep(args):
     base = {"kappa": args.kappa, "a": args.a, "b": args.b}
     if args.param not in base:
         raise ValueError("--param must be one of kappa, a, b")
-    if args.points < 1 or args.points2 < 1:
+    # --points2 is read only with --param2
+    if args.points < 1 or (args.param2 and args.points2 < 1):
         raise ValueError("--points and --points2 must be at least 1")
     grid1 = np.linspace(args.start, args.stop, args.points)
     points = [{**base, args.param: float(v1)} for v1 in grid1]

@@ -11,7 +11,7 @@ state y into the buffer k, which has y's shape and dtype.  The loop of
 :func:`rk4` allocates its stage buffers once per call and writes each new
 state straight into its row of the output, so a step allocates nothing
 beyond what the right-hand side does: for the flow, the gather of its
-right-hand side, whose products go to a workspace of the flow.
+factors and a conjugate transpose, whose products go to the stage buffer.
 
 x'' = C(t) x, stepped as the state y = (x, v), is linear, so each of its
 RK4 steps is one matrix: y_{k+1} = P_k y_k.  :func:`rk4_sampled` builds
@@ -26,6 +26,8 @@ means every state is finite, and only a failing call scans its rows for the
 first non-finite step.  The scan takes one row at a time, so the check
 builds no temporary of the size of the output.
 """
+
+import math
 
 import numpy as np
 
@@ -99,13 +101,25 @@ def midpoints(samples):
     return _stencil(samples, (_MID_EDGE,), _MID_CENTER, 1.0)
 
 
-def check_grid(t_span, steps):
-    """(t_start, t_end) of t_span as floats; ValueError for steps < 1 or t_end <= t_start."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    t0, t1 = float(t_span[0]), float(t_span[1])
+def check_span(t_start, t_end):
+    """(t_start, t_end) as floats; ValueError unless both are finite and t_end > t_start."""
+    t0, t1 = float(t_start), float(t_end)
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t_start and t_end must be finite, got {t0!r} and {t1!r}")
     if t1 <= t0:
         raise ValueError("t_end must exceed t_start")
+    return t0, t1
+
+
+def check_grid(t_span, steps):
+    """:func:`check_span` of t_span; ValueError also for steps < 1 or a step of 0 or inf."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    t0, t1 = check_span(t_span[0], t_span[1])
+    h = (t1 - t0) / steps
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"the step (t_end - t_start) / steps is {h!r}; "
+                         "it must be positive and finite")
     return t0, t1
 
 

@@ -21,9 +21,9 @@ intertwines the reduced flow with the first-order system
     A' = (B*BA - ABB*)/2,   B' = (A*AB - BAA*)/2,
 
 from which the triple is recovered via T1 = -(i/2)(AA* + B*B) and
-T2 + i T3 = AB.  Its right-hand side is one in-place kernel: a conjugate
-copy and two stacked matmuls in a workspace made once per integration form
-the eight products, and the result goes straight into the RK4 stage buffer.
+T2 + i T3 = AB.  Its right-hand side is one kernel: a conjugate copy and
+two stacked matmuls form the eight products, and the result goes straight
+into the RK4 stage buffer.
 """
 
 from dataclasses import dataclass
@@ -194,20 +194,14 @@ def factorize_triple(T1, T2, T3):
     return rosenblatt_factorize(beta, L1, beta.conj().T)
 
 
-def _ab_workspace(n):
-    """Buffers of _ab_rhs for one A-B flow at size n: X, P1 and P2."""
-    return np.empty((3, 2, 2, n, n), dtype=complex)
-
-
-def _ab_rhs(Y, out=None, work=None):
+def _ab_rhs(Y, out=None):
     # Y = (A, B), X = (B*, A | A*, B), P1 = X (B, A) = (B*B, AB | A*A, BA) and
     # P2 = P1 X' = (B*BA, ABB* | A*AB, BAA*): the products of 0.5 (B*B A - AB B*)
-    # in its order, so bitwise that form.  Without `work` it builds its own.
-    X, P1, P2 = _ab_workspace(Y.shape[-1]) if work is None else work
+    # in its order, so bitwise that form
+    X = np.empty((2,) + Y.shape, dtype=complex)
     np.conjugate(Y[::-1].swapaxes(-1, -2), out=X[:, 0])
     X[:, 1] = Y
-    np.matmul(X, Y[::-1, None], out=P1)
-    np.matmul(P1, X[:, ::-1], out=P2)
+    P2 = np.matmul(np.matmul(X, Y[::-1, None]), X[:, ::-1])
     D = np.subtract(P2[:, 0], P2[:, 1], out=out)
     return np.multiply(0.5, D, out=D)
 
@@ -228,8 +222,7 @@ def integrate_ab(A0, B0, t_span=(0.0, 1.0), steps=2000):
     """
     t0, t1 = grids.check_grid(t_span, steps)
     Y0 = np.stack([np.asarray(A0, dtype=complex), np.asarray(B0, dtype=complex)])
-    work = _ab_workspace(Y0.shape[-1])
-    f = lambda Y, k: _ab_rhs(Y, out=k, work=work)
+    f = lambda Y, k: _ab_rhs(Y, out=k)
     path = grids.rk4(f, Y0, (t1 - t0) / steps, steps)
     return path[:, 0], path[:, 1]
 

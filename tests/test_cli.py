@@ -1250,6 +1250,16 @@ def test_cli_sweep_rejects_empty_grid(tmp_path, capsys, points):
     assert not out.exists()
 
 
+def test_cli_sweep_ignores_points2_without_param2(tmp_path):
+    # --points2 is read only with --param2, so without it no value is refused
+    argv = ["sweep", "--param", "a", "--from", "1", "--to", "2", "--points", "2",
+            "--steps", "20"]
+    plain, unread = tmp_path / "plain.csv", tmp_path / "unread.csv"
+    assert run_cli(argv + ["--output", str(plain)]) == 0
+    assert run_cli(argv + ["--points2", "0", "--output", str(unread)]) == 0
+    assert unread.read_bytes() == plain.read_bytes()
+
+
 def test_cli_closed_form_hyperbolic_long_range(tmp_path):
     out = tmp_path / "hyp.json"
     code = run_cli(

@@ -151,21 +151,14 @@ def test_rhs_stacked_bitwise_equals_bracket_form(n, with_t0):
     k = np.empty_like(Y)
     assert flow._rhs_stacked(Y, out=k) is k
     _assert_same_bits(k, rhs_reference(Y))
-    # as the flow calls it: the products in the workspace, their conjugate
-    # transposes and then the result in the stage buffer
-    k = np.empty_like(Y)
-    assert flow._rhs_stacked(Y, out=k, work=flow._rhs_workspace(n)) is k
-    _assert_same_bits(k, rhs_reference(Y))
-    # a call without a workspace builds its own: the same bits
-    _assert_same_bits(flow._rhs_stacked(Y), k)
 
 
 def test_rhs_stacked_bitwise_on_su2_closed_form(elliptic_traj_b):
     # su(2) samples have exact zero entries, where the sign of zero shows
     for q in elliptic_traj_b.samples[::250]:
         _assert_same_bits(flow._rhs_stacked(q[1:]), rhs_reference(q[1:]))
-        work = flow._rhs_workspace(2)
-        _assert_same_bits(flow._rhs_stacked(q[1:], work=work), rhs_reference(q[1:]))
+        k = np.empty_like(q[1:])
+        _assert_same_bits(flow._rhs_stacked(q[1:], out=k), rhs_reference(q[1:]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
@@ -192,16 +185,6 @@ def test_rhs_and_flow_are_antihermitian_exactly(n):
     q[0] = 0.0
     S = integrate(q, (0.0, 1.0), SolverConfig(steps=300)).samples
     assert np.array_equal(S, -S.conj().swapaxes(-1, -2))
-
-
-def test_rhs_workspace_reused_reads_no_stale_values():
-    # one workspace on two different states, and back: each result has the
-    # bits of a fresh call
-    rng = np.random.default_rng(19)
-    A, B = (np.array([random_antihermitian(4, rng) for _ in range(3)]) for _ in range(2))
-    work = flow._rhs_workspace(4)
-    for Y in (A, B, A):
-        _assert_same_bits(flow._rhs_stacked(Y, work=work), flow._rhs_stacked(Y))
 
 
 def test_rhs_reduced_and_full_bitwise(rng, elliptic_traj_b):

@@ -285,6 +285,13 @@ BAD_GRIDS = [
     ((0.0, 1.0), -1, "steps must be >= 1"),
     ((1.0, 1.0), 20, "t_end must exceed t_start"),
     ((1.0, 0.0), 20, "t_end must exceed t_start"),
+    ((0.0, np.nan), 20, "t_start and t_end must be finite"),
+    ((np.nan, 1.0), 20, "t_start and t_end must be finite"),
+    ((0.0, np.inf), 20, "t_start and t_end must be finite"),
+    ((-np.inf, 0.0), 20, "t_start and t_end must be finite"),
+    # the step rounds to 0, or the span overflows
+    ((0.0, 5e-324), 64, "it must be positive and finite"),
+    ((-1e308, 1e308), 20, "it must be positive and finite"),
 ]
 
 
@@ -304,3 +311,12 @@ def test_integrators_refuse_a_bad_grid_before_any_work(integrator, t_span, steps
     monkeypatch.setattr(elliptic, "jacobi", _must_not_run)
     with pytest.raises(ValueError, match=message):
         run()
+
+
+@pytest.mark.parametrize("t_end", [np.nan, np.inf])
+def test_trajectory_refuses_a_non_finite_end(t_end):
+    samples = np.zeros((3, 4, 2, 2), dtype=complex)
+    with pytest.raises(ValueError, match="t_start and t_end must be finite"):
+        flow.Trajectory(0.0, t_end, samples)
+    # one sample, the initial quadruple alone, is a trajectory
+    assert flow.Trajectory(0.0, 1.0, samples[:1]).steps == 0

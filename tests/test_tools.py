@@ -1,11 +1,11 @@
 """Smoke tests of the scripts in tools/.
 
 tools/layer_times.py reaches into private names of the package (the flow's
-blocks and RHS workspace, the A-B kernel and its workspace, the shooting's
-forming budget and its liealg.AdjointBasis, the second-order RK4 layout, the
-Jacobi functions, the CLI's writer cli._emit) and calls only their current
-form, so a refactor of those names shows here first.  The script is loaded
-by path and run at its smallest size.
+blocks and RHS kernel, the A-B kernel, the shooting's forming budget and its
+liealg.AdjointBasis, the second-order RK4 layout, the Jacobi functions, the
+CLI's writer cli._emit) and calls only their current form, so a refactor of
+those names shows here first.  The script is loaded by path and run at its
+smallest size.
 """
 
 import importlib.util

@@ -2,8 +2,8 @@
 
 At n = 2, 4, 8, 16 it times, in seconds per call and best of REPEAT runs:
 
-  rhs             flow._rhs_stacked on a (3, n, n) state, T0 = 0, as the
-                  flow calls it, with the flow's workspace
+  rhs             flow._rhs_stacked on a (3, n, n) state, T0 = 0, into a
+                  stage buffer as the flow calls it
   flow_step       one RK4 step of the flow: flow._flow_blocks over one
                   block of _STEP_BLOCK steps (rhs and RK4), divided by the
                   steps
@@ -25,8 +25,7 @@ At n = 2, 4, 8, 16 it times, in seconds per call and best of REPEAT runs:
                   operands built once beforehand (liealg.AdjointBasis) as
                   the shooting builds them
   ab_rhs          the A-B factor flow's right-hand side on a (2, n, n)
-                  state: positive._ab_rhs into a stage buffer with one
-                  workspace
+                  state: positive._ab_rhs into a stage buffer
   ab_step         one RK4 step of the A-B flow: positive.integrate_ab over
                   AB_STEPS steps, divided by the steps
   export          the JSON export of an EXPORT_STEPS-step trajectory as
@@ -44,7 +43,9 @@ Compare runs only when they come from one host in one session, ideally
 alternating.  The tool calls the package's current internals, the
 clockless flow._flow_blocks(y, h, steps) among them, so it times only
 source trees from the clockless RK4 on; an older tree stops with a
-TypeError.
+TypeError.  On a tree whose kernels still take a workspace, `rhs` and
+`ab_rhs` time the call that builds its own; time such a tree with its own
+copy of this tool.
 
     python3 tools/layer_times.py --output BENCH.json --label change
     python3 tools/layer_times.py --src ../other/src --output BENCH.json --label parent
@@ -105,7 +106,6 @@ def _kernels(n, np, flow, grids, liealg, spectral, degeneracy, positive, cli, se
     quad = np.array([np.zeros((n, n), dtype=complex)] + [
         scale * liealg.random_antihermitian(n, rng, traceless=True) for _ in range(3)])
     Y, k = quad[1:].copy(), np.empty((3, n, n), dtype=complex)
-    work = flow._rhs_workspace(n)
     steps = flow._STEP_BLOCK
 
     def flow_block():
@@ -133,13 +133,13 @@ def _kernels(n, np, flow, grids, liealg, spectral, degeneracy, positive, cli, se
     signs = (-1.0, 1.0, 1.0)
     heavy = n >= 16
     AB = np.stack([quad[1], quad[2] + 1j * quad[3]])
-    ab_work, kab = positive._ab_workspace(n), np.empty_like(AB)
+    kab = np.empty_like(AB)
     traj = flow.integrate(quad, (0.0, 1.0), flow.SolverConfig(steps=EXPORT_STEPS))
     target = argparse.Namespace(output=os.path.join(tmp, "export.json"))
     export = lambda: cli._emit(
         target, serialize.iterdumps({"trajectory": serialize.trajectory_to_obj(traj)}))
     return [
-        ("rhs", lambda: flow._rhs_stacked(Y, out=k, work=work), 200, 1),
+        ("rhs", lambda: flow._rhs_stacked(Y, out=k), 200, 1),
         ("flow_step", flow_block, 1, steps),
         ("flow_t0_step", lambda: flow.integrate(quad_t0, (0.0, 1.0), config), 1, steps),
         ("shoot_step", shoot, 1 if heavy else 4, shoot_steps),
@@ -147,7 +147,7 @@ def _kernels(n, np, flow, grids, liealg, spectral, degeneracy, positive, cli, se
         ("char_poly", lambda: spectral.char_poly(lax), 2 if heavy else 10, 1),
         ("double_bracket", lambda: liealg.double_bracket_matrix(T, signs, adjoint),
          1 if heavy else 4, times),
-        ("ab_rhs", lambda: positive._ab_rhs(AB, out=kab, work=ab_work), 200, 1),
+        ("ab_rhs", lambda: positive._ab_rhs(AB, out=kab), 200, 1),
         ("ab_step", lambda: positive.integrate_ab(AB[0], AB[1], (0.0, 1.0), steps=AB_STEPS),
          1, AB_STEPS),
         ("export", export, 1, traj.samples.size * 2),
