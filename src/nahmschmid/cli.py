@@ -359,6 +359,9 @@ def _check_config(args):
     """
     for flag in _OPTIONS:
         value = getattr(args, _dest(flag), None)
+        # --from2 and --to2 are read only with --param2
+        if flag in ("--from2", "--to2") and not getattr(args, "param2", None):
+            continue
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value!r}")
     if getattr(args, "n", 1) < 1:
@@ -378,20 +381,13 @@ def _check_config(args):
         if not args.t_end > args.t_start:
             raise ValueError(f"--t-end must exceed --t-start, got --t-start {args.t_start!r} "
                              f"and --t-end {args.t_end!r}")
-        _check_step("(--t-end - --t-start) / --steps", (args.t_end - args.t_start) / args.steps)
+        # the grid step: 0 where it underflows, inf where the span overflows
+        h = (args.t_end - args.t_start) / args.steps
+        if not 0.0 < h < math.inf:
+            raise ValueError(f"the step (--t-end - --t-start) / --steps is {h!r}; "
+                             "it must be positive and finite")
     if getattr(args, "halfline", False):
-        if not args.horizon > 0:
-            raise ValueError(f"--horizon must be positive, got {args.horizon!r}")
-        # the experiment's step count unrounded: inf where it overflows
-        per_unit = stability.HALFLINE_STEPS_PER_UNIT
-        _check_step(f"--horizon / max({per_unit} --horizon, 10)",
-                    args.horizon / max(args.horizon * per_unit, 10.0))
-
-
-def _check_step(what, h):
-    # a grid step: 0 where it underflows, inf where the span overflows
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"the step {what} is {h!r}; it must be positive and finite")
+        stability.halfline_steps(args.horizon, "--horizon")
 
 
 def main(argv=None):

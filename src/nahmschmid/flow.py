@@ -87,6 +87,8 @@ class Trajectory:
 
     @property
     def h(self):
+        if self.steps == 0:
+            raise ValueError("a trajectory of a single sample has no step")
         return (self.t_end - self.t_start) / self.steps
 
     @property

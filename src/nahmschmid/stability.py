@@ -14,6 +14,7 @@ sigma = w1^2 - w2^2 - w3^2 and DV has eigenvalues 0, +/- sqrt(sigma).  The
 report thus needs one symmetric eigendecomposition and the ad matrices.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,6 +185,24 @@ class ConvergenceResult:
         }
 
 
+def halfline_steps(horizon, name="horizon"):
+    """RK4 steps of the half-line flow over `horizon`: HALFLINE_STEPS_PER_UNIT
+    per unit time, at least 10.
+
+    Raises ValueError, in words that use `name` for the horizon, when the
+    horizon is not positive or its step rounds to 0 or overflows (as for a
+    horizon of 5e-324, 1e306 or inf), so no work starts on such a horizon.
+    """
+    if not horizon > 0:
+        raise ValueError(f"{name} must be positive, got {horizon!r}")
+    # the step with the count unrounded: 0 where the count overflows
+    h = horizon / max(horizon * HALFLINE_STEPS_PER_UNIT, 10.0)
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"the step {name} / max({HALFLINE_STEPS_PER_UNIT} {name}, 10) "
+                         f"is {h!r}; it must be positive and finite")
+    return max(int(round(horizon * HALFLINE_STEPS_PER_UNIT)), 10)
+
+
 def halfline_convergence(tau, direction, amplitude=1e-4, horizon=20.0):
     """Integrate from a perturbed commuting triple and fit the decay rate.
 
@@ -199,18 +218,16 @@ def halfline_convergence(tau, direction, amplitude=1e-4, horizon=20.0):
     half stays above that floor.  Growth of the deviation is reported as
     divergence, not raised.
 
-    The flow takes HALFLINE_STEPS_PER_UNIT steps per unit time, at least
-    10, in blocks, and each block is reduced to its slice of the deviation
-    before the next is stepped, so memory is O(block n^2) for the states
-    plus the deviation path itself, whatever the horizon.
-    A horizon that is not positive raises ValueError.
+    The flow takes :func:`halfline_steps` steps, in blocks, and each block
+    is reduced to its slice of the deviation before the next is stepped, so
+    memory is O(block n^2) for the states plus the deviation path itself,
+    whatever the horizon.  A horizon that is not positive, or whose step
+    rounds to 0 or overflows, raises ValueError before any stepping.
     """
-    if not horizon > 0:
-        raise ValueError(f"the horizon must be positive, got {horizon!r}")
+    steps = halfline_steps(horizon)
     tau = [np.asarray(t, dtype=complex) for t in tau]
     direction = [np.asarray(v, dtype=complex) for v in direction]
     init = np.array([tau[i] + amplitude * direction[i] for i in range(3)])
-    steps = max(int(round(horizon * HALFLINE_STEPS_PER_UNIT)), 10)
     dev = np.empty(steps + 1)
     for lo, Y in flow._flow_blocks(init, horizon / steps, steps):
         dev[lo : lo + len(Y)] = np.sqrt(sum(norm(Y[:, i] - tau[i][None]) ** 2 for i in range(3)))

@@ -1251,13 +1251,15 @@ def test_cli_sweep_rejects_empty_grid(tmp_path, capsys, points):
 
 
 def test_cli_sweep_ignores_points2_without_param2(tmp_path):
-    # --points2 is read only with --param2, so without it no value is refused
+    # --points2, --from2 and --to2 are read only with --param2, so without
+    # it no value of theirs is refused
     argv = ["sweep", "--param", "a", "--from", "1", "--to", "2", "--points", "2",
             "--steps", "20"]
     plain, unread = tmp_path / "plain.csv", tmp_path / "unread.csv"
     assert run_cli(argv + ["--output", str(plain)]) == 0
-    assert run_cli(argv + ["--points2", "0", "--output", str(unread)]) == 0
-    assert unread.read_bytes() == plain.read_bytes()
+    for option in (["--points2", "0"], ["--from2", "nan"], ["--to2", "inf"]):
+        assert run_cli(argv + option + ["--output", str(unread)]) == 0, option
+        assert unread.read_bytes() == plain.read_bytes()
 
 
 def test_cli_closed_form_hyperbolic_long_range(tmp_path):
@@ -1282,11 +1284,38 @@ def test_cli_sweep_two_parameters(tmp_path):
     assert len(lines) == 5
 
 
-def _python(code, check=True):
-    # a fresh interpreter that imports this checkout's package
+def _fresh_process(args, **kwargs):
+    # a fresh interpreter that imports the package the suite imports, this
+    # checkout's or the installed one
     src = str(Path(nahmschmid.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=check)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, **kwargs)
+
+
+def _python(code, check=True):
+    return _fresh_process(["-c", code], text=True, check=check)
+
+
+def test_cli_process_keeps_the_exit_code_contract(tmp_path):
+    # `python -m nahmschmid.cli` as its own process: its real stdout holds
+    # C-level writes too, which an in-process test cannot see.  A run to
+    # stdout writes the bytes of the same run's --output file; a refused
+    # and a failed run write nothing there and one line to stderr
+    argv = ["-m", "nahmschmid.cli", "integrate", "--algebra", "un", "--n", "4", "--steps", "3000"]
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"file.{fmt}"
+        to_stdout = _fresh_process(argv + ["--format", fmt])
+        to_file = _fresh_process(argv + ["--format", fmt, "--output", str(out)])
+        assert to_stdout.returncode == to_file.returncode == 0
+        assert to_file.stdout == b"" and len(to_stdout.stdout) > 10**6
+        assert to_stdout.stdout == out.read_bytes()
+    proc = _fresh_process(["-m", "nahmschmid.cli", "closed-form", "--steps", "0"])
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr == b"error: --steps must be at least 1 for closed-form, got 0\n"
+    proc = _fresh_process(["-m", "nahmschmid.cli", *OVERFLOWING_SCENARIOS["integrate"]])
+    assert proc.returncode == 3 and proc.stdout == b""
+    assert proc.stderr.startswith(b"numerical failure: ") and proc.stderr.count(b"\n") == 1
+    assert b"RuntimeWarning" not in proc.stderr
 
 
 def test_package_runs_without_scipy(tmp_path):
@@ -1304,6 +1333,15 @@ def test_package_runs_without_scipy(tmp_path):
         ["sweep", "--steps", "20", "--param", "a", "--from", "1", "--to", "2", "--points", "2"],
     ]
     assert [argv[0] for argv in argvs] == [s[0] for s in cli._SUBCOMMANDS]
+    # a constant T0 != 0 takes integrate through its gauge factor and
+    # degeneracy through its Magnus gauge fix
+    T0, T1 = np.diag([1.5j, -1.5j]), np.diag([0.5j, -0.5j])
+    T2 = np.array([[0.0, 0.5], [-0.5, 0.0]])
+    init = tmp_path / "t0.json"
+    init.write_text(json.dumps({f"T{i}": serialize.matrix_to_pairs(M)
+                                for i, M in enumerate((T0, T1, T2, np.zeros((2, 2))))}))
+    argvs += [[command, "--init", str(init), "--steps", "200"]
+              for command in ("integrate", "degeneracy")]
     code = f"""
 import importlib.abc, sys
 

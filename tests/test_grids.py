@@ -320,3 +320,18 @@ def test_trajectory_refuses_a_non_finite_end(t_end):
         flow.Trajectory(0.0, t_end, samples)
     # one sample, the initial quadruple alone, is a trajectory
     assert flow.Trajectory(0.0, 1.0, samples[:1]).steps == 0
+
+
+@pytest.mark.parametrize("use", ["h", "lax_residual", "residual", "gauge_fix"])
+def test_single_sample_trajectory_has_no_step(use):
+    # a valid trajectory, but every use of its grid step is refused in
+    # words, not with a ZeroDivisionError
+    traj = flow.Trajectory(0.0, 1.0, np.zeros((1, 4, 2, 2), dtype=complex))
+    run = {
+        "h": lambda: traj.h,
+        "lax_residual": lambda: spectral.lax_residual(traj),
+        "residual": lambda: flow.residual(traj),
+        "gauge_fix": lambda: flow.gauge_fix(traj),
+    }[use]
+    with pytest.raises(ValueError, match="a single sample has no step"):
+        run()

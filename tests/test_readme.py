@@ -1,8 +1,8 @@
 """README's library overview runs as written.
 
 The one ```python block of README.md is the documented way into the
-library.  Run as a script (python tests/test_readme.py) it needs only the
-package and numpy, so the numpy-only CI job runs the block without scipy.
+library.  It needs only the package and numpy, so the numpy-only CI job
+runs this file against the installed package without scipy.
 """
 
 import re
@@ -18,7 +18,3 @@ def readme_python_block():
 
 def test_readme_library_overview_runs():
     exec(compile(readme_python_block(), str(README), "exec"), {})
-
-
-if __name__ == "__main__":
-    test_readme_library_overview_runs()

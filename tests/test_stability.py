@@ -238,6 +238,20 @@ def test_halfline_rejects_a_horizon_that_is_not_positive(horizon):
         halfline_convergence([E1, Z2, Z2], [Z2, E1, Z2], horizon=horizon)
 
 
+@pytest.mark.parametrize("horizon, h", [(5e-324, "0.0"), (1e306, "0.0"), (float("inf"), "nan")])
+def test_halfline_rejects_a_horizon_whose_step_is_not_positive_and_finite(monkeypatch, horizon, h):
+    # refused before any stepping: no division by a step of 0 and no
+    # OverflowError from rounding an infinite step count
+    monkeypatch.setattr(flow, "_flow_blocks", None)
+    with pytest.raises(ValueError, match=rf"the step horizon / max\(1000 horizon, 10\) is {h};"):
+        halfline_convergence([E1, Z2, Z2], [Z2, E1, Z2], horizon=horizon)
+
+
+@pytest.mark.parametrize("horizon, steps", [(1e-300, 10), (0.0105, 10), (0.0125, 12), (8.0, 8000)])
+def test_halfline_steps_per_unit_time(horizon, steps):
+    assert stability.halfline_steps(horizon) == steps
+
+
 def _commuting_triple(n, kind, rng):
     # tau_k = U i diag(x_k) U*; "repeated" gives the joint eigenvalues
     # multiplicities (2, 1, 2), "traceless" puts the triple in su(n).  The
